@@ -197,7 +197,7 @@ def run_reconstruction(state: QuantumState, params: ChannelParams, count: int,
 @dataclass
 class EnsembleReport:
     """Pointwise curve statistics over R reconstructions plus the
-    per-coefficient and per-moment statistics and the input echo."""
+    per-coefficient and mixed-moment statistics and the input echo."""
 
     lambdas: np.ndarray
     v_mean: np.ndarray
@@ -205,8 +205,6 @@ class EnsembleReport:
     coeff_values: dict     # name -> ndarray over replicates (a0, a1, a2)
     coeff_mean: dict
     coeff_std: dict
-    moment_mean: dict      # (phi, n) -> mean over replicates
-    moment_std: dict
     mixed_mean: float
     mixed_std: float
     params: ChannelParams
@@ -254,13 +252,6 @@ def ensemble_run(state: QuantumState, params: ChannelParams, count: int,
         "a1": np.array([c.a1 for c in curves]),
         "a2": np.array([c.a2 for c in curves]),
     }
-    keys = sorted(results[0][0].keys())
-    moment_mean = {}
-    moment_std = {}
-    for key in keys:
-        vals = np.array([ms.get(*key) for ms, _ in results])
-        moment_mean[key] = float(vals.mean())
-        moment_std[key] = float(vals.std(ddof=1))
     mixed_vals = np.array([ms.mixed for ms, _ in results])
     return EnsembleReport(
         lambdas=lam,
@@ -269,8 +260,6 @@ def ensemble_run(state: QuantumState, params: ChannelParams, count: int,
         coeff_values=coeff_values,
         coeff_mean={k: float(v.mean()) for k, v in coeff_values.items()},
         coeff_std={k: float(v.std(ddof=1)) for k, v in coeff_values.items()},
-        moment_mean=moment_mean,
-        moment_std=moment_std,
         mixed_mean=float(mixed_vals.mean()),
         mixed_std=float(mixed_vals.std(ddof=1)),
         params=params,

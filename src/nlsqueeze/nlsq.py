@@ -106,9 +106,6 @@ class MomentSet:
     def keys(self):
         return self._entries.keys()
 
-    def items(self):
-        return self._entries.items()
-
     def update(self, other: "MomentSet"):
         self._entries.update(other._entries)
         if other._mixed is not None:
@@ -125,7 +122,7 @@ class MomentSet:
 @dataclass
 class NlsCurve:
     """Parabola V(lambda) = a0 + a1 lambda + a2 lambda^2 with coefficient
-    errors, optionally carrying ensemble statistics on a lambda grid."""
+    errors."""
 
     a0: float
     a1: float
@@ -133,9 +130,6 @@ class NlsCurve:
     a0_err: float = 0.0
     a1_err: float = 0.0
     a2_err: float = 0.0
-    lambdas: np.ndarray | None = None
-    v_mean: np.ndarray | None = None
-    v_std: np.ndarray | None = None
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=float) if np.ndim(lam) else float(lam)
@@ -188,9 +182,7 @@ def nls_variance(m: MomentSet, lam: float, order: int = 3) -> float:
     """
     if order != 3:
         raise UnsupportedOrderError(f"only the cubic case (order 3) is implemented, got {order}")
-    a0, a1, a2, *_ = _coefficients(m)
-    lam = float(lam)
-    return a0 + lam * (a1 + lam * a2)
+    return NlsCurve(*_coefficients(m))(float(lam))
 
 
 def second_moment(m: MomentSet, lam: float) -> float:
@@ -219,12 +211,10 @@ def squeezing_margin(m: MomentSet, lam: float, k: float = 3.0):
     verdict requires margin > k * sigma_margin; exact moments carry
     sigma = 0, so any positive margin certifies.
     """
-    a0, a1, a2, e0, e1, e2 = _coefficients(m)
+    curve = NlsCurve(*_coefficients(m))
     lam = float(lam)
-    v = a0 + lam * (a1 + lam * a2)
-    margin = classical_threshold(lam) - v
-    sigma = math.sqrt(e0 ** 2 + (lam * e1) ** 2 + (lam * lam * e2) ** 2)
-    return margin, bool(margin > k * sigma)
+    margin = classical_threshold(lam) - curve(lam)
+    return margin, bool(margin > k * curve.error(lam))
 
 
 def resource_condition(gamma: float, gamma_G: float) -> bool:

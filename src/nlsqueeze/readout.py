@@ -23,8 +23,6 @@ from .errors import IncompleteMomentError, SamplingError
 from .hilbert import PositionGrid, QuantumState, default_grid, marginal_density
 from .nlsq import MomentSet
 
-_trapz = getattr(np, "trapezoid", None) or np.trapz
-
 # Below this Gamma_m * tau the exact radicand x + 4 e^{-x/2} - e^{-x} - 3
 # cancels catastrophically (relative error ~ 12 eps / x^2), so the series
 # x^3/12 - x^4/32 + 7 x^5/960 takes over; both are ~1e-7 accurate at the
@@ -47,6 +45,9 @@ class ChannelParams:
     phi: float = 0.0
 
     def __post_init__(self):
+        for name in ("G", "Gamma_m", "n_bar", "tau", "kappa", "phi"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("G", "Gamma_m", "n_bar"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")

@@ -23,7 +23,7 @@ Configuration is a flat key = value file with dotted section prefixes
     lambda.min/max/points evaluation grid (default -0.2 .. 0.4, 101)
     certify.lambda_star   certification point (default: gamma for cubic states)
     certify.gamma_G       gate nonlinearity for the resource verdict
-    certify.k_sigma       detection threshold in sigmas (default 3)
+    certify.k_sigma       detection threshold in sigmas, > 0 (default 3)
     grid.extent           position-grid override (give both or neither)
     grid.points
     output.dir            where reports land (default .)
@@ -33,6 +33,7 @@ Sweep axes move one channel parameter to hit the requested value in
 kappa units: thermalisation_rate sets Gamma_m = value*kappa/n_bar at
 fixed n_bar, interaction_time sets tau = value/kappa, and cooperativity
 sets G = sqrt(value * n_bar * Gamma_m * kappa).
+Every real-valued entry must be a finite number.
 """
 
 from __future__ import annotations
@@ -152,6 +153,13 @@ def _pop(raw: dict, key: str, convert, default=None):
         raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from None
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _complex(text: str) -> complex:
     return complex(text.replace(" ", "").replace("(", "").replace(")", ""))
 
@@ -162,8 +170,8 @@ def _pop_state(raw: dict, prefix: str) -> StateSpec:
         raise ConfigError(f"missing {prefix}kind")
     kwargs = dict(
         beta=_pop(raw, prefix + "beta", _complex, 0j),
-        n_bar=_pop(raw, prefix + "n_bar", float, 0.0),
-        gamma=_pop(raw, prefix + "gamma", float, 0.0),
+        n_bar=_pop(raw, prefix + "n_bar", _finite, 0.0),
+        gamma=_pop(raw, prefix + "gamma", _finite, 0.0),
         alpha=_pop(raw, prefix + "alpha", _complex, 0j),
         N=_pop(raw, prefix + "N", int, 128),
     )
@@ -182,17 +190,17 @@ def _pop_channel(raw: dict) -> ChannelParams | None:
     keys = [k for k in raw if k.startswith("channel.")]
     if not keys:
         return None
-    G = _pop(raw, "channel.G", float)
-    tau = _pop(raw, "channel.tau", float)
+    G = _pop(raw, "channel.G", _finite)
+    tau = _pop(raw, "channel.tau", _finite)
     if G is None or tau is None:
         raise ConfigError("channel section needs at least channel.G and channel.tau")
     try:
         return ChannelParams(
             G=G,
-            Gamma_m=_pop(raw, "channel.Gamma_m", float, 0.0),
-            n_bar=_pop(raw, "channel.n_bar", float, 0.0),
+            Gamma_m=_pop(raw, "channel.Gamma_m", _finite, 0.0),
+            n_bar=_pop(raw, "channel.n_bar", _finite, 0.0),
             tau=tau,
-            kappa=_pop(raw, "channel.kappa", float, 1.0),
+            kappa=_pop(raw, "channel.kappa", _finite, 1.0),
         )
     except ValueError as exc:
         raise ConfigError(f"invalid channel parameters: {exc}") from None
@@ -203,7 +211,7 @@ def _pop_sweep_values(raw: dict) -> tuple:
     if text is None or text == "":
         return ()
     try:
-        values = tuple(float(part) for part in text.split(","))
+        values = tuple(_finite(part) for part in text.split(","))
     except ValueError:
         raise ConfigError(f"bad sweep.values: {text!r}") from None
     if any(v <= 0 for v in values):
@@ -222,24 +230,24 @@ def parse_config(text: str) -> ExperimentConfig:
     if axis is not None and axis not in AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {AXES}")
     values = _pop_sweep_values(raw)
+    mode = raw.pop("mode", "full")
     cfg = ExperimentConfig(
         state_spec=spec,
         channel=channel,
         sweep_axis=axis,
         sweep_values=values,
         R=_pop(raw, "ensemble.R", int, 5),
-        count=int(_pop(raw, "ensemble.count", float, 1e5)),
+        count=int(_pop(raw, "ensemble.count", _finite, 1e5)),
         base_seed=_pop(raw, "ensemble.base_seed", int, 0),
-        lambda_min=_pop(raw, "lambda.min", float, -0.2),
-        lambda_max=_pop(raw, "lambda.max", float, 0.4),
+        lambda_min=_pop(raw, "lambda.min", _finite, -0.2),
+        lambda_max=_pop(raw, "lambda.max", _finite, 0.4),
         lambda_points=_pop(raw, "lambda.points", int, 101),
-        lambda_star=_pop(raw, "certify.lambda_star", float, None),
-        gamma_G=_pop(raw, "certify.gamma_G", float, None),
-        k_sigma=_pop(raw, "certify.k_sigma", float, 3.0),
+        lambda_star=_pop(raw, "certify.lambda_star", _finite, None),
+        gamma_G=_pop(raw, "certify.gamma_G", _finite, None),
+        k_sigma=_pop(raw, "certify.k_sigma", _finite, 3.0),
         out_dir=raw.pop("output.dir", "."),
-        mode=raw.pop("mode", "full"),
     )
-    extent = _pop(raw, "grid.extent", float, None)
+    extent = _pop(raw, "grid.extent", _finite, None)
     points = _pop(raw, "grid.points", int, None)
     if (extent is None) != (points is None):
         raise ConfigError("grid.extent and grid.points must be given together")
@@ -247,14 +255,22 @@ def parse_config(text: str) -> ExperimentConfig:
         cfg.grid = PositionGrid(extent, points)
     if raw:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(raw))}")
-    if cfg.mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {cfg.mode!r}")
+    _set_mode(cfg, mode)
     if cfg.lambda_points < 1:
         raise ConfigError("lambda.points must be >= 1")
-    if cfg.mode == "quick":
+    if cfg.k_sigma <= 0:
+        raise ConfigError(f"certify.k_sigma must be > 0, got {cfg.k_sigma:g}")
+    return cfg
+
+
+def _set_mode(cfg: ExperimentConfig, mode: str):
+    """Validate the run mode and apply the quick-mode caps."""
+    if mode not in MODES:
+        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
+    cfg.mode = mode
+    if mode == "quick":
         cfg.count = min(cfg.count, QUICK_COUNT_CAP)
         cfg.R = min(cfg.R, QUICK_R_CAP)
-    return cfg
 
 
 def load_config(path, out_dir=None, base_seed=None, mode=None) -> ExperimentConfig:
@@ -265,12 +281,7 @@ def load_config(path, out_dir=None, base_seed=None, mode=None) -> ExperimentConf
     if base_seed is not None:
         cfg.base_seed = int(base_seed)
     if mode is not None:
-        if mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-        cfg.mode = mode
-        if mode == "quick":
-            cfg.count = min(cfg.count, QUICK_COUNT_CAP)
-            cfg.R = min(cfg.R, QUICK_R_CAP)
+        _set_mode(cfg, mode)
     return cfg
 
 
@@ -305,7 +316,7 @@ class SweepPoint:
 class SweepReport:
     config: ExperimentConfig
     lambdas: np.ndarray
-    v_analytic: np.ndarray
+    v_analytic: np.ndarray | None   # None for certify, which never emits it
     threshold: np.ndarray
     points: list = field(default_factory=list)
     wall_clock_s: float = 0.0
@@ -319,24 +330,21 @@ def analytic_overlay(spec: StateSpec, state, lambdas: np.ndarray) -> np.ndarray:
     return assemble_curve(exact_moment_set(state))(lambdas)
 
 
-def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepReport:
-    """Ensemble per sweep value; seeds derive from (base_seed, point index)."""
-    if config.channel is None:
-        raise ConfigError("sweep needs a channel section")
-    if config.sweep_axis is None:
-        raise ConfigError("sweep needs sweep.axis")
+def _run_points(config: ExperimentConfig, points, threads: int = 1,
+                overlay: bool = True) -> SweepReport:
+    """Build the state and lambda grid once, then run one ensemble per
+    (sweep_value, channel, seed) in points.  With overlay=False the
+    analytic curve is not computed and v_analytic stays None."""
     t0 = perf_counter()
     state = make_state(config.state_spec, grid=config.grid)
     lam = config.lambda_grid()
     report = SweepReport(
         config=config,
         lambdas=lam,
-        v_analytic=analytic_overlay(config.state_spec, state, lam),
+        v_analytic=analytic_overlay(config.state_spec, state, lam) if overlay else None,
         threshold=np.asarray(classical_threshold(lam)),
     )
-    for i, sv in enumerate(config.sweep_values):
-        channel = apply_axis(config.channel, config.sweep_axis, sv)
-        seed = derive_seed(config.base_seed, i)
+    for sv, channel, seed in points:
         t1 = perf_counter()
         rep = ensemble_run(state, channel, config.count, config.R, seed,
                            lambdas=lam, grid=config.grid, threads=threads)
@@ -346,28 +354,24 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepReport:
     return report
 
 
+def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepReport:
+    """Ensemble per sweep value; seeds derive from (base_seed, point index)."""
+    if config.channel is None:
+        raise ConfigError("sweep needs a channel section")
+    if config.sweep_axis is None:
+        raise ConfigError("sweep needs sweep.axis")
+    points = ((sv, apply_axis(config.channel, config.sweep_axis, sv),
+               derive_seed(config.base_seed, i))
+              for i, sv in enumerate(config.sweep_values))
+    return _run_points(config, points, threads)
+
+
 def single_run_report(config: ExperimentConfig, threads: int = 1) -> SweepReport:
     """One ensemble at the template channel, packaged as a single-point
     sweep with sweep_value 0.0 so the emitters apply unchanged."""
     if config.channel is None:
         raise ConfigError("reconstruction needs a channel section")
-    t0 = perf_counter()
-    state = make_state(config.state_spec, grid=config.grid)
-    lam = config.lambda_grid()
-    rep = ensemble_run(state, config.channel, config.count, config.R,
-                       config.base_seed, lambdas=lam, grid=config.grid,
-                       threads=threads)
-    report = SweepReport(
-        config=config,
-        lambdas=lam,
-        v_analytic=analytic_overlay(config.state_spec, state, lam),
-        threshold=np.asarray(classical_threshold(lam)),
-        points=[SweepPoint(sweep_value=0.0, channel=config.channel,
-                           seed=config.base_seed, report=rep,
-                           wall_clock_s=perf_counter() - t0)],
-    )
-    report.wall_clock_s = perf_counter() - t0
-    return report
+    return _run_points(config, [(0.0, config.channel, config.base_seed)], threads)
 
 
 # ---------------------------------------------------------------- emission
@@ -376,28 +380,28 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def sweep_csv(report: SweepReport) -> str:
-    lines = [SWEEP_HEADER]
+def _plot_rows(report: SweepReport):
+    """One tuple of plot.csv columns per (sweep point, lambda)."""
     for pt in report.points:
         for j, lam in enumerate(report.lambdas):
-            lines.append(",".join(_fmt(v) for v in (
-                pt.sweep_value, lam,
-                pt.report.v_mean[j], pt.report.v_std[j],
-                report.v_analytic[j], report.threshold[j])))
-    return "\n".join(lines) + "\n"
+            mean, std = pt.report.v_mean[j], pt.report.v_std[j]
+            yield (pt.sweep_value, lam, mean, std, mean - std, mean + std,
+                   report.v_analytic[j], report.threshold[j])
+
+
+def _csv(header: str, rows) -> str:
+    return "\n".join([header, *(",".join(_fmt(v) for v in row) for row in rows)]) + "\n"
+
+
+def sweep_csv(report: SweepReport) -> str:
+    """plot.csv without the v_lo/v_hi band columns."""
+    return _csv(SWEEP_HEADER, (row[:4] + row[6:] for row in _plot_rows(report)))
 
 
 def emit_plot_data(report: SweepReport) -> str:
     """Plot-ready CSV with the 1-sigma band columns; formatting is fixed
     (17 significant digits, '\\n' endings) so reruns are byte-identical."""
-    lines = [PLOT_HEADER]
-    for pt in report.points:
-        for j, lam in enumerate(report.lambdas):
-            mean, std = pt.report.v_mean[j], pt.report.v_std[j]
-            lines.append(",".join(_fmt(v) for v in (
-                pt.sweep_value, lam, mean, std, mean - std, mean + std,
-                report.v_analytic[j], report.threshold[j])))
-    return "\n".join(lines) + "\n"
+    return _csv(PLOT_HEADER, _plot_rows(report))
 
 
 def _point_dict(pt: SweepPoint) -> dict:
@@ -428,20 +432,22 @@ def report_dict(report: SweepReport) -> dict:
     }
 
 
+def _write(path: Path, text: str) -> Path:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text, encoding="utf-8", newline="")
+    return path
+
+
+def _write_json(path: Path, data: dict) -> Path:
+    return _write(path, json.dumps(data, indent=2) + "\n")
+
+
 def write_sweep_outputs(report: SweepReport, json_name: str = "report.json") -> dict:
     """Write sweep.csv, plot.csv and the JSON sidecar; returns the paths."""
     out = Path(report.config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {"sweep_csv": out / "sweep.csv", "plot_csv": out / "plot.csv",
-             "report_json": out / json_name}
-    with open(paths["sweep_csv"], "w", encoding="utf-8", newline="") as f:
-        f.write(sweep_csv(report))
-    with open(paths["plot_csv"], "w", encoding="utf-8", newline="") as f:
-        f.write(emit_plot_data(report))
-    with open(paths["report_json"], "w", encoding="utf-8", newline="") as f:
-        json.dump(report_dict(report), f, indent=2)
-        f.write("\n")
-    return paths
+    return {"sweep_csv": _write(out / "sweep.csv", sweep_csv(report)),
+            "plot_csv": _write(out / "plot.csv", emit_plot_data(report)),
+            "report_json": _write_json(out / json_name, report_dict(report))}
 
 
 # ---------------------------------------------------------------- certify
@@ -456,7 +462,6 @@ def certify(config: ExperimentConfig, threads: int = 1) -> dict:
     """
     if config.channel is None:
         raise ConfigError("certify needs a channel section")
-    t0 = perf_counter()
     spec = config.state_spec
     if config.lambda_star is not None:
         lam_star = config.lambda_star
@@ -464,15 +469,13 @@ def certify(config: ExperimentConfig, threads: int = 1) -> dict:
         lam_star = spec.gamma
     else:
         lam_star = 0.0
-    state = make_state(spec, grid=config.grid)
-    lam = config.lambda_grid()
-    rep = ensemble_run(state, config.channel, config.count, config.R,
-                       config.base_seed, lambdas=lam, grid=config.grid,
-                       threads=threads)
+    report = _run_points(config, [(0.0, config.channel, config.base_seed)],
+                         threads, overlay=False)
+    rep = report.points[0].report
     margins = classical_threshold(lam_star) - rep.v_at(lam_star)
     margin_mean = float(margins.mean())
     margin_std = float(margins.std(ddof=1))
-    grid_margin = np.asarray(classical_threshold(lam)) - rep.v_mean
+    grid_margin = report.threshold - rep.v_mean
     nonclassical_anywhere = bool(np.any(grid_margin > config.k_sigma * rep.v_std))
     resource = None
     if spec.kind == "cubic_phase" and config.gamma_G is not None:
@@ -491,7 +494,7 @@ def certify(config: ExperimentConfig, threads: int = 1) -> dict:
         "resource": resource,
         "replicate_seeds": list(rep.seeds),
         "config": config.echo(),
-        "wall_clock_s": perf_counter() - t0,
+        "wall_clock_s": report.wall_clock_s,
     }
 
 
@@ -561,16 +564,16 @@ def main(argv=None) -> int:
                       f"a0={pt.report.coeff_mean['a0']:.6g}"
                       f"±{pt.report.coeff_std['a0']:.2g}  "
                       f"[{pt.wall_clock_s:.2f} s]")
-            print(f"wrote {paths['sweep_csv']}, {paths['plot_csv']}, "
-                  f"{paths['report_json']} in {report.wall_clock_s:.2f} s")
+        elif args.command == "reconstruct":
+            report = single_run_report(config, threads=args.threads)
+            paths = write_sweep_outputs(report, json_name="reconstruction.json")
+            rep = report.points[0].report
+            print(f"a0={rep.coeff_mean['a0']:.6g}±{rep.coeff_std['a0']:.2g}  "
+                  f"a1={rep.coeff_mean['a1']:.6g}±{rep.coeff_std['a1']:.2g}  "
+                  f"a2={rep.coeff_mean['a2']:.6g}±{rep.coeff_std['a2']:.2g}")
         elif args.command == "certify":
             cert = certify(config, threads=args.threads)
-            out = Path(config.out_dir)
-            out.mkdir(parents=True, exist_ok=True)
-            path = out / "certificate.json"
-            with open(path, "w", encoding="utf-8", newline="") as f:
-                json.dump(cert, f, indent=2)
-                f.write("\n")
+            path = _write_json(Path(config.out_dir) / "certificate.json", cert)
             verdict = "nonclassical" if cert["nonclassical"] else "not certified"
             print(f"V({cert['lambda_star']:g}) = {cert['v_mean']:.6g} "
                   f"± {cert['v_std']:.2g} vs threshold {cert['threshold']:.6g}: "
@@ -579,21 +582,12 @@ def main(argv=None) -> int:
                 state_txt = "sufficient" if cert["resource"]["satisfied"] else "insufficient"
                 print(f"resource versus gamma_G={cert['resource']['gamma_G']:g}: {state_txt}")
             print(f"wrote {path}")
-        elif args.command == "reconstruct":
-            report = single_run_report(config, threads=args.threads)
-            paths = write_sweep_outputs(report, json_name="reconstruction.json")
-            rep = report.points[0].report
-            print(f"a0={rep.coeff_mean['a0']:.6g}±{rep.coeff_std['a0']:.2g}  "
-                  f"a1={rep.coeff_mean['a1']:.6g}±{rep.coeff_std['a1']:.2g}  "
-                  f"a2={rep.coeff_mean['a2']:.6g}±{rep.coeff_std['a2']:.2g}")
-            print(f"wrote {paths['plot_csv']}, {paths['report_json']} "
-                  f"in {report.wall_clock_s:.2f} s")
         else:
             print(json.dumps(state_info(config), indent=2))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+        if args.command in ("sweep", "reconstruct"):
+            print(f"wrote {', '.join(map(str, paths.values()))} "
+                  f"in {report.wall_clock_s:.2f} s")
+    except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NumericsError as exc:

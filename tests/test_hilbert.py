@@ -20,7 +20,7 @@ from nlsqueeze.states import StateSpec, make_state
 
 import oracles
 
-_trapz = getattr(np, "trapezoid", np.trapz)
+_trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
 # ------------------------------------------------------------- phases

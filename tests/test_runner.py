@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nlsqueeze import runner
 from nlsqueeze.errors import ConfigError
 from nlsqueeze.runner import (
     PLOT_HEADER,
@@ -239,6 +241,15 @@ def test_sweep_outputs(tmp_path):
     assert "wall_clock_s" in data
 
 
+def test_sweep_csv_is_plot_csv_without_band(tmp_path):
+    report = run_sweep(small_config(tmp_path))
+    plot = [line.split(",") for line in emit_plot_data(report).splitlines()]
+    sweep = [line.split(",") for line in sweep_csv(report).splitlines()]
+    assert len(sweep) == len(plot) == 1 + 2 * 9
+    for sweep_row, plot_row in zip(sweep, plot):
+        assert sweep_row == plot_row[:4] + plot_row[6:]
+
+
 def test_sweep_cooperativity_derives_G(tmp_path):
     text = FULL_TEXT.replace("sweep.axis = thermalisation_rate",
                              "sweep.axis = cooperativity")
@@ -336,6 +347,18 @@ def test_certify_honours_lambda_star():
     assert cert["threshold"] == pytest.approx(0.5 * (1.0 + 9.0 * 0.04))
 
 
+def test_certify_skips_analytic_overlay(monkeypatch):
+    # the overlay of a non-cubic state needs exact moments, whose Fock-tail
+    # guard may fail where the certificate itself is well defined
+    def fail(*args):
+        raise AssertionError("certify computed the analytic overlay")
+
+    monkeypatch.setattr(runner, "analytic_overlay", fail)
+    cfg = certify_config("state.kind = thermal\nstate.n_bar = 1.0\nstate.N = 64",
+                         count=2000, R=2)
+    assert certify(cfg)["nonclassical"] is False
+
+
 # ------------------------------------------------------------- state info
 
 def test_state_info_vacuum():
@@ -380,6 +403,27 @@ def test_cli_bad_config(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("command, edits", [
+    ("sweep", {"channel.G = 0.1": "channel.G = nan"}),
+    ("sweep", {"channel.tau = 1.0e3": "channel.tau = inf"}),
+    ("sweep", {"sweep.values = 1e-7, 1e-5": "sweep.values = 1e-7, inf"}),
+    ("sweep", {"ensemble.count = 4000": "ensemble.count = inf"}),
+    ("certify", {"certify.k_sigma = 3": "certify.k_sigma = nan"}),
+    ("certify", {"state.kind = cubic_phase\nstate.gamma = 0.1": "state.kind = vacuum",
+                 "certify.k_sigma = 3": "certify.k_sigma = -3"}),
+], ids=["G-nan", "tau-inf", "sweep-inf", "count-inf", "k_sigma-nan", "k_sigma-negative"])
+def test_cli_rejects_bad_numbers(tmp_path, capsys, command, edits):
+    text = FULL_TEXT
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    out = tmp_path / "out"
+    rc = main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()  # rejected before any sampling or output
+
+
 def test_cli_numerical_error_exit_code(tmp_path):
     cfg = write_cfg(tmp_path, "state.kind = cubic_phase\nstate.gamma = 0.35\nstate.N = 24\n")
     rc = main(["state-info", "--config", cfg])
@@ -417,8 +461,12 @@ def test_cli_certify_writes_certificate(tmp_path, capsys):
 
 def test_module_entry_point(tmp_path):
     cfg = write_cfg(tmp_path, "state.kind = vacuum\nstate.N = 16\n")
+    # the child imports the same package as this process, installed or not
+    src = str(Path(runner.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run([sys.executable, "-m", "nlsqueeze", "state-info",
-                           "--config", cfg], capture_output=True, text=True)
+                           "--config", cfg], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["curve"]["a0"] == pytest.approx(0.5, abs=1e-10)
 
