@@ -23,9 +23,8 @@ from .readout import (
     ChannelCoefficients,
     ChannelParams,
     channel_coefficients,
+    hierarchy_matrix,
     sample_homodyne,
-    thermal_filtered_moment,
-    vacuum_filtered_moment,
 )
 
 # phase schedule of one reconstruction: q needs orders up to 4, the others
@@ -110,51 +109,27 @@ def empirical_moments(samples, max_n: int) -> EmpiricalMoments:
 def invert_hierarchy(em: EmpiricalMoments, coeffs: ChannelCoefficients,
                      n_bar: float, phi: float = 0.0,
                      cq_floor: float = CQ_FLOOR) -> MomentSet:
-    """Triangular solve of the output-moment hierarchy at one phase.
+    """Forward substitution through readout.hierarchy_matrix at one phase.
 
-    Row by row (V2 = 1/2, E_k the filtered thermal moments, noise2 the
-    order-2 noise floor V2 + c_E^2 E2):
-
-        <Q>   = <Y>/c_Q
-        <Q^2> = (<Y^2> - noise2)/c_Q^2
-        <Q^3> = (<Y^3> - 3 c_Q <Q> noise2)/c_Q^3
-        <Q^4> = (<Y^4> - V4 - c_E^4 E4 - 6 V2 c_E^2 E2
-                 - 6 c_Q^2 <Q^2> noise2)/c_Q^4
-
-    Standard errors are first-order propagated through each row;
-    covariances between different output moments are neglected.
+    Row n gives <Q^n> = (<Y^n> - sum_{k<n} H[n, k] <Q^k>) / H[n, n].
+    Standard errors are first-order propagated through the Jacobian
+    J = d<Q>/d<Y> (the inverse of H); covariances between different
+    output moments are neglected.
     """
-    cq, ce = coeffs.c_Q, coeffs.c_E
+    cq = coeffs.c_Q
     if abs(cq) < cq_floor:
         raise ChannelConditionError(
             f"|c_Q| = {abs(cq):.2e} below {cq_floor:g}; channel too weak to invert"
         )
-    V2 = vacuum_filtered_moment(2)
-    V4 = vacuum_filtered_moment(4)
-    E2 = thermal_filtered_moment(2, n_bar)
-    E4 = thermal_filtered_moment(4, n_bar)
-    noise2 = V2 + ce ** 2 * E2
+    size = em.max_n + 1
+    H = hierarchy_matrix(coeffs, n_bar, em.max_n)
+    q = np.ones(size)   # q[0] = <Q^0> = 1 exactly
+    J = np.eye(size)    # J[n, k] = d<Q^n>/d<Y^k>, filled row by row
     m = MomentSet(provenance="estimated")
-    q = {}
-    s = {}
-    for n in range(1, em.max_n + 1):
-        y, sy = em.mean(n), em.std_error(n)
-        if n == 1:
-            q[1] = y / cq
-            s[1] = sy / abs(cq)
-        elif n == 2:
-            q[2] = (y - noise2) / cq ** 2
-            s[2] = sy / cq ** 2
-        elif n == 3:
-            q[3] = (y - 3.0 * cq * q[1] * noise2) / cq ** 3
-            s[3] = math.sqrt((sy / abs(cq) ** 3) ** 2
-                             + (3.0 * noise2 * s[1] / cq ** 2) ** 2)
-        else:
-            q[4] = (y - V4 - ce ** 4 * E4 - 6.0 * V2 * ce ** 2 * E2
-                    - 6.0 * cq ** 2 * q[2] * noise2) / cq ** 4
-            s[4] = math.sqrt((sy / cq ** 4) ** 2
-                             + (6.0 * noise2 * s[2] / cq ** 2) ** 2)
-        m.set(phi, n, q[n], s[n])
+    for n in range(1, size):
+        q[n] = (em.mean(n) - sum(H[n, k] * q[k] for k in range(n))) / H[n, n]
+        J[n] = (J[n] - H[n, :n] @ J[:n]) / H[n, n]
+        m.set(phi, n, q[n], math.sqrt(J[n, 1:] ** 2 @ em.std_errors ** 2))
     return m
 
 
@@ -215,9 +190,7 @@ class EnsembleReport:
 
     def v_at(self, lam: float):
         """Per-replicate curve values at one lambda."""
-        a0 = self.coeff_values["a0"]
-        a1 = self.coeff_values["a1"]
-        a2 = self.coeff_values["a2"]
+        a0, a1, a2 = (self.coeff_values[k] for k in ("a0", "a1", "a2"))
         return a0 + lam * (a1 + lam * a2)
 
 
@@ -247,11 +220,7 @@ def ensemble_run(state: QuantumState, params: ChannelParams, count: int,
 
     curves = [c for _, c in results]
     vmat = np.array([c(lam) for c in curves])
-    coeff_values = {
-        "a0": np.array([c.a0 for c in curves]),
-        "a1": np.array([c.a1 for c in curves]),
-        "a2": np.array([c.a2 for c in curves]),
-    }
+    coeff_values = {k: np.array([getattr(c, k) for c in curves]) for k in ("a0", "a1", "a2")}
     mixed_vals = np.array([ms.mixed for ms, _ in results])
     return EnsembleReport(
         lambdas=lam,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompleteMomentError, SamplingError
+from .errors import SamplingError
 from .hilbert import PositionGrid, QuantumState, default_grid, marginal_density
 from .nlsq import MomentSet
 
@@ -145,46 +145,45 @@ def thermal_filtered_moment(k: int, n_bar: float) -> float:
         raise ValueError(f"n_bar must be >= 0, got {n_bar}")
     if k % 2 == 1:
         return 0.0
-    dfact = 1.0
-    for j in range(k - 1, 0, -2):
-        dfact *= j
-    return (n_bar + 0.5) ** (k // 2) * dfact
+    return (n_bar + 0.5) ** (k // 2) * math.prod(range(k - 1, 0, -2))
+
+
+def hierarchy_matrix(coeffs: ChannelCoefficients, n_bar: float, max_n: int) -> np.ndarray:
+    """Lower-triangular map H with <Y_out^n> = sum_k H[n, k] <Q^k>, n, k = 0..max_n.
+
+    Y_out = c_Q Q + W with the channel noise W = Y_in + c_E E independent
+    of Q, so H[n, k] = C(n, k) c_Q^k <W^{n-k}> with
+    <W^m> = sum_j C(m, j) V_j c_E^{m-j} E_{m-j} (V_j, E_j the filtered
+    vacuum and thermal moments; odd orders vanish).  With noise2 =
+    V2 + c_E^2 E2 the rows up to n = 4 read
+
+        <Y>   = c_Q <Q>
+        <Y^2> = noise2 + c_Q^2 <Q^2>
+        <Y^3> = 3 c_Q <Q> noise2 + c_Q^3 <Q^3>
+        <Y^4> = V4 + c_E^4 E4 + 6 V2 c_E^2 E2 + 6 c_Q^2 <Q^2> noise2 + c_Q^4 <Q^4>
+    """
+    noise = [sum(math.comb(m, j) * vacuum_filtered_moment(j) * coeffs.c_E ** (m - j)
+                 * thermal_filtered_moment(m - j, n_bar) for j in range(m + 1))
+             for m in range(max_n + 1)]
+    H = np.zeros((max_n + 1, max_n + 1))
+    for n in range(max_n + 1):
+        for k in range(n + 1):
+            H[n, k] = math.comb(n, k) * coeffs.c_Q ** k * noise[n - k]
+    return H
 
 
 def forward_output_moments(mech: MomentSet, p: ChannelParams,
                            coeffs: ChannelCoefficients, max_n: int) -> list:
-    """Predicted <Y_out^n> for n = 1..max_n from mechanical moments.
-
-    Expands (Y_in + c_Q Q + c_E E)^n over independent factors:
-    <Y^n> = sum over k1+k2+k3=n of the multinomial weight times
-    V_{k1} c_Q^{k2} <Q^{k2}> c_E^{k3} E_{k3}.
+    """Predicted <Y_out^n> for n = 1..max_n from mechanical moments, the
+    product of hierarchy_matrix with (1, <Q>, ..., <Q^max_n>).
 
     Raises
     ------
     IncompleteMomentError
         If mech lacks <Q_phi^k> at the channel phase for some k <= max_n.
     """
-    phi = p.phi
-    qmom = [1.0]
-    for k in range(1, max_n + 1):
-        if not mech.has(phi, k):
-            raise IncompleteMomentError(
-                f"mechanical moment (phi={phi}, n={k}) needed for <Y^{max_n}>"
-            )
-        qmom.append(mech.get(phi, k))
-    out = []
-    for n in range(1, max_n + 1):
-        total = 0.0
-        for k1 in range(0, n + 1, 2):  # odd vacuum moments vanish
-            v = vacuum_filtered_moment(k1)
-            for k3 in range(0, n - k1 + 1, 2):  # odd thermal moments vanish
-                k2 = n - k1 - k3
-                w = math.comb(n, k1) * math.comb(n - k1, k3)
-                total += (w * v * coeffs.c_E ** k3
-                          * thermal_filtered_moment(k3, p.n_bar)
-                          * coeffs.c_Q ** k2 * qmom[k2])
-        out.append(total)
-    return out
+    qmom = [1.0] + [mech.get(p.phi, k) for k in range(1, max_n + 1)]
+    return (hierarchy_matrix(coeffs, p.n_bar, max_n) @ np.array(qmom))[1:].tolist()
 
 
 def _inverse_cdf_table(state: QuantumState, phi: float, grid: PositionGrid):

@@ -89,7 +89,7 @@ class ExperimentConfig:
         return np.linspace(self.lambda_min, self.lambda_max, self.lambda_points)
 
     def echo(self) -> dict:
-        d = {
+        return {
             "state": _spec_echo(self.state_spec),
             "channel": _channel_echo(self.channel) if self.channel else None,
             "sweep": {"axis": self.sweep_axis, "values": list(self.sweep_values)},
@@ -103,7 +103,6 @@ class ExperimentConfig:
             "output": {"dir": self.out_dir},
             "mode": self.mode,
         }
-        return d
 
 
 def _spec_echo(spec: StateSpec) -> dict:
@@ -187,8 +186,7 @@ def _pop_state(raw: dict, prefix: str) -> StateSpec:
 
 
 def _pop_channel(raw: dict) -> ChannelParams | None:
-    keys = [k for k in raw if k.startswith("channel.")]
-    if not keys:
+    if not any(k.startswith("channel.") for k in raw):
         return None
     G = _pop(raw, "channel.G", _finite)
     tau = _pop(raw, "channel.tau", _finite)
@@ -463,12 +461,9 @@ def certify(config: ExperimentConfig, threads: int = 1) -> dict:
     if config.channel is None:
         raise ConfigError("certify needs a channel section")
     spec = config.state_spec
-    if config.lambda_star is not None:
-        lam_star = config.lambda_star
-    elif spec.kind == "cubic_phase":
-        lam_star = spec.gamma
-    else:
-        lam_star = 0.0
+    lam_star = config.lambda_star
+    if lam_star is None:
+        lam_star = spec.gamma if spec.kind == "cubic_phase" else 0.0
     report = _run_points(config, [(0.0, config.channel, config.base_seed)],
                          threads, overlay=False)
     rep = report.points[0].report
