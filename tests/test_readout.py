@@ -35,9 +35,6 @@ def test_params_validation():
         ChannelParams(G=0.1, Gamma_m=0.0, n_bar=-1.0, tau=1.0)
     with pytest.raises(ValueError):
         ChannelParams(G=0.1, Gamma_m=0.0, n_bar=0.0, tau=10.0, kappa=0.0)
-
-
-def test_params_reject_non_finite():
     for field in ("G", "Gamma_m", "n_bar", "tau", "kappa", "phi"):
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match=field):
