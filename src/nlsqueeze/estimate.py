@@ -4,8 +4,9 @@ The pipeline per reconstruction: estimate output moments <Y^n> with
 standard errors at each of the four phases (0, pi/2, +-pi/4), invert the
 triangular moment hierarchy phase by phase, recover the mixed moment
 from the rotated third moments, and assemble the V(lambda) parabola.
-Ensembles repeat this with independent derived seeds and report
-pointwise statistics of the curve on a lambda grid.
+Ensembles repeat this with independent derived seeds and keep the
+per-replicate curve coefficients, from which pointwise statistics on any
+lambda grid follow.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .errors import ChannelConditionError, DataError
 from .hilbert import PositionGrid, QuantumState
-from .nlsq import HALF_PI, QUARTER_PI, MomentSet, NlsCurve, assemble_curve
+from .nlsq import HALF_PI, PHASE_ORDERS, QUARTER_PI, MomentSet, assemble_curve
 from .readout import (
     ChannelCoefficients,
     ChannelParams,
@@ -27,13 +28,6 @@ from .readout import (
     sample_homodyne,
 )
 
-# phase schedule of one reconstruction: q needs orders up to 4, the others
-# up to 3 (the +-pi/4 first moments are estimated even though they cancel
-# from the curve, the n=3 inversion row consumes them).
-PHASE_ORDERS = ((0.0, 4), (HALF_PI, 3), (QUARTER_PI, 3), (-QUARTER_PI, 3))
-
-DEFAULT_LAMBDAS = (-0.2, 0.4, 101)
-
 CQ_FLOOR = 1e-6
 
 
@@ -41,11 +35,6 @@ def derive_seed(*parts) -> int:
     """Deterministic 64-bit seed from an integer tuple, platform stable."""
     ss = np.random.SeedSequence(tuple(int(p) for p in parts))
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def default_lambda_grid() -> np.ndarray:
-    lo, hi, npts = DEFAULT_LAMBDAS
-    return np.linspace(lo, hi, npts)
 
 
 @dataclass(frozen=True)
@@ -107,8 +96,7 @@ def empirical_moments(samples, max_n: int) -> EmpiricalMoments:
 
 
 def invert_hierarchy(em: EmpiricalMoments, coeffs: ChannelCoefficients,
-                     n_bar: float, phi: float = 0.0,
-                     cq_floor: float = CQ_FLOOR) -> MomentSet:
+                     n_bar: float, phi: float = 0.0) -> MomentSet:
     """Forward substitution through readout.hierarchy_matrix at one phase.
 
     Row n gives <Q^n> = (<Y^n> - sum_{k<n} H[n, k] <Q^k>) / H[n, n].
@@ -117,15 +105,15 @@ def invert_hierarchy(em: EmpiricalMoments, coeffs: ChannelCoefficients,
     output moments are neglected.
     """
     cq = coeffs.c_Q
-    if abs(cq) < cq_floor:
+    if abs(cq) < CQ_FLOOR:
         raise ChannelConditionError(
-            f"|c_Q| = {abs(cq):.2e} below {cq_floor:g}; channel too weak to invert"
+            f"|c_Q| = {abs(cq):.2e} below {CQ_FLOOR:g}; channel too weak to invert"
         )
     size = em.max_n + 1
     H = hierarchy_matrix(coeffs, n_bar, em.max_n)
     q = np.ones(size)   # q[0] = <Q^0> = 1 exactly
     J = np.eye(size)    # J[n, k] = d<Q^n>/d<Y^k>, filled row by row
-    m = MomentSet(provenance="estimated")
+    m = MomentSet()
     for n in range(1, size):
         q[n] = (em.mean(n) - sum(H[n, k] * q[k] for k in range(n))) / H[n, n]
         J[n] = (J[n] - H[n, :n] @ J[:n]) / H[n, n]
@@ -141,7 +129,6 @@ def mixed_moment_recovery(m: MomentSet):
     with the +-iq commutator terms cancelling in the difference.
     Returns (value, std_error).
     """
-    m.require(((QUARTER_PI, 3), (-QUARTER_PI, 3), (HALF_PI, 3)))
     c = 2.0 * math.sqrt(2.0) / 3.0
     plus, minus = m.get(QUARTER_PI, 3), m.get(-QUARTER_PI, 3)
     p3 = m.get(HALF_PI, 3)
@@ -156,36 +143,30 @@ def run_reconstruction(state: QuantumState, params: ChannelParams, count: int,
                        seed: int, grid: PositionGrid | None = None):
     """One full reconstruction: 4 phases, count samples each.
 
-    Returns (MomentSet, NlsCurve) with estimated provenance.
+    Returns (MomentSet, NlsCurve).
     """
-    ms = MomentSet(provenance="estimated")
+    ms = MomentSet()
     for k, (phi, order) in enumerate(PHASE_ORDERS):
         p_k = replace(params, phi=phi)
         coeffs = channel_coefficients(p_k, "exact")
         samples = sample_homodyne(state, p_k, count, derive_seed(seed, k), grid=grid)
         em = empirical_moments(samples, max_n=order)
         ms.update(invert_hierarchy(em, coeffs, p_k.n_bar, phi=phi))
-    ms.set_mixed(*mixed_moment_recovery(ms))
+    ms.mixed, ms.mixed_error = mixed_moment_recovery(ms)
     return ms, assemble_curve(ms)
 
 
 @dataclass
 class EnsembleReport:
-    """Pointwise curve statistics over R reconstructions plus the
-    per-coefficient and mixed-moment statistics and the input echo."""
+    """Per-replicate curve coefficients and mixed moments of R
+    reconstructions, with their means, sample deviations and the
+    replicate seeds."""
 
-    lambdas: np.ndarray
-    v_mean: np.ndarray
-    v_std: np.ndarray
     coeff_values: dict     # name -> ndarray over replicates (a0, a1, a2)
     coeff_mean: dict
     coeff_std: dict
     mixed_mean: float
     mixed_std: float
-    params: ChannelParams
-    count: int
-    R: int
-    base_seed: int
     seeds: list
 
     def v_at(self, lam: float):
@@ -193,12 +174,21 @@ class EnsembleReport:
         a0, a1, a2 = (self.coeff_values[k] for k in ("a0", "a1", "a2"))
         return a0 + lam * (a1 + lam * a2)
 
+    def v_stats(self, lambdas):
+        """Pointwise mean and sample deviation of V over the replicates on
+        a lambda grid.  The C-ordered (R, L) table is reduced over axis 0,
+        which fixes the summation order and so the last bits of plot.csv."""
+        lam = np.asarray(lambdas, dtype=float)
+        a0, a1, a2 = (self.coeff_values[k][:, None] for k in ("a0", "a1", "a2"))
+        vmat = a0 + lam * (a1 + lam * a2)
+        return vmat.mean(axis=0), vmat.std(axis=0, ddof=1)
+
 
 def ensemble_run(state: QuantumState, params: ChannelParams, count: int,
-                 R: int, base_seed: int, lambdas=None,
-                 grid: PositionGrid | None = None, threads: int = 1) -> EnsembleReport:
+                 R: int, base_seed: int, grid: PositionGrid | None = None,
+                 threads: int = 1) -> EnsembleReport:
     """R independent reconstructions with seeds derived from
-    (base_seed, replicate index); statistics are pointwise in lambda.
+    (base_seed, replicate index).
 
     Replicates are independent tasks; with threads > 1 they run in a
     thread pool and are reduced in index order, so the report does not
@@ -206,7 +196,6 @@ def ensemble_run(state: QuantumState, params: ChannelParams, count: int,
     """
     if R < 2:
         raise ValueError(f"R must be >= 2 for ensemble statistics, got {R}")
-    lam = default_lambda_grid() if lambdas is None else np.asarray(lambdas, dtype=float)
     seeds = [derive_seed(base_seed, r) for r in range(R)]
 
     def one(seed):
@@ -218,22 +207,13 @@ def ensemble_run(state: QuantumState, params: ChannelParams, count: int,
     else:
         results = [one(s) for s in seeds]
 
-    curves = [c for _, c in results]
-    vmat = np.array([c(lam) for c in curves])
-    coeff_values = {k: np.array([getattr(c, k) for c in curves]) for k in ("a0", "a1", "a2")}
+    coeff_values = {k: np.array([getattr(c, k) for _, c in results]) for k in ("a0", "a1", "a2")}
     mixed_vals = np.array([ms.mixed for ms, _ in results])
     return EnsembleReport(
-        lambdas=lam,
-        v_mean=vmat.mean(axis=0),
-        v_std=vmat.std(axis=0, ddof=1),
         coeff_values=coeff_values,
         coeff_mean={k: float(v.mean()) for k, v in coeff_values.items()},
         coeff_std={k: float(v.std(ddof=1)) for k, v in coeff_values.items()},
         mixed_mean=float(mixed_vals.mean()),
         mixed_std=float(mixed_vals.std(ddof=1)),
-        params=params,
-        count=count,
-        R=R,
-        base_seed=base_seed,
         seeds=seeds,
     )

@@ -176,7 +176,7 @@ class QuantumState:
         return self.rho.shape[0]
 
 
-def validate_state(state: QuantumState, leak_tol: float = LEAK_TOL) -> QuantumState:
+def validate_state(state: QuantumState) -> QuantumState:
     """Check Hermiticity, unit trace, positivity and truncation leakage."""
     rho = state.rho
     herm = float(np.max(np.abs(rho - rho.conj().T)))
@@ -188,9 +188,9 @@ def validate_state(state: QuantumState, leak_tol: float = LEAK_TOL) -> QuantumSt
     lam_min = float(np.linalg.eigvalsh(rho)[0])
     if lam_min < -PSD_TOL:
         raise StateError(f"smallest eigenvalue {lam_min:.2e} below -{PSD_TOL:g}")
-    if state.leakage > leak_tol:
+    if state.leakage > LEAK_TOL:
         raise TruncationError(
-            f"truncation leakage {state.leakage:.2e} exceeds {leak_tol:g}; "
+            f"truncation leakage {state.leakage:.2e} exceeds {LEAK_TOL:g}; "
             "increase the Fock dimension or grid extent"
         )
     return state
@@ -207,9 +207,7 @@ def quadrature_matrix(N: int, phi: float) -> np.ndarray:
     return Q
 
 
-def quadrature_moment(state: QuantumState, phi: float, n: int,
-                      max_order: int = MAX_MOMENT_ORDER,
-                      tail_tol: float = LEAK_TOL) -> float:
+def quadrature_moment(state: QuantumState, phi: float, n: int) -> float:
     """Exact tr(rho Q_phi^n) in the truncated basis.
 
     Parameters
@@ -218,25 +216,25 @@ def quadrature_moment(state: QuantumState, phi: float, n: int,
     phi : float
         Quadrature phase in radians (reduced mod 2 pi internally).
     n : int
-        Moment order, 0 <= n <= max_order.
+        Moment order, 0 <= n <= MAX_MOMENT_ORDER.
 
     Raises
     ------
     TruncationError
-        If the top-n Fock levels of rho carry >= tail_tol population, in
+        If the top-n Fock levels of rho carry more than LEAK_TOL population, in
         which case Q^n couples to the missing part of the space.
     HermiticityError
         If the imaginary residue of the trace exceeds tolerance.
     """
-    if n < 0 or n > max_order:
-        raise ValueError(f"moment order {n} outside [0, {max_order}]")
+    if n < 0 or n > MAX_MOMENT_ORDER:
+        raise ValueError(f"moment order {n} outside [0, {MAX_MOMENT_ORDER}]")
     if n == 0:
         return 1.0
     N = state.dim
     tail = float(np.sum(np.real(np.diag(state.rho))[max(0, N - n):]))
-    if tail > tail_tol:
+    if tail > LEAK_TOL:
         raise TruncationError(
-            f"top-{n} Fock tail holds population {tail:.2e} > {tail_tol:g}; "
+            f"top-{n} Fock tail holds population {tail:.2e} > {LEAK_TOL:g}; "
             "the moment is not trustworthy at this dimension"
         )
     Q = quadrature_matrix(N, canonical_phase(phi))
@@ -249,8 +247,7 @@ def quadrature_moment(state: QuantumState, phi: float, n: int,
     return val.real
 
 
-def marginal_density(state: QuantumState, phi: float, grid: PositionGrid,
-                     basis: HermiteBasis | None = None) -> np.ndarray:
+def marginal_density(state: QuantumState, phi: float, grid: PositionGrid) -> np.ndarray:
     """Probability density of Q_phi on the grid.
 
     Rotates rho by the diagonal Fock phase, rho'_{mn} = rho_{mn}
@@ -263,8 +260,7 @@ def marginal_density(state: QuantumState, phi: float, grid: PositionGrid,
         If the density dips below -1e-8 or its trapezoid norm deviates
         from 1 by more than 1e-4.
     """
-    if basis is None:
-        basis = build_basis(state.dim, grid)
+    basis = build_basis(state.dim, grid)
     phi_c = canonical_phase(phi)
     m = np.arange(state.dim)
     phase = np.exp(-1j * phi_c * m)
@@ -285,8 +281,7 @@ def marginal_density(state: QuantumState, phi: float, grid: PositionGrid,
     return dens
 
 
-def displace(state: QuantumState, alpha: complex,
-             leak_tol: float = LEAK_TOL) -> QuantumState:
+def displace(state: QuantumState, alpha: complex) -> QuantumState:
     """Apply D(alpha) = exp(alpha b† - alpha* b) to the state.
 
     The exponential is taken in a doubled (2N) space so truncation is
@@ -296,7 +291,7 @@ def displace(state: QuantumState, alpha: complex,
     Raises
     ------
     TruncationError
-        If accumulated leakage exceeds leak_tol.
+        If accumulated leakage exceeds LEAK_TOL.
     """
     alpha = complex(alpha)
     if alpha == 0:
@@ -313,11 +308,11 @@ def displace(state: QuantumState, alpha: complex,
     block = rho_disp[:N, :N]
     captured = float(np.trace(block).real)
     leak = state.leakage + max(0.0, 1.0 - captured)
-    if leak > leak_tol:
+    if leak > LEAK_TOL:
         raise TruncationError(
-            f"displacement by {alpha} leaks {leak:.2e} > {leak_tol:g} "
+            f"displacement by {alpha} leaks {leak:.2e} > {LEAK_TOL:g} "
             f"at dimension {N}"
         )
     block = block / captured
     block = 0.5 * (block + block.conj().T)
-    return validate_state(QuantumState(rho=block, leakage=leak), leak_tol=leak_tol)
+    return validate_state(QuantumState(rho=block, leakage=leak))

@@ -30,92 +30,63 @@ from .hilbert import (
 HALF_PI = math.pi / 2.0
 QUARTER_PI = math.pi / 4.0
 
-# (phase, order) pairs a MomentSet must hold before a curve can be built.
-REQUIRED_KEYS = (
-    (0.0, 1), (0.0, 2), (0.0, 4),
-    (HALF_PI, 1), (HALF_PI, 2), (HALF_PI, 3),
-    (QUARTER_PI, 1), (QUARTER_PI, 3),
-    (-QUARTER_PI, 1), (-QUARTER_PI, 3),
-)
-
-
-class UnsupportedOrderError(ValueError):
-    """Only the cubic nonlinearity (order 3) is implemented."""
-
-
-def _key(phi: float, n: int):
-    return (round(canonical_phase(phi), 12), int(n))
+# phase schedule of one reconstruction: q needs orders up to 4, the others
+# up to 3 (the +-pi/4 first moments are estimated even though they cancel
+# from the curve, the n=3 inversion row consumes them).
+PHASE_ORDERS = ((0.0, 4), (HALF_PI, 3), (QUARTER_PI, 3), (-QUARTER_PI, 3))
+MAX_ORDER = 4
 
 
 class MomentSet:
-    """Quadrature moments keyed by (phase, order), with standard errors.
+    """Quadrature moments <Q_phi^n> and their standard errors in two
+    (schedule phase, order 1..MAX_ORDER) tables, NaN where unset.
 
-    The symmetrized mixed moment <p q^2 + q^2 p> does not fit the
-    (phase, order) indexing and lives in a dedicated slot, filled either
-    by exact computation or by estimate.mixed_moment_recovery.
+    Phases match a PHASE_ORDERS phase after reduction to (-pi, pi].  The
+    symmetrized mixed moment <p q^2 + q^2 p> has no (phase, order) entry;
+    it sits in mixed and mixed_error, NaN until set exactly or from
+    estimate.mixed_moment_recovery.
     """
 
-    def __init__(self, provenance: str = "exact"):
-        if provenance not in ("exact", "estimated"):
-            raise ValueError(f"provenance must be exact or estimated, got {provenance!r}")
-        self.provenance = provenance
-        self._entries: dict = {}
-        self._mixed: tuple | None = None
+    def __init__(self):
+        self.values = np.full((len(PHASE_ORDERS), MAX_ORDER), np.nan)
+        self.errors = np.full_like(self.values, np.nan)
+        self.mixed = self.mixed_error = math.nan
+
+    @staticmethod
+    def _index(phi: float, n: int):
+        phi_c = canonical_phase(phi)
+        for i, (phase, _) in enumerate(PHASE_ORDERS):
+            if abs(phi_c - phase) <= 1e-12 and 1 <= n <= MAX_ORDER:
+                return i, n - 1
+        raise ValueError(f"moment (phi={phi}, n={n}) is outside the schedule "
+                         f"{PHASE_ORDERS} of orders 1..{MAX_ORDER}")
+
+    def _entry(self, phi: float, n: int):
+        idx = self._index(phi, n)
+        if math.isnan(self.values[idx]):
+            raise IncompleteMomentError(f"moment (phi={phi}, n={n}) missing")
+        return float(self.values[idx]), float(self.errors[idx])
 
     def set(self, phi: float, n: int, value: float, std_error: float = 0.0):
         if std_error < 0:
             raise ValueError("std_error must be >= 0")
-        self._entries[_key(phi, n)] = (float(value), float(std_error))
+        idx = self._index(phi, n)
+        self.values[idx], self.errors[idx] = value, std_error
         return self
-
-    def has(self, phi: float, n: int) -> bool:
-        return _key(phi, n) in self._entries
 
     def get(self, phi: float, n: int) -> float:
-        try:
-            return self._entries[_key(phi, n)][0]
-        except KeyError:
-            raise IncompleteMomentError(f"moment (phi={phi}, n={n}) missing") from None
+        return self._entry(phi, n)[0]
 
     def error(self, phi: float, n: int) -> float:
-        try:
-            return self._entries[_key(phi, n)][1]
-        except KeyError:
-            raise IncompleteMomentError(f"moment (phi={phi}, n={n}) missing") from None
-
-    def set_mixed(self, value: float, std_error: float = 0.0):
-        self._mixed = (float(value), float(std_error))
-        return self
-
-    @property
-    def mixed(self) -> float:
-        if self._mixed is None:
-            raise IncompleteMomentError("mixed moment <pq^2+q^2p> not set")
-        return self._mixed[0]
-
-    @property
-    def mixed_error(self) -> float:
-        if self._mixed is None:
-            raise IncompleteMomentError("mixed moment <pq^2+q^2p> not set")
-        return self._mixed[1]
-
-    @property
-    def has_mixed(self) -> bool:
-        return self._mixed is not None
-
-    def keys(self):
-        return self._entries.keys()
+        return self._entry(phi, n)[1]
 
     def update(self, other: "MomentSet"):
-        self._entries.update(other._entries)
-        if other._mixed is not None:
-            self._mixed = other._mixed
-        return self
-
-    def require(self, keys=REQUIRED_KEYS):
-        missing = [k for k in keys if _key(*k) not in self._entries]
-        if missing:
-            raise IncompleteMomentError(f"moments missing: {missing}")
+        """Copy in every moment set in other, the mixed moment included."""
+        filled = ~np.isnan(other.values)
+        self.values[filled] = other.values[filled]
+        self.errors[filled] = other.errors[filled]
+        if not math.isnan(other.mixed):
+            self.mixed, self.mixed_error = other.mixed, other.mixed_error
         return self
 
 
@@ -143,8 +114,7 @@ class NlsCurve:
 
 
 def _coefficients(m: MomentSet):
-    m.require(((0.0, 2), (0.0, 4), (HALF_PI, 1), (HALF_PI, 2)))
-    if not m.has_mixed:
+    if math.isnan(m.mixed):
         raise IncompleteMomentError(
             "mixed moment required; supply it exactly or via mixed_moment_recovery"
         )
@@ -164,24 +134,17 @@ def _coefficients(m: MomentSet):
 
 
 def assemble_curve(m: MomentSet) -> NlsCurve:
-    """Build the V(lambda) parabola from a complete MomentSet.
+    """Build the V(lambda) parabola from the MomentSet entries it reads.
 
     a0 = Var(p), a1 = -3(<pq^2+q^2p> - 2<p><q^2>), a2 = 9 Var(q^2);
     coefficient errors are first-order propagated from the moment errors
     (cross-moment covariances within a quadrature neglected).
     """
-    m.require()
     return NlsCurve(*_coefficients(m))
 
 
-def nls_variance(m: MomentSet, lam: float, order: int = 3) -> float:
-    """V[rho](lambda) for the cubic nonlinear quadrature.
-
-    order is part of the interface for the general p - n lambda q^{n-1}
-    family but only order 3 is supported here.
-    """
-    if order != 3:
-        raise UnsupportedOrderError(f"only the cubic case (order 3) is implemented, got {order}")
+def nls_variance(m: MomentSet, lam: float) -> float:
+    """V[rho](lambda) for the cubic nonlinear quadrature."""
     return NlsCurve(*_coefficients(m))(float(lam))
 
 
@@ -241,15 +204,13 @@ def exact_mixed_moment(state: QuantumState) -> float:
     return val.real
 
 
-# orders filled by exact_moment_set: the curve minimum plus the entries the
-# round-trip tests compare against ((0,3) and (+-pi/4, 2)).
-_EXACT_KEYS = REQUIRED_KEYS + ((0.0, 3), (QUARTER_PI, 2), (-QUARTER_PI, 2))
-
-
-def exact_moment_set(state: QuantumState, keys=_EXACT_KEYS) -> MomentSet:
-    """MomentSet of exact truncated-Fock moments, mixed moment included."""
-    m = MomentSet(provenance="exact")
+def exact_moment_set(state: QuantumState, keys=None) -> MomentSet:
+    """MomentSet of exact truncated-Fock moments at the (phase, order)
+    keys, by default all of PHASE_ORDERS, mixed moment included."""
+    if keys is None:
+        keys = [(phi, n) for phi, order in PHASE_ORDERS for n in range(1, order + 1)]
+    m = MomentSet()
     for phi, n in keys:
         m.set(phi, n, quadrature_moment(state, phi, n), 0.0)
-    m.set_mixed(exact_mixed_moment(state), 0.0)
+    m.mixed, m.mixed_error = exact_mixed_moment(state), 0.0
     return m

@@ -19,7 +19,7 @@ Configuration is a flat key = value file with dotted section prefixes
     sweep.values          comma list, positive and strictly increasing
     ensemble.R            replicates (default 5)
     ensemble.count        samples per phase (default 1e5)
-    ensemble.base_seed    master seed (default 0)
+    ensemble.base_seed    master seed, >= 0 (default 0)
     lambda.min/max/points evaluation grid (default -0.2 .. 0.4, 101)
     certify.lambda_star   certification point (default: gamma for cubic states)
     certify.gamma_G       gate nonlinearity for the resource verdict
@@ -48,10 +48,11 @@ from time import perf_counter
 
 import numpy as np
 
-from .errors import ConfigError, NumericsError
+from .errors import ConfigError, GridError, NumericsError
 from .estimate import EnsembleReport, derive_seed, ensemble_run
 from .hilbert import PositionGrid
-from .nlsq import assemble_curve, classical_threshold, exact_moment_set, resource_condition
+from .nlsq import (PHASE_ORDERS, assemble_curve, classical_threshold, exact_moment_set,
+                   resource_condition)
 from .readout import ChannelParams
 from .states import StateSpec, make_state
 
@@ -142,20 +143,28 @@ def _parse_lines(text: str) -> dict:
     return raw
 
 
-def _pop(raw: dict, key: str, convert, default=None):
-    if key not in raw:
-        return default
-    value = raw.pop(key)
+def _convert(key: str, value, convert):
     try:
         return convert(value)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from None
 
 
+def _pop(raw: dict, key: str, convert, default=None):
+    return _convert(key, raw.pop(key), convert) if key in raw else default
+
+
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError("not a finite number")
+    return value
+
+
+def _seed(text) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError("must be a non-negative integer")
     return value
 
 
@@ -236,7 +245,7 @@ def parse_config(text: str) -> ExperimentConfig:
         sweep_values=values,
         R=_pop(raw, "ensemble.R", int, 5),
         count=int(_pop(raw, "ensemble.count", _finite, 1e5)),
-        base_seed=_pop(raw, "ensemble.base_seed", int, 0),
+        base_seed=_pop(raw, "ensemble.base_seed", _seed, 0),
         lambda_min=_pop(raw, "lambda.min", _finite, -0.2),
         lambda_max=_pop(raw, "lambda.max", _finite, 0.4),
         lambda_points=_pop(raw, "lambda.points", int, 101),
@@ -250,7 +259,10 @@ def parse_config(text: str) -> ExperimentConfig:
     if (extent is None) != (points is None):
         raise ConfigError("grid.extent and grid.points must be given together")
     if extent is not None:
-        cfg.grid = PositionGrid(extent, points)
+        try:
+            cfg.grid = PositionGrid(extent, points)
+        except GridError as exc:
+            raise ConfigError(f"invalid grid: {exc}") from None
     if raw:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(raw))}")
     _set_mode(cfg, mode)
@@ -277,7 +289,7 @@ def load_config(path, out_dir=None, base_seed=None, mode=None) -> ExperimentConf
     if out_dir is not None:
         cfg.out_dir = str(out_dir)
     if base_seed is not None:
-        cfg.base_seed = int(base_seed)
+        cfg.base_seed = _convert("ensemble.base_seed (--seed)", base_seed, _seed)
     if mode is not None:
         _set_mode(cfg, mode)
     return cfg
@@ -345,7 +357,7 @@ def _run_points(config: ExperimentConfig, points, threads: int = 1,
     for sv, channel, seed in points:
         t1 = perf_counter()
         rep = ensemble_run(state, channel, config.count, config.R, seed,
-                           lambdas=lam, grid=config.grid, threads=threads)
+                           grid=config.grid, threads=threads)
         report.points.append(SweepPoint(sweep_value=sv, channel=channel, seed=seed,
                                         report=rep, wall_clock_s=perf_counter() - t1))
     report.wall_clock_s = perf_counter() - t0
@@ -381,8 +393,9 @@ def _fmt(x) -> str:
 def _plot_rows(report: SweepReport):
     """One tuple of plot.csv columns per (sweep point, lambda)."""
     for pt in report.points:
+        v_mean, v_std = pt.report.v_stats(report.lambdas)
         for j, lam in enumerate(report.lambdas):
-            mean, std = pt.report.v_mean[j], pt.report.v_std[j]
+            mean, std = v_mean[j], v_std[j]
             yield (pt.sweep_value, lam, mean, std, mean - std, mean + std,
                    report.v_analytic[j], report.threshold[j])
 
@@ -470,8 +483,8 @@ def certify(config: ExperimentConfig, threads: int = 1) -> dict:
     margins = classical_threshold(lam_star) - rep.v_at(lam_star)
     margin_mean = float(margins.mean())
     margin_std = float(margins.std(ddof=1))
-    grid_margin = report.threshold - rep.v_mean
-    nonclassical_anywhere = bool(np.any(grid_margin > config.k_sigma * rep.v_std))
+    v_mean, v_std = rep.v_stats(report.lambdas)
+    nonclassical_anywhere = bool(np.any(report.threshold - v_mean > config.k_sigma * v_std))
     resource = None
     if spec.kind == "cubic_phase" and config.gamma_G is not None:
         resource = {"gamma": spec.gamma, "gamma_G": config.gamma_G,
@@ -505,7 +518,8 @@ def state_info(config: ExperimentConfig) -> dict:
     return {
         "state": _spec_echo(config.state_spec),
         "leakage": state.leakage,
-        "moments": {f"phi={phi:g},n={n}": m.get(phi, n) for phi, n in sorted(m.keys())},
+        "moments": {f"phi={phi:g},n={n}": m.get(phi, n)
+                    for phi, order in sorted(PHASE_ORDERS) for n in range(1, order + 1)},
         "mixed_moment": m.mixed,
         "curve": {"a0": curve.a0, "a1": curve.a1, "a2": curve.a2},
         "v_min": float(np.min(v)),
@@ -542,13 +556,15 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--mode", choices=MODES, default=None,
                         help="override mode")
         sp.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="replicate worker threads (default 1)")
+                        help="replicate worker threads, >= 1 (default 1)")
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         config = load_config(args.config, out_dir=args.out,
                              base_seed=args.seed, mode=args.mode)
         if args.command == "sweep":

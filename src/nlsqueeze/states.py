@@ -82,8 +82,7 @@ def _coherent_amplitudes(beta: complex, N: int) -> np.ndarray:
     return c
 
 
-def make_state(spec: StateSpec, grid: PositionGrid | None = None,
-               leak_tol: float = LEAK_TOL) -> QuantumState:
+def make_state(spec: StateSpec, grid: PositionGrid | None = None) -> QuantumState:
     """Construct the density matrix described by spec.
 
     Parameters
@@ -92,13 +91,11 @@ def make_state(spec: StateSpec, grid: PositionGrid | None = None,
     grid : PositionGrid, optional
         Needed for the cubic phase construction; defaults to
         default_grid(spec.N).
-    leak_tol : float
-        Maximum tolerated truncation leakage.
 
     Raises
     ------
     TruncationError
-        If the construction loses more than leak_tol of the norm; the fix
+        If the construction loses more than LEAK_TOL of the norm; the fix
         is a larger N or a larger grid.
     """
     N = spec.N
@@ -112,7 +109,7 @@ def make_state(spec: StateSpec, grid: PositionGrid | None = None,
         c = _coherent_amplitudes(spec.beta, N)
         norm2 = float(np.sum(np.abs(c) ** 2))
         leak = max(0.0, 1.0 - norm2)
-        if leak > leak_tol:
+        if leak > LEAK_TOL:
             raise TruncationError(
                 f"coherent beta={spec.beta} leaks {leak:.2e} at N={N}; increase N"
             )
@@ -124,7 +121,7 @@ def make_state(spec: StateSpec, grid: PositionGrid | None = None,
         pops = (1.0 - ratio) * ratio ** np.arange(N)
         total = float(pops.sum())
         leak = max(0.0, 1.0 - total)
-        if leak > leak_tol:
+        if leak > LEAK_TOL:
             raise TruncationError(
                 f"thermal n_bar={spec.n_bar} leaks {leak:.2e} at N={N}; increase N"
             )
@@ -137,7 +134,7 @@ def make_state(spec: StateSpec, grid: PositionGrid | None = None,
         c = (basis.values * grid.spacing) @ psi
         norm2 = float(np.sum(np.abs(c) ** 2))
         leak = max(0.0, 1.0 - norm2)
-        if leak > leak_tol:
+        if leak > LEAK_TOL:
             raise TruncationError(
                 f"cubic gamma={spec.gamma} leaks {leak:.2e} at N={N} on "
                 f"extent {grid.extent:g}; increase N or the grid"
@@ -146,10 +143,10 @@ def make_state(spec: StateSpec, grid: PositionGrid | None = None,
         state = QuantumState(rho=np.outer(c, c.conj()), leakage=leak)
 
     elif spec.kind == "displaced":
-        inner = make_state(spec.inner, grid=grid, leak_tol=leak_tol)
-        return displace(inner, spec.alpha, leak_tol=leak_tol)
+        inner = make_state(spec.inner, grid=grid)
+        return displace(inner, spec.alpha)
 
     else:  # pragma: no cover - guarded by StateSpec
         raise ValueError(f"unhandled kind {spec.kind!r}")
 
-    return validate_state(state, leak_tol=leak_tol)
+    return validate_state(state)

@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 from nlsqueeze.errors import IncompleteMomentError
 from nlsqueeze.nlsq import (
     HALF_PI,
+    MAX_ORDER,
+    PHASE_ORDERS,
     QUARTER_PI,
     MomentSet,
     NlsCurve,
-    UnsupportedOrderError,
     assemble_curve,
     classical_threshold,
     exact_mixed_moment,
@@ -27,10 +28,10 @@ import oracles
 
 
 def analytic_set(moments: dict) -> MomentSet:
-    m = MomentSet(provenance="exact")
+    m = MomentSet()
     for key, value in moments.items():
         if key == "mixed":
-            m.set_mixed(value)
+            m.mixed, m.mixed_error = value, 0.0
         else:
             m.set(*key, value)
     return m
@@ -45,11 +46,10 @@ def vacuum_set() -> MomentSet:
 def test_moment_set_get_and_keys():
     m = MomentSet()
     m.set(0.0, 2, 0.5, 0.01)
-    assert m.has(0.0, 2)
     assert m.get(0.0, 2) == 0.5
     assert m.error(0.0, 2) == 0.01
     # a full turn addresses the same entry
-    assert m.has(2.0 * math.pi, 2)
+    assert m.get(2.0 * math.pi, 2) == 0.5
 
 
 def test_moment_set_missing_entry():
@@ -57,15 +57,28 @@ def test_moment_set_missing_entry():
     with pytest.raises(IncompleteMomentError):
         m.get(0.0, 2)
     with pytest.raises(IncompleteMomentError):
-        m.mixed
-
-
-def test_moment_set_require_lists_missing():
+        m.error(0.0, 2)
+    # an unset mixed moment stops the curve where it is read
     m = vacuum_set()
-    m.require()  # the default key set is exactly what vacuum_set fills
-    empty = MomentSet()
+    m.mixed = math.nan
     with pytest.raises(IncompleteMomentError):
-        empty.require()
+        nls_variance(m, 0.1)
+
+
+def test_moment_set_rejects_entries_outside_schedule():
+    m = MomentSet()
+    for phi, n in ((0.3, 2), (math.pi, 1), (-HALF_PI, 1), (0.0, 0), (0.0, MAX_ORDER + 1)):
+        with pytest.raises(ValueError):
+            m.set(phi, n, 1.0)
+        with pytest.raises(ValueError):
+            m.get(phi, n)
+
+
+def test_exact_moment_set_fills_the_schedule():
+    m = exact_moment_set(make_state(StateSpec(kind="vacuum", N=16)))
+    filled = [[n <= order for n in range(1, MAX_ORDER + 1)] for _, order in PHASE_ORDERS]
+    np.testing.assert_array_equal(~np.isnan(m.values), filled)
+    np.testing.assert_array_equal(~np.isnan(m.errors), filled)
 
 
 def test_moment_set_update_merges():
@@ -75,6 +88,7 @@ def test_moment_set_update_merges():
     b.set(HALF_PI, 1, 2.0)
     a.update(b)
     assert a.get(HALF_PI, 1) == 2.0
+    assert a.get(0.0, 1) == 1.0
 
 
 # ------------------------------------------------------------- curve
@@ -118,14 +132,6 @@ def test_variance_against_dense_oracle():
     for lam in (-0.1, 0.05, 0.25):
         assert nls_variance(m, lam) == pytest.approx(
             oracles.oracle_nls_variance(rho, lam), abs=1e-7)
-
-
-def test_unsupported_order():
-    m = vacuum_set()
-    with pytest.raises(UnsupportedOrderError):
-        nls_variance(m, 0.1, order=2)
-    with pytest.raises(UnsupportedOrderError):
-        nls_variance(m, 0.1, order=5)
 
 
 def test_curve_error_propagation():

@@ -134,8 +134,10 @@ def test_parse_rejects_bad_axis_and_mode():
 
 
 def test_parse_grid_needs_both_entries():
-    with pytest.raises(ConfigError):
-        parse_config("state.kind = vacuum\ngrid.extent = 20\n")
+    for grid in ("grid.extent = 20\n", "grid.extent = 20\ngrid.points = 1\n",
+                 "grid.extent = -1\ngrid.points = 2048\n"):
+        with pytest.raises(ConfigError):
+            parse_config("state.kind = vacuum\n" + grid)
 
 
 def test_parse_rejects_invalid_state():
@@ -281,7 +283,7 @@ def test_csv_17_digit_round_trip(tmp_path):
     lines = emit_plot_data(report).strip().split("\n")[1:]
     j = 4
     parsed = float(lines[j].split(",")[2])
-    assert parsed == report.points[0].report.v_mean[j]
+    assert parsed == report.points[0].report.v_stats(report.lambdas)[0][j]
 
 
 def test_empty_sweep_yields_header_only(tmp_path):
@@ -372,6 +374,11 @@ def test_state_info_cubic():
     info = state_info(parse_config(
         "state.kind = cubic_phase\nstate.gamma = 0.1\nstate.N = 96\n"))
     assert info["nonclassical"] is True
+    assert list(info["moments"]) == [
+        "phi=-0.785398,n=1", "phi=-0.785398,n=2", "phi=-0.785398,n=3",
+        "phi=0,n=1", "phi=0,n=2", "phi=0,n=3", "phi=0,n=4",
+        "phi=0.785398,n=1", "phi=0.785398,n=2", "phi=0.785398,n=3",
+        "phi=1.5708,n=1", "phi=1.5708,n=2", "phi=1.5708,n=3"]
     assert info["moments"]["phi=1.5708,n=2"] == pytest.approx(0.5675, abs=1e-6)
     assert info["mixed_moment"] == pytest.approx(0.45, abs=1e-6)
 
@@ -403,24 +410,31 @@ def test_cli_bad_config(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("command, edits", [
-    ("sweep", {"channel.G = 0.1": "channel.G = nan"}),
-    ("sweep", {"channel.tau = 1.0e3": "channel.tau = inf"}),
-    ("sweep", {"sweep.values = 1e-7, 1e-5": "sweep.values = 1e-7, inf"}),
-    ("sweep", {"ensemble.count = 4000": "ensemble.count = inf"}),
-    ("certify", {"certify.k_sigma = 3": "certify.k_sigma = nan"}),
+@pytest.mark.parametrize("command, edits, argv, key", [
+    ("sweep", {"channel.G = 0.1": "channel.G = nan"}, [], "channel.G"),
+    ("sweep", {"channel.tau = 1.0e3": "channel.tau = inf"}, [], "channel.tau"),
+    ("sweep", {"sweep.values = 1e-7, 1e-5": "sweep.values = 1e-7, inf"}, [], "sweep.values"),
+    ("sweep", {"ensemble.count = 4000": "ensemble.count = inf"}, [], "ensemble.count"),
+    ("certify", {"certify.k_sigma = 3": "certify.k_sigma = nan"}, [], "certify.k_sigma"),
     ("certify", {"state.kind = cubic_phase\nstate.gamma = 0.1": "state.kind = vacuum",
-                 "certify.k_sigma = 3": "certify.k_sigma = -3"}),
-], ids=["G-nan", "tau-inf", "sweep-inf", "count-inf", "k_sigma-nan", "k_sigma-negative"])
-def test_cli_rejects_bad_numbers(tmp_path, capsys, command, edits):
+                 "certify.k_sigma = 3": "certify.k_sigma = -3"}, [], "certify.k_sigma"),
+    ("sweep", {}, ["--threads", "0"], "--threads"),
+    ("sweep", {}, ["--threads", "-2"], "--threads"),
+    ("sweep", {}, ["--seed", "-1"], "--seed"),
+    ("sweep", {"ensemble.base_seed = 99": "ensemble.base_seed = -1"}, [],
+     "ensemble.base_seed"),
+], ids=["G-nan", "tau-inf", "sweep-inf", "count-inf", "k_sigma-nan", "k_sigma-negative",
+        "threads-zero", "threads-negative", "seed-negative", "base_seed-negative"])
+def test_cli_rejects_bad_numbers(tmp_path, capsys, command, edits, argv, key):
     text = FULL_TEXT
     for old, new in edits.items():
         assert old in text
         text = text.replace(old, new)
     out = tmp_path / "out"
-    rc = main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)])
+    rc = main([command, "--config", write_cfg(tmp_path, text), "--out", str(out), *argv])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
     assert not out.exists()  # rejected before any sampling or output
 
 
