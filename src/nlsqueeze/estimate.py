@@ -18,17 +18,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ChannelConditionError, DataError
-from .hilbert import PositionGrid, QuantumState
 from .nlsq import HALF_PI, PHASE_ORDERS, QUARTER_PI, MomentSet, assemble_curve
 from .readout import (
     ChannelCoefficients,
     ChannelParams,
+    InverseCDF,
     channel_coefficients,
     hierarchy_matrix,
     sample_homodyne,
 )
 
 CQ_FLOOR = 1e-6
+MIN_SAMPLES = 100   # per record, for moments with meaningful errors
+MIN_REPLICATES = 2  # for a sample deviation over replicates
 
 
 def derive_seed(*parts) -> int:
@@ -70,19 +72,22 @@ def empirical_moments(samples, max_n: int) -> EmpiricalMoments:
     if max_n < 1 or max_n > 4:
         raise ValueError(f"max_n must be in 1..4 (cubic protocol ceiling), got {max_n}")
     x = np.asarray(samples, dtype=float)
-    if x.ndim != 1 or x.size < 100:
-        raise ValueError(f"need a 1-d array of at least 100 samples, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise DataError("non-finite sample in homodyne record")
+    if x.ndim != 1 or x.size < MIN_SAMPLES:
+        raise ValueError(f"need a 1-d array of at least {MIN_SAMPLES} samples, "
+                         f"got shape {x.shape}")
     count = x.size
-    scale = float(np.max(np.abs(x)))
+    scale = float(np.max(np.abs(x)))  # non-finite iff some sample is
+    if not math.isfinite(scale):
+        raise DataError("non-finite sample in homodyne record")
     if scale == 0.0:
         scale = 1.0
     w = x / scale
     raw = np.empty(2 * max_n)
-    cur = np.ones_like(w)
-    for k in range(1, 2 * max_n + 1):
-        cur = cur * w
+    raw[0] = w.mean()
+    cur = w * w  # higher powers overwrite this one array
+    raw[1] = cur.mean()
+    for k in range(3, 2 * max_n + 1):
+        np.multiply(cur, w, out=cur)
         raw[k - 1] = cur.mean()
     means = np.empty(max_n)
     errs = np.empty(max_n)
@@ -139,17 +144,18 @@ def mixed_moment_recovery(m: MomentSet):
     return value, err
 
 
-def run_reconstruction(state: QuantumState, params: ChannelParams, count: int,
-                       seed: int, grid: PositionGrid | None = None):
-    """One full reconstruction: 4 phases, count samples each.
+def run_reconstruction(tables: tuple[InverseCDF, ...], params: ChannelParams,
+                       count: int, seed: int):
+    """One full reconstruction: 4 phases, count samples each, drawn from
+    tables (readout.sampling_tables, one per PHASE_ORDERS phase).
 
     Returns (MomentSet, NlsCurve).
     """
     ms = MomentSet()
-    for k, (phi, order) in enumerate(PHASE_ORDERS):
+    for k, (table, (phi, order)) in enumerate(zip(tables, PHASE_ORDERS, strict=True)):
         p_k = replace(params, phi=phi)
         coeffs = channel_coefficients(p_k, "exact")
-        samples = sample_homodyne(state, p_k, count, derive_seed(seed, k), grid=grid)
+        samples = sample_homodyne(table, p_k, count, derive_seed(seed, k))
         em = empirical_moments(samples, max_n=order)
         ms.update(invert_hierarchy(em, coeffs, p_k.n_bar, phi=phi))
     ms.mixed, ms.mixed_error = mixed_moment_recovery(ms)
@@ -184,22 +190,21 @@ class EnsembleReport:
         return vmat.mean(axis=0), vmat.std(axis=0, ddof=1)
 
 
-def ensemble_run(state: QuantumState, params: ChannelParams, count: int,
-                 R: int, base_seed: int, grid: PositionGrid | None = None,
-                 threads: int = 1) -> EnsembleReport:
+def ensemble_run(tables: tuple[InverseCDF, ...], params: ChannelParams, count: int,
+                 R: int, base_seed: int, threads: int = 1) -> EnsembleReport:
     """R independent reconstructions with seeds derived from
-    (base_seed, replicate index).
+    (base_seed, replicate index), all sampling the same tables.
 
     Replicates are independent tasks; with threads > 1 they run in a
     thread pool and are reduced in index order, so the report does not
     depend on scheduling.
     """
-    if R < 2:
-        raise ValueError(f"R must be >= 2 for ensemble statistics, got {R}")
+    if R < MIN_REPLICATES:
+        raise ValueError(f"R must be >= {MIN_REPLICATES} for ensemble statistics, got {R}")
     seeds = [derive_seed(base_seed, r) for r in range(R)]
 
     def one(seed):
-        return run_reconstruction(state, params, count, seed, grid=grid)
+        return run_reconstruction(tables, params, count, seed)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

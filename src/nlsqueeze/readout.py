@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import SamplingError
 from .hilbert import PositionGrid, QuantumState, default_grid, marginal_density
-from .nlsq import MomentSet
+from .nlsq import PHASE_ORDERS, MomentSet
 
 # Below this Gamma_m * tau the exact radicand x + 4 e^{-x/2} - e^{-x} - 3
 # cancels catastrophically (relative error ~ 12 eps / x^2), so the series
@@ -30,6 +30,9 @@ from .nlsq import MomentSet
 _SERIES_CROSSOVER = 1e-4
 
 SAMPLE_BLOCK = 1 << 16
+# Guide-table buckets per inverse-CDF table.  A power of two, so u * K and
+# b / K are exact and the guided lookup equals a binary search bit for bit.
+GUIDE_BUCKETS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -186,36 +189,96 @@ def forward_output_moments(mech: MomentSet, p: ChannelParams,
     return (hierarchy_matrix(coeffs, p.n_bar, max_n) @ np.array(qmom))[1:].tolist()
 
 
-def _inverse_cdf_table(state: QuantumState, phi: float, grid: PositionGrid):
+@dataclass(frozen=True, eq=False)
+class InverseCDF:
+    """Inverse-CDF sampling table of the Q_phi marginal of one state.
+
+    cdf is the normalised cumulative trapezoid of the marginal density on
+    the grid points x (cdf[0] = 0, cdf[-1] = 1, nondecreasing), mass[j] =
+    cdf[j + 1] - cdf[j].  The guide table splits [0, 1) into GUIDE_BUCKETS
+    equal buckets: guide[b] is the cell holding b / GUIDE_BUCKETS, and
+    wide[b] marks the buckets whose uniforms may land more than one cell
+    further on (the near-empty tails).
+    """
+
+    phi: float
+    x: np.ndarray
+    dx: float
+    cdf: np.ndarray
+    mass: np.ndarray
+    guide: np.ndarray
+    wide: np.ndarray
+
+    def cell(self, u: np.ndarray) -> np.ndarray:
+        """Cell j with cdf[j] <= u < cdf[j + 1] for each u in [0, 1).
+
+        Equal to searchsorted(cdf, u, side="right") - 1 bit for bit: the
+        bucket gives the cell of its left edge, one comparison moves on to
+        the next cell, and only uniforms in wide buckets are searched.
+        """
+        b = (u * GUIDE_BUCKETS).astype(np.intp)
+        j = self.guide[b]
+        j += self.cdf[1:][j] <= u
+        tail = np.flatnonzero(self.wide[b])
+        if tail.size:
+            j[tail] = np.searchsorted(self.cdf, u[tail], side="right") - 1
+        return j
+
+    def quadrature(self, u: np.ndarray) -> np.ndarray:
+        """Q_phi values for uniforms u in [0, 1), linear inside a cell.
+
+        The selected cell always has mass > 0, since cdf[j] <= u < cdf[j + 1].
+        """
+        j = self.cell(u)
+        return self.x[j] + (u - self.cdf[j]) / self.mass[j] * self.dx
+
+
+def inverse_cdf_table(state: QuantumState, phi: float,
+                      grid: PositionGrid | None = None) -> InverseCDF:
+    """Sampling table of the Q_phi marginal on grid (default_grid(state.dim)
+    when omitted)."""
+    if grid is None:
+        grid = default_grid(state.dim)
     dens = marginal_density(state, phi, grid)
-    dx = grid.spacing
-    F = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * dx)))
+    F = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * grid.spacing)))
     total = F[-1]
     if not np.isfinite(total) or total <= 0:
         raise SamplingError(f"degenerate marginal: cumulative mass {total}")
     F = np.maximum.accumulate(F / total)
-    return F, grid.points
+    # b / K is exact in binary, so guide[b] <= cell(u) <= guide[b + 1]
+    # holds exactly for u in bucket b.
+    edges = np.searchsorted(F, np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS,
+                            side="right") - 1
+    return InverseCDF(phi=phi, x=grid.points, dx=grid.spacing, cdf=F, mass=np.diff(F),
+                      guide=edges[:-1], wide=np.diff(edges) > 1)
 
 
-def sample_homodyne(state: QuantumState, p: ChannelParams, count: int,
-                    seed: int, grid: PositionGrid | None = None) -> np.ndarray:
+def sampling_tables(state: QuantumState,
+                    grid: PositionGrid | None = None) -> tuple[InverseCDF, ...]:
+    """One InverseCDF per schedule phase, in nlsq.PHASE_ORDERS order."""
+    return tuple(inverse_cdf_table(state, phi, grid) for phi, _ in PHASE_ORDERS)
+
+
+def sample_homodyne(table: InverseCDF, p: ChannelParams, count: int,
+                    seed: int) -> np.ndarray:
     """Synthesize count homodyne records of Y_out.
 
-    Q_phi(0) is drawn by inverse-CDF lookup on the cumulative trapezoid
-    of the marginal density (linear interpolation inside a cell); Y_in
-    and E are Gaussian.  The stream is partitioned into fixed-size
-    blocks, each seeded from (seed, block index), so the result depends
-    only on (seed, count) and any concurrent schedule producing the same
-    blocks yields identical samples.  Per block the draw order is fixed:
-    uniforms for Q, normals for Y_in, normals for E.
+    Q_phi(0) is drawn by inverse-CDF lookup in table, which must have been
+    built at the channel phase p.phi: a guide table of GUIDE_BUCKETS equal
+    u-buckets picks the cell in O(1) (Chen & Asau 1974; Devroye 1986,
+    section III.2), with a binary search only in the near-empty tails, and
+    the draw is linear inside the cell.  Y_in and E are Gaussian.  The
+    stream is partitioned into fixed-size blocks, each seeded from (seed,
+    block index), so the result depends only on (seed, count) and any
+    concurrent schedule producing the same blocks yields identical
+    samples.  Per block the draw order is fixed: uniforms for Q, normals
+    for Y_in, normals for E.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if grid is None:
-        grid = default_grid(state.dim)
+    if table.phi != p.phi:
+        raise ValueError(f"table built at phase {table.phi!r}, channel phase is {p.phi!r}")
     coeffs = channel_coefficients(p, "exact")
-    F, x = _inverse_cdf_table(state, p.phi, grid)
-    dx = grid.spacing
     sig_in = math.sqrt(0.5)
     sig_E = math.sqrt(p.n_bar + 0.5)
     out = np.empty(count)
@@ -229,10 +292,5 @@ def sample_homodyne(state: QuantumState, p: ChannelParams, count: int,
         u = rng.random(SAMPLE_BLOCK)[:m]
         y_in = rng.standard_normal(SAMPLE_BLOCK)[:m] * sig_in
         e = rng.standard_normal(SAMPLE_BLOCK)[:m] * sig_E
-        idx = np.clip(np.searchsorted(F, u, side="right"), 1, F.size - 1)
-        f0 = F[idx - 1]
-        df = F[idx] - f0
-        t = np.where(df > 0, (u - f0) / np.where(df > 0, df, 1.0), 0.5)
-        qs = x[idx - 1] + t * dx
-        out[lo:lo + m] = y_in + coeffs.c_Q * qs + coeffs.c_E * e
+        out[lo:lo + m] = y_in + coeffs.c_Q * table.quadrature(u) + coeffs.c_E * e
     return out

@@ -17,15 +17,15 @@ Configuration is a flat key = value file with dotted section prefixes
     channel.kappa         cavity linewidth, fixes the frequency scale (default 1)
     sweep.axis            thermalisation_rate | interaction_time | cooperativity
     sweep.values          comma list, positive and strictly increasing
-    ensemble.R            replicates (default 5)
-    ensemble.count        samples per phase (default 1e5)
+    ensemble.R            replicates, >= 2 (default 5)
+    ensemble.count        samples per phase, >= 100 (default 1e5)
     ensemble.base_seed    master seed, >= 0 (default 0)
     lambda.min/max/points evaluation grid (default -0.2 .. 0.4, 101)
     certify.lambda_star   certification point (default: gamma for cubic states)
     certify.gamma_G       gate nonlinearity for the resource verdict
     certify.k_sigma       detection threshold in sigmas, > 0 (default 3)
-    grid.extent           position-grid override (give both or neither)
-    grid.points
+    grid.extent           position-grid override (give both or neither); the
+    grid.points           extent must cover state.N and state.inner.N
     output.dir            where reports land (default .)
     mode                  full | quick (quick caps count at 1e5 and R at 5)
 
@@ -49,11 +49,11 @@ from time import perf_counter
 import numpy as np
 
 from .errors import ConfigError, GridError, NumericsError
-from .estimate import EnsembleReport, derive_seed, ensemble_run
+from .estimate import MIN_REPLICATES, MIN_SAMPLES, EnsembleReport, derive_seed, ensemble_run
 from .hilbert import PositionGrid
 from .nlsq import (PHASE_ORDERS, assemble_curve, classical_threshold, exact_moment_set,
                    resource_condition)
-from .readout import ChannelParams
+from .readout import ChannelParams, sampling_tables
 from .states import StateSpec, make_state
 
 AXES = ("thermalisation_rate", "interaction_time", "cooperativity")
@@ -261,11 +261,19 @@ def parse_config(text: str) -> ExperimentConfig:
     if extent is not None:
         try:
             cfg.grid = PositionGrid(extent, points)
+            level = spec
+            while level is not None:  # a displaced state is sampled at inner.N
+                cfg.grid.validate_for(level.N)
+                level = level.inner
         except GridError as exc:
-            raise ConfigError(f"invalid grid: {exc}") from None
+            raise ConfigError(f"invalid grid.extent / grid.points: {exc}") from None
     if raw:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(raw))}")
     _set_mode(cfg, mode)
+    if cfg.R < MIN_REPLICATES:
+        raise ConfigError(f"ensemble.R must be >= {MIN_REPLICATES}, got {cfg.R}")
+    if cfg.count < MIN_SAMPLES:
+        raise ConfigError(f"ensemble.count must be >= {MIN_SAMPLES}, got {cfg.count}")
     if cfg.lambda_points < 1:
         raise ConfigError("lambda.points must be >= 1")
     if cfg.k_sigma <= 0:
@@ -342,11 +350,13 @@ def analytic_overlay(spec: StateSpec, state, lambdas: np.ndarray) -> np.ndarray:
 
 def _run_points(config: ExperimentConfig, points, threads: int = 1,
                 overlay: bool = True) -> SweepReport:
-    """Build the state and lambda grid once, then run one ensemble per
-    (sweep_value, channel, seed) in points.  With overlay=False the
-    analytic curve is not computed and v_analytic stays None."""
+    """Build the state, its sampling tables and the lambda grid once, then
+    run one ensemble per (sweep_value, channel, seed) in points.  With
+    overlay=False the analytic curve is not computed and v_analytic stays
+    None."""
     t0 = perf_counter()
     state = make_state(config.state_spec, grid=config.grid)
+    tables = sampling_tables(state, config.grid)
     lam = config.lambda_grid()
     report = SweepReport(
         config=config,
@@ -356,8 +366,8 @@ def _run_points(config: ExperimentConfig, points, threads: int = 1,
     )
     for sv, channel, seed in points:
         t1 = perf_counter()
-        rep = ensemble_run(state, channel, config.count, config.R, seed,
-                           grid=config.grid, threads=threads)
+        rep = ensemble_run(tables, channel, config.count, config.R, seed,
+                           threads=threads)
         report.points.append(SweepPoint(sweep_value=sv, channel=channel, seed=seed,
                                         report=rep, wall_clock_s=perf_counter() - t1))
     report.wall_clock_s = perf_counter() - t0

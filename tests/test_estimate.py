@@ -22,7 +22,8 @@ from nlsqueeze.nlsq import (
     assemble_curve,
     exact_moment_set,
 )
-from nlsqueeze.readout import ChannelParams, channel_coefficients, forward_output_moments
+from nlsqueeze.readout import (ChannelParams, channel_coefficients, forward_output_moments,
+                               sampling_tables)
 from nlsqueeze.states import StateSpec, make_state
 
 STANDARD = ChannelParams(G=0.1, Gamma_m=1e-9, n_bar=1e4, tau=1e3)
@@ -154,7 +155,7 @@ def test_noiseless_inversion_reproduces_exact_curve():
 
 def test_run_reconstruction_recovers_curve():
     st = cubic_state()
-    ms, curve = run_reconstruction(st, STANDARD, 200_000, seed=7)
+    ms, curve = run_reconstruction(sampling_tables(st), STANDARD, 200_000, seed=7)
     for key in ((0.0, 1), (0.0, 4), (HALF_PI, 3), (QUARTER_PI, 3)):
         assert math.isfinite(ms.get(*key))
     # estimates land within a few propagated errors of the closed forms
@@ -163,9 +164,9 @@ def test_run_reconstruction_recovers_curve():
 
 
 def test_run_reconstruction_deterministic():
-    st = cubic_state(N=64)
-    _, c1 = run_reconstruction(st, STANDARD, 5000, seed=13)
-    _, c2 = run_reconstruction(st, STANDARD, 5000, seed=13)
+    tables = sampling_tables(cubic_state(N=64))
+    _, c1 = run_reconstruction(tables, STANDARD, 5000, seed=13)
+    _, c2 = run_reconstruction(tables, STANDARD, 5000, seed=13)
     assert (c1.a0, c1.a1, c1.a2) == (c2.a0, c2.a1, c2.a2)
 
 
@@ -175,11 +176,12 @@ def test_estimator_error_calibration():
     # truth at a plausible rate
     st = cubic_state()
     true_v = assemble_curve(exact_moment_set(st))(0.1)
+    tables = sampling_tables(st)
     hits = 0
     values = []
     errors = []
     for r in range(50):
-        _, curve = run_reconstruction(st, STANDARD, 100_000, derive_seed(303, r))
+        _, curve = run_reconstruction(tables, STANDARD, 100_000, derive_seed(303, r))
         values.append(curve(0.1))
         errors.append(curve.error(0.1))
         if abs(curve(0.1) - true_v) <= curve.error(0.1):
@@ -194,13 +196,13 @@ def test_estimator_error_calibration():
 
 def test_ensemble_requires_replicates():
     with pytest.raises(ValueError):
-        ensemble_run(cubic_state(N=64), STANDARD, 1000, 1, 5)
+        ensemble_run(sampling_tables(cubic_state(N=64)), STANDARD, 1000, 1, 5)
 
 
 def test_ensemble_statistics_shapes():
-    st = cubic_state(N=64)
+    tables = sampling_tables(cubic_state(N=64))
     lam = np.linspace(-0.1, 0.3, 21)
-    rep = ensemble_run(st, STANDARD, 2000, 3, 17)
+    rep = ensemble_run(tables, STANDARD, 2000, 3, 17)
     v_mean, v_std = rep.v_stats(lam)
     assert v_mean.shape == (21,)
     assert v_std.shape == (21,)
@@ -215,11 +217,11 @@ def test_ensemble_statistics_shapes():
 
 
 def test_ensemble_deterministic_and_thread_invariant():
-    st = cubic_state(N=64)
+    tables = sampling_tables(cubic_state(N=64))
     lam = np.linspace(0.0, 0.2, 5)
-    a = ensemble_run(st, STANDARD, 3000, 4, 23).v_stats(lam)
-    b = ensemble_run(st, STANDARD, 3000, 4, 23).v_stats(lam)
-    c = ensemble_run(st, STANDARD, 3000, 4, 23, threads=4).v_stats(lam)
+    a = ensemble_run(tables, STANDARD, 3000, 4, 23).v_stats(lam)
+    b = ensemble_run(tables, STANDARD, 3000, 4, 23).v_stats(lam)
+    c = ensemble_run(tables, STANDARD, 3000, 4, 23, threads=4).v_stats(lam)
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[0], c[0])
     np.testing.assert_array_equal(a[1], c[1])

@@ -7,13 +7,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlsqueeze.errors import IncompleteMomentError
-from nlsqueeze.nlsq import HALF_PI, MomentSet, exact_moment_set
+from nlsqueeze.nlsq import HALF_PI, PHASE_ORDERS, MomentSet, exact_moment_set
 from nlsqueeze.readout import (
+    GUIDE_BUCKETS,
     SAMPLE_BLOCK,
     ChannelParams,
     channel_coefficients,
     forward_output_moments,
+    inverse_cdf_table,
     sample_homodyne,
+    sampling_tables,
     thermal_filtered_moment,
     vacuum_filtered_moment,
 )
@@ -197,12 +200,16 @@ def test_forward_needs_all_orders():
 
 # ------------------------------------------------------------- sampling
 
+def sample(state, p, count, seed):
+    return sample_homodyne(inverse_cdf_table(state, p.phi), p, count, seed)
+
+
 def test_sampler_deterministic():
     st_ = cubic_state()
-    a = sample_homodyne(st_, STANDARD, 5000, seed=11)
-    b = sample_homodyne(st_, STANDARD, 5000, seed=11)
+    a = sample(st_, STANDARD, 5000, seed=11)
+    b = sample(st_, STANDARD, 5000, seed=11)
     np.testing.assert_array_equal(a, b)
-    c = sample_homodyne(st_, STANDARD, 5000, seed=12)
+    c = sample(st_, STANDARD, 5000, seed=12)
     assert not np.array_equal(a, c)
 
 
@@ -210,14 +217,44 @@ def test_sampler_prefix_property():
     # growing the record must only append, never reshuffle
     st_ = cubic_state()
     n = SAMPLE_BLOCK + 1000
-    short = sample_homodyne(st_, STANDARD, n, seed=21)
-    long = sample_homodyne(st_, STANDARD, 2 * n, seed=21)
+    short = sample(st_, STANDARD, n, seed=21)
+    long = sample(st_, STANDARD, 2 * n, seed=21)
     np.testing.assert_array_equal(long[:n], short)
 
 
 def test_sampler_rejects_bad_count():
     with pytest.raises(ValueError):
-        sample_homodyne(cubic_state(), STANDARD, 0, seed=1)
+        sample(cubic_state(), STANDARD, 0, seed=1)
+
+
+def test_sampler_rejects_table_at_another_phase():
+    table = inverse_cdf_table(make_state(StateSpec(kind="vacuum", N=16)), HALF_PI)
+    with pytest.raises(ValueError, match="phase"):
+        sample_homodyne(table, STANDARD, 1000, seed=1)
+
+
+@pytest.mark.parametrize("spec", [StateSpec(kind="vacuum", N=32),
+                                  StateSpec(kind="thermal", n_bar=1.0, N=96),
+                                  StateSpec(kind="cubic_phase", gamma=0.1, N=128)],
+                         ids=["vacuum", "thermal", "cubic"])
+def test_guided_lookup_equals_binary_search(spec):
+    # the reference is the binary search the guide table replaces, with
+    # the linear draw inside the cell it selects
+    rng = np.random.default_rng(61)
+    for table, (phi, _) in zip(sampling_tables(make_state(spec)), PHASE_ORDERS):
+        F = table.cdf
+        assert table.phi == phi and F[0] == 0.0 and F[-1] == 1.0
+        plateau = F[1:][np.diff(F) == 0.0]  # cell edges inside zero-density runs
+        assert plateau.size > 0
+        buckets = np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS
+        u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], F, plateau, np.nextafter(F, 0.0),
+                            buckets, np.nextafter(buckets, 0.0), rng.random(200_000)])
+        u = u[(u >= 0.0) & (u < 1.0)]  # the sampler's uniforms lie in [0, 1)
+        idx = np.searchsorted(F, u, side="right")
+        np.testing.assert_array_equal(table.cell(u), idx - 1)
+        f0 = F[idx - 1]
+        ref = table.x[idx - 1] + (u - f0) / (F[idx] - f0) * table.dx
+        np.testing.assert_array_equal(table.quadrature(u), ref)
 
 
 def test_sample_mean_and_variance_vacuum():
@@ -225,7 +262,7 @@ def test_sample_mean_and_variance_vacuum():
     p = ChannelParams(G=0.1, Gamma_m=0.0, n_bar=0.0, tau=1e3)
     co = channel_coefficients(p)
     n = 400_000
-    y = sample_homodyne(st_, p, n, seed=31)
+    y = sample(st_, p, n, seed=31)
     var_ref = 0.5 + co.c_Q ** 2 * 0.5
     assert y.mean() == pytest.approx(0.0, abs=5.0 * math.sqrt(var_ref / n))
     assert y.var() == pytest.approx(var_ref, rel=0.02)
@@ -241,7 +278,7 @@ def test_sample_moments_match_forward_model():
         co = channel_coefficients(p)
         mech = mech_moments(st_, phi)
         ref = forward_output_moments(mech, p, co, 3)
-        y = sample_homodyne(st_, p, n, seed=41)
+        y = sample(st_, p, n, seed=41)
         for order in (1, 2, 3):
             sample_moment = float(np.mean(y ** order))
             spread = float(np.std(y ** order)) / math.sqrt(n)
@@ -251,7 +288,7 @@ def test_sample_moments_match_forward_model():
 def test_pure_noise_channel_is_gaussian():
     st_ = make_state(StateSpec(kind="vacuum", N=16))
     p = ChannelParams(G=0.0, Gamma_m=0.0, n_bar=0.0, tau=1e3)
-    y = sample_homodyne(st_, p, 200_000, seed=51)
+    y = sample(st_, p, 200_000, seed=51)
     z = y / math.sqrt(0.5)
     assert np.mean(z ** 2) == pytest.approx(1.0, rel=0.02)
     assert np.mean(z ** 4) == pytest.approx(3.0, rel=0.05)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlsqueeze import runner
+from nlsqueeze import readout, runner
 from nlsqueeze.errors import ConfigError
 from nlsqueeze.runner import (
     PLOT_HEADER,
@@ -26,6 +26,7 @@ from nlsqueeze.runner import (
     sweep_csv,
     write_sweep_outputs,
 )
+from nlsqueeze.nlsq import PHASE_ORDERS
 from nlsqueeze.readout import ChannelParams
 from nlsqueeze.states import StateSpec, make_state
 
@@ -268,6 +269,23 @@ def test_sweep_cooperativity_derives_G(tmp_path):
         assert pt["channel"]["cooperativity"] == pytest.approx(C, rel=1e-9)
 
 
+def test_sweep_builds_each_sampling_table_once(monkeypatch):
+    calls = []
+    original = readout.marginal_density
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(readout, "marginal_density", counted)
+    text = FULL_TEXT.replace("sweep.values = 1e-7, 1e-5",
+                             "sweep.values = 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1")
+    text = text.replace("ensemble.count = 4000", "ensemble.count = 1000")
+    report = run_sweep(parse_config(text))
+    assert len(report.points) == 7
+    assert calls == [phi for phi, _ in PHASE_ORDERS]  # one table per schedule phase
+
+
 def test_csv_determinism(tmp_path):
     cfg = small_config(tmp_path)
     a = emit_plot_data(run_sweep(cfg))
@@ -423,8 +441,19 @@ def test_cli_bad_config(tmp_path):
     ("sweep", {}, ["--seed", "-1"], "--seed"),
     ("sweep", {"ensemble.base_seed = 99": "ensemble.base_seed = -1"}, [],
      "ensemble.base_seed"),
+    ("certify", {"ensemble.R = 3": "ensemble.R = 1"}, [], "ensemble.R"),
+    ("certify", {"ensemble.count = 4000": "ensemble.count = 50"}, [], "ensemble.count"),
+    ("certify", {"mode = full": "mode = full\ngrid.extent = 6\ngrid.points = 400"}, [],
+     "grid.extent"),
+    ("certify", {"state.kind = cubic_phase\nstate.gamma = 0.1\nstate.N = 64":
+                 "state.kind = displaced\nstate.alpha = 0.1\nstate.N = 16\n"
+                 "state.inner.kind = cubic_phase\nstate.inner.gamma = 0.1\n"
+                 "state.inner.N = 64",
+                 "mode = full": "mode = full\ngrid.extent = 8\ngrid.points = 400"}, [],
+     "grid.extent"),
 ], ids=["G-nan", "tau-inf", "sweep-inf", "count-inf", "k_sigma-nan", "k_sigma-negative",
-        "threads-zero", "threads-negative", "seed-negative", "base_seed-negative"])
+        "threads-zero", "threads-negative", "seed-negative", "base_seed-negative",
+        "R-one", "count-below-100", "grid-too-small", "grid-too-small-for-inner"])
 def test_cli_rejects_bad_numbers(tmp_path, capsys, command, edits, argv, key):
     text = FULL_TEXT
     for old, new in edits.items():
