@@ -2,136 +2,4 @@
 QND optical readout and moment-based reconstruction of the squeezing
 curve V(lambda) = Var(p - 3 lambda q^2) from homodyne records."""
 
-from .errors import (
-    ChannelConditionError,
-    ConfigError,
-    DataError,
-    GridError,
-    HermiticityError,
-    IncompleteMomentError,
-    NumericsError,
-    SamplingError,
-    StateError,
-    TruncationError,
-)
-from .estimate import (
-    EmpiricalMoments,
-    EnsembleReport,
-    derive_seed,
-    empirical_moments,
-    ensemble_run,
-    invert_hierarchy,
-    mixed_moment_recovery,
-    run_reconstruction,
-)
-from .hilbert import (
-    HermiteBasis,
-    PositionGrid,
-    QuantumState,
-    build_basis,
-    canonical_phase,
-    default_grid,
-    displace,
-    marginal_density,
-    quadrature_moment,
-    validate_state,
-)
-from .nlsq import (
-    MomentSet,
-    NlsCurve,
-    assemble_curve,
-    classical_threshold,
-    exact_moment_set,
-    matched_displacement,
-    nls_variance,
-    resource_condition,
-    second_moment,
-    squeezing_margin,
-)
-from .readout import (
-    ChannelCoefficients,
-    ChannelParams,
-    channel_coefficients,
-    forward_output_moments,
-    inverse_cdf_table,
-    sample_homodyne,
-    sampling_tables,
-    thermal_filtered_moment,
-    vacuum_filtered_moment,
-)
-from .runner import (
-    ExperimentConfig,
-    SweepReport,
-    certify,
-    emit_plot_data,
-    load_config,
-    main,
-    parse_config,
-    run_sweep,
-    state_info,
-)
-from .states import StateSpec, make_state
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "ChannelCoefficients",
-    "ChannelConditionError",
-    "ChannelParams",
-    "ConfigError",
-    "DataError",
-    "EmpiricalMoments",
-    "EnsembleReport",
-    "ExperimentConfig",
-    "GridError",
-    "HermiteBasis",
-    "HermiticityError",
-    "IncompleteMomentError",
-    "MomentSet",
-    "NlsCurve",
-    "NumericsError",
-    "PositionGrid",
-    "QuantumState",
-    "SamplingError",
-    "StateError",
-    "StateSpec",
-    "SweepReport",
-    "TruncationError",
-    "assemble_curve",
-    "build_basis",
-    "canonical_phase",
-    "certify",
-    "channel_coefficients",
-    "classical_threshold",
-    "default_grid",
-    "derive_seed",
-    "displace",
-    "emit_plot_data",
-    "empirical_moments",
-    "ensemble_run",
-    "exact_moment_set",
-    "forward_output_moments",
-    "inverse_cdf_table",
-    "invert_hierarchy",
-    "load_config",
-    "main",
-    "make_state",
-    "marginal_density",
-    "matched_displacement",
-    "mixed_moment_recovery",
-    "nls_variance",
-    "parse_config",
-    "quadrature_moment",
-    "resource_condition",
-    "run_reconstruction",
-    "run_sweep",
-    "sample_homodyne",
-    "sampling_tables",
-    "second_moment",
-    "squeezing_margin",
-    "state_info",
-    "thermal_filtered_moment",
-    "vacuum_filtered_moment",
-    "validate_state",
-    "__version__",
-]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,35 +39,13 @@ def derive_seed(*parts) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-@dataclass(frozen=True)
-class EmpiricalMoments:
-    """Sample means of Y^n with standard errors, n = 1..max_n."""
-
-    means: np.ndarray       # index n-1 -> mean of Y^n
-    std_errors: np.ndarray
-    count: int
-
-    @property
-    def max_n(self) -> int:
-        return self.means.size
-
-    def mean(self, n: int) -> float:
-        return float(self.means[n - 1])
-
-    def std_error(self, n: int) -> float:
-        return float(self.std_errors[n - 1])
-
-    @classmethod
-    def from_exact(cls, values, count: int = 10 ** 9) -> "EmpiricalMoments":
-        v = np.asarray(values, dtype=float)
-        return cls(means=v, std_errors=np.zeros_like(v), count=count)
-
-
-def empirical_moments(samples, max_n: int) -> EmpiricalMoments:
+def empirical_moments(samples, max_n: int):
     """One-pass accumulation of Y^n up to 2*max_n for means and errors.
 
-    Samples are scaled by their max magnitude before powering, so the
-    accumulators stay in range for any finite input.
+    Returns (means, std_errors), index n-1 holding the mean of Y^n and its
+    standard error for n = 1..max_n.  Samples are scaled by their max
+    magnitude before powering, so the accumulators stay in range; a
+    record whose max_n-th power leaves the float range raises DataError.
     """
     if max_n < 1 or max_n > 4:
         raise ValueError(f"max_n must be in 1..4 (cubic protocol ceiling), got {max_n}")
@@ -81,6 +59,11 @@ def empirical_moments(samples, max_n: int) -> EmpiricalMoments:
         raise DataError("non-finite sample in homodyne record")
     if scale == 0.0:
         scale = 1.0
+    try:
+        powers = [scale ** n for n in range(1, max_n + 1)]
+    except OverflowError:
+        raise DataError(f"sample magnitude {scale:.3g} overflows the order-{max_n} "
+                        f"moment") from None
     w = x / scale
     raw = np.empty(2 * max_n)
     raw[0] = w.mean()
@@ -95,35 +78,38 @@ def empirical_moments(samples, max_n: int) -> EmpiricalMoments:
     for n in range(1, max_n + 1):
         mu = raw[n - 1]
         var = max(raw[2 * n - 1] - mu * mu, 0.0) * bessel
-        means[n - 1] = scale ** n * mu
-        errs[n - 1] = scale ** n * math.sqrt(var / count)
-    return EmpiricalMoments(means=means, std_errors=errs, count=count)
+        means[n - 1] = powers[n - 1] * mu
+        errs[n - 1] = powers[n - 1] * math.sqrt(var / count)
+    return means, errs
 
 
-def invert_hierarchy(em: EmpiricalMoments, coeffs: ChannelCoefficients,
-                     n_bar: float, phi: float = 0.0) -> MomentSet:
+def invert_hierarchy(means, std_errors, coeffs: ChannelCoefficients, n_bar: float):
     """Forward substitution through readout.hierarchy_matrix at one phase.
 
-    Row n gives <Q^n> = (<Y^n> - sum_{k<n} H[n, k] <Q^k>) / H[n, n].
-    Standard errors are first-order propagated through the Jacobian
-    J = d<Q>/d<Y> (the inverse of H); covariances between different
-    output moments are neglected.
+    Takes the output moments <Y^n> and their standard errors for
+    n = 1..len(means) and returns (q, q_errors), the mechanical moments
+    <Q^n> and their errors for the same orders.  Row n gives
+    <Q^n> = (<Y^n> - sum_{k<n} H[n, k] <Q^k>) / H[n, n].  Standard errors
+    are first-order propagated through the Jacobian J = d<Q>/d<Y> (the
+    inverse of H); covariances between different output moments are
+    neglected.
     """
     cq = coeffs.c_Q
     if abs(cq) < CQ_FLOOR:
         raise ChannelConditionError(
             f"|c_Q| = {abs(cq):.2e} below {CQ_FLOOR:g}; channel too weak to invert"
         )
-    size = em.max_n + 1
-    H = hierarchy_matrix(coeffs, n_bar, em.max_n)
-    q = np.ones(size)   # q[0] = <Q^0> = 1 exactly
-    J = np.eye(size)    # J[n, k] = d<Q^n>/d<Y^k>, filled row by row
-    m = MomentSet()
-    for n in range(1, size):
-        q[n] = (em.mean(n) - sum(H[n, k] * q[k] for k in range(n))) / H[n, n]
+    max_n = len(means)
+    var_y = np.asarray(std_errors, dtype=float) ** 2
+    H = hierarchy_matrix(coeffs, n_bar, max_n)
+    q = np.ones(max_n + 1)   # q[0] = <Q^0> = 1 exactly
+    J = np.eye(max_n + 1)    # J[n, k] = d<Q^n>/d<Y^k>, filled row by row
+    q_errors = np.empty(max_n)
+    for n in range(1, max_n + 1):
+        q[n] = (means[n - 1] - sum(H[n, k] * q[k] for k in range(n))) / H[n, n]
         J[n] = (J[n] - H[n, :n] @ J[:n]) / H[n, n]
-        m.set(phi, n, q[n], math.sqrt(J[n, 1:] ** 2 @ em.std_errors ** 2))
-    return m
+        q_errors[n - 1] = math.sqrt(J[n, 1:] ** 2 @ var_y)
+    return q[1:], q_errors
 
 
 def mixed_moment_recovery(m: MomentSet):
@@ -151,13 +137,14 @@ def run_reconstruction(tables: tuple[InverseCDF, ...], params: ChannelParams,
 
     Returns (MomentSet, NlsCurve).
     """
+    coeffs = channel_coefficients(params, "exact")
     ms = MomentSet()
     for k, (table, (phi, order)) in enumerate(zip(tables, PHASE_ORDERS, strict=True)):
-        p_k = replace(params, phi=phi)
-        coeffs = channel_coefficients(p_k, "exact")
-        samples = sample_homodyne(table, p_k, count, derive_seed(seed, k))
-        em = empirical_moments(samples, max_n=order)
-        ms.update(invert_hierarchy(em, coeffs, p_k.n_bar, phi=phi))
+        samples = sample_homodyne(table, params, count, derive_seed(seed, k))
+        means, std_errors = empirical_moments(samples, order)
+        q, q_errors = invert_hierarchy(means, std_errors, coeffs, params.n_bar)
+        for n in range(1, order + 1):
+            ms.set(phi, n, q[n - 1], q_errors[n - 1])
     ms.mixed, ms.mixed_error = mixed_moment_recovery(ms)
     return ms, assemble_curve(ms)
 

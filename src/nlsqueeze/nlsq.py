@@ -80,15 +80,6 @@ class MomentSet:
     def error(self, phi: float, n: int) -> float:
         return self._entry(phi, n)[1]
 
-    def update(self, other: "MomentSet"):
-        """Copy in every moment set in other, the mixed moment included."""
-        filled = ~np.isnan(other.values)
-        self.values[filled] = other.values[filled]
-        self.errors[filled] = other.errors[filled]
-        if not math.isnan(other.mixed):
-            self.mixed, self.mixed_error = other.mixed, other.mixed_error
-        return self
-
 
 @dataclass
 class NlsCurve:

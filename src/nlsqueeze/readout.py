@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import SamplingError
 from .hilbert import PositionGrid, QuantumState, default_grid, marginal_density
-from .nlsq import PHASE_ORDERS, MomentSet
+from .nlsq import PHASE_ORDERS
 
 # Below this Gamma_m * tau the exact radicand x + 4 e^{-x/2} - e^{-x} - 3
 # cancels catastrophically (relative error ~ 12 eps / x^2), so the series
@@ -45,10 +45,9 @@ class ChannelParams:
     n_bar: float
     tau: float
     kappa: float = 1.0
-    phi: float = 0.0
 
     def __post_init__(self):
-        for name in ("G", "Gamma_m", "n_bar", "tau", "kappa", "phi"):
+        for name in ("G", "Gamma_m", "n_bar", "tau", "kappa"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("G", "Gamma_m", "n_bar"):
@@ -175,18 +174,12 @@ def hierarchy_matrix(coeffs: ChannelCoefficients, n_bar: float, max_n: int) -> n
     return H
 
 
-def forward_output_moments(mech: MomentSet, p: ChannelParams,
-                           coeffs: ChannelCoefficients, max_n: int) -> list:
-    """Predicted <Y_out^n> for n = 1..max_n from mechanical moments, the
-    product of hierarchy_matrix with (1, <Q>, ..., <Q^max_n>).
-
-    Raises
-    ------
-    IncompleteMomentError
-        If mech lacks <Q_phi^k> at the channel phase for some k <= max_n.
-    """
-    qmom = [1.0] + [mech.get(p.phi, k) for k in range(1, max_n + 1)]
-    return (hierarchy_matrix(coeffs, p.n_bar, max_n) @ np.array(qmom))[1:].tolist()
+def forward_output_moments(q, coeffs: ChannelCoefficients, n_bar: float) -> np.ndarray:
+    """Predicted <Y_out^n> for n = 1..len(q) from the mechanical moments
+    q = (<Q>, ..., <Q^max_n>) at one phase, the product of hierarchy_matrix
+    with (1, <Q>, ..., <Q^max_n>)."""
+    qmom = np.concatenate(([1.0], np.asarray(q, dtype=float)))
+    return (hierarchy_matrix(coeffs, n_bar, qmom.size - 1) @ qmom)[1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -263,11 +256,12 @@ def sample_homodyne(table: InverseCDF, p: ChannelParams, count: int,
                     seed: int) -> np.ndarray:
     """Synthesize count homodyne records of Y_out.
 
-    Q_phi(0) is drawn by inverse-CDF lookup in table, which must have been
-    built at the channel phase p.phi: a guide table of GUIDE_BUCKETS equal
-    u-buckets picks the cell in O(1) (Chen & Asau 1974; Devroye 1986,
-    section III.2), with a binary search only in the near-empty tails, and
-    the draw is linear inside the cell.  Y_in and E are Gaussian.  The
+    Q_phi(0) is drawn by inverse-CDF lookup in table, so the record is
+    taken at the table's phase; the channel gains (c_Q, c_E) do not
+    depend on it.  A guide table of GUIDE_BUCKETS equal u-buckets picks
+    the cell in O(1) (Chen & Asau 1974; Devroye 1986, section III.2), with
+    a binary search only in the near-empty tails, and the draw is linear
+    inside the cell.  Y_in and E are Gaussian.  The
     stream is partitioned into fixed-size blocks, each seeded from (seed,
     block index), so the result depends only on (seed, count) and any
     concurrent schedule producing the same blocks yields identical
@@ -276,8 +270,6 @@ def sample_homodyne(table: InverseCDF, p: ChannelParams, count: int,
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    if table.phi != p.phi:
-        raise ValueError(f"table built at phase {table.phi!r}, channel phase is {p.phi!r}")
     coeffs = channel_coefficients(p, "exact")
     sig_in = math.sqrt(0.5)
     sig_E = math.sqrt(p.n_bar + 0.5)

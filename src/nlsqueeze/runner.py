@@ -42,7 +42,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from time import perf_counter
 
@@ -122,9 +122,7 @@ def _spec_echo(spec: StateSpec) -> dict:
 
 def _channel_echo(ch: ChannelParams) -> dict:
     coop = ch.cooperativity
-    return {"G": ch.G, "Gamma_m": ch.Gamma_m, "n_bar": ch.n_bar, "tau": ch.tau,
-            "kappa": ch.kappa,
-            "cooperativity": coop if math.isfinite(coop) else None}
+    return {**asdict(ch), "cooperativity": coop if math.isfinite(coop) else None}
 
 
 def _parse_lines(text: str) -> dict:

@@ -1,12 +1,12 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from nlsqueeze.errors import ChannelConditionError, DataError
 from nlsqueeze.estimate import (
-    EmpiricalMoments,
     derive_seed,
     empirical_moments,
     ensemble_run,
@@ -14,6 +14,7 @@ from nlsqueeze.estimate import (
     mixed_moment_recovery,
     run_reconstruction,
 )
+from nlsqueeze.hilbert import quadrature_moment
 from nlsqueeze.nlsq import (
     HALF_PI,
     PHASE_ORDERS,
@@ -37,27 +38,26 @@ def cubic_state(gamma=0.1, N=128):
 
 def test_empirical_moments_basic():
     x = np.full(200, 2.0)
-    em = empirical_moments(x, 3)
-    assert em.count == 200
-    assert em.mean(1) == pytest.approx(2.0, rel=1e-14)
-    assert em.mean(3) == pytest.approx(8.0, rel=1e-14)
-    assert em.std_error(2) == pytest.approx(0.0, abs=1e-12)
+    means, errs = empirical_moments(x, 3)
+    assert means[0] == pytest.approx(2.0, rel=1e-14)
+    assert means[2] == pytest.approx(8.0, rel=1e-14)
+    assert errs[1] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_empirical_moments_standard_normal():
     rng = np.random.default_rng(9)
     x = rng.standard_normal(1_000_000)
-    em = empirical_moments(x, 2)
-    assert em.mean(2) == pytest.approx(1.0, abs=5.0 * math.sqrt(2.0) / 1e3)
-    assert em.std_error(2) == pytest.approx(math.sqrt(2.0) / 1e3, rel=0.05)
+    means, errs = empirical_moments(x, 2)
+    assert means[1] == pytest.approx(1.0, abs=5.0 * math.sqrt(2.0) / 1e3)
+    assert errs[1] == pytest.approx(math.sqrt(2.0) / 1e3, rel=0.05)
 
 
 def test_empirical_moments_survives_huge_values():
     # the accumulators are rescaled, so eighth powers of 1e60 still work
     x = np.linspace(-1e60, 1e60, 500)
-    em = empirical_moments(x, 4)
-    assert np.all(np.isfinite(em.means))
-    assert em.mean(4) > 0
+    means, _ = empirical_moments(x, 4)
+    assert np.all(np.isfinite(means))
+    assert means[3] > 0
 
 
 def test_empirical_moments_input_validation():
@@ -74,31 +74,30 @@ def test_empirical_moments_input_validation():
     bad[3] = np.inf
     with pytest.raises(DataError):
         empirical_moments(bad, 2)
+    # finite samples whose fourth power is not a float
+    with pytest.raises(DataError, match="overflows"):
+        empirical_moments(np.array([1e100, -3e99] * 100), 4)
 
 
 # ------------------------------------------------------------- inversion
 
 def test_invert_first_order_division():
     co = channel_coefficients(STANDARD)
-    em = EmpiricalMoments.from_exact([co.c_Q * 0.15])
-    m = invert_hierarchy(em, co, STANDARD.n_bar, phi=HALF_PI)
-    assert m.get(HALF_PI, 1) == pytest.approx(0.15, rel=1e-12)
+    q, _ = invert_hierarchy([co.c_Q * 0.15], [0.0], co, STANDARD.n_bar)
+    assert q[0] == pytest.approx(0.15, rel=1e-12)
 
 
 def test_invert_rejects_weak_channel():
     co = dataclasses.replace(channel_coefficients(STANDARD), c_Q=-1e-8)
-    em = EmpiricalMoments.from_exact([0.0, 1.0])
     with pytest.raises(ChannelConditionError):
-        invert_hierarchy(em, co, STANDARD.n_bar)
+        invert_hierarchy([0.0, 1.0], [0.0, 0.0], co, STANDARD.n_bar)
 
 
 def test_invert_error_scaling():
     co = channel_coefficients(STANDARD)
-    em = EmpiricalMoments(means=np.array([0.0, 41.0]),
-                          std_errors=np.array([0.01, 0.5]), count=10_000)
-    m = invert_hierarchy(em, co, STANDARD.n_bar)
-    assert m.error(0.0, 1) == pytest.approx(0.01 / abs(co.c_Q), rel=1e-12)
-    assert m.error(0.0, 2) == pytest.approx(0.5 / co.c_Q ** 2, rel=1e-12)
+    _, errs = invert_hierarchy([0.0, 41.0], [0.01, 0.5], co, STANDARD.n_bar)
+    assert errs[0] == pytest.approx(0.01 / abs(co.c_Q), rel=1e-12)
+    assert errs[1] == pytest.approx(0.5 / co.c_Q ** 2, rel=1e-12)
 
 
 @pytest.mark.parametrize("state_spec", [
@@ -109,14 +108,12 @@ def test_invert_error_scaling():
 ])
 def test_round_trip_through_channel(state_spec):
     st = make_state(state_spec)
+    co = channel_coefficients(STANDARD)
     for phi in (0.0, HALF_PI):
-        p = dataclasses.replace(STANDARD, phi=phi)
-        co = channel_coefficients(p)
-        mech = exact_moment_set(st, keys=tuple((phi, n) for n in range(1, 5)))
-        y = forward_output_moments(mech, p, co, 4)
-        back = invert_hierarchy(EmpiricalMoments.from_exact(y), co, p.n_bar, phi=phi)
-        for n in range(1, 5):
-            assert back.get(phi, n) == pytest.approx(mech.get(phi, n), abs=1e-10)
+        mech = [quadrature_moment(st, phi, n) for n in range(1, 5)]
+        y = forward_output_moments(mech, co, STANDARD.n_bar)
+        back, _ = invert_hierarchy(y, np.zeros(4), co, STANDARD.n_bar)
+        np.testing.assert_allclose(back, mech, rtol=0, atol=1e-10)
 
 
 # ------------------------------------------------------------- mixed moment
@@ -138,14 +135,14 @@ def test_mixed_recovery_from_exact_rotations():
 
 def test_noiseless_inversion_reproduces_exact_curve():
     st = cubic_state()
+    co = channel_coefficients(STANDARD)
     ms = MomentSet()
     for phi, order in PHASE_ORDERS:
-        p = dataclasses.replace(STANDARD, phi=phi)
-        co = channel_coefficients(p)
-        mech = exact_moment_set(st, keys=tuple((phi, n) for n in range(1, order + 1)))
-        y = forward_output_moments(mech, p, co, order)
-        ms.update(invert_hierarchy(EmpiricalMoments.from_exact(y), co,
-                                   p.n_bar, phi=phi))
+        mech = [quadrature_moment(st, phi, n) for n in range(1, order + 1)]
+        y = forward_output_moments(mech, co, STANDARD.n_bar)
+        q, _ = invert_hierarchy(y, np.zeros(order), co, STANDARD.n_bar)
+        for n in range(1, order + 1):
+            ms.set(phi, n, q[n - 1])
     ms.mixed, ms.mixed_error = mixed_moment_recovery(ms)
     est = assemble_curve(ms)
     ref = assemble_curve(exact_moment_set(st))
@@ -225,6 +222,16 @@ def test_ensemble_deterministic_and_thread_invariant():
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[0], c[0])
     np.testing.assert_array_equal(a[1], c[1])
+
+
+def test_adiabatic_warning_only_when_the_channel_is_built():
+    tables = sampling_tables(cubic_state(N=64))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        params = ChannelParams(G=0.1, Gamma_m=1e-9, n_bar=1e4, tau=5.0)
+        assert len(caught) == 1 and "adiabatic" in str(caught[0].message)
+        ensemble_run(tables, params, 1000, 3, 29)
+    assert len(caught) == 1
 
 
 # ------------------------------------------------------------- seeds

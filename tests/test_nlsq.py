@@ -81,16 +81,6 @@ def test_exact_moment_set_fills_the_schedule():
     np.testing.assert_array_equal(~np.isnan(m.errors), filled)
 
 
-def test_moment_set_update_merges():
-    a = MomentSet()
-    a.set(0.0, 1, 1.0)
-    b = MomentSet()
-    b.set(HALF_PI, 1, 2.0)
-    a.update(b)
-    assert a.get(HALF_PI, 1) == 2.0
-    assert a.get(0.0, 1) == 1.0
-
-
 # ------------------------------------------------------------- curve
 
 def test_vacuum_curve_is_threshold():

@@ -473,6 +473,16 @@ def test_cli_numerical_error_exit_code(tmp_path):
     assert rc == 3
 
 
+def test_cli_out_of_range_record_is_a_numerical_error(tmp_path, capsys):
+    # a finite coupling so strong that the fourth output moment is no float
+    text = FULL_TEXT.replace("channel.G = 0.1", "channel.G = 1e80")
+    with pytest.warns(UserWarning, match="adiabatic"):
+        rc = main(["certify", "--config", write_cfg(tmp_path, text),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("numerical error:")
+
+
 def test_cli_sweep_and_reconstruct(tmp_path, capsys):
     text = FULL_TEXT.replace("ensemble.count = 4000", "ensemble.count = 1000")
     cfg = write_cfg(tmp_path, text)
