@@ -20,11 +20,13 @@ import numpy as np
 from .errors import ChannelConditionError, DataError
 from .nlsq import HALF_PI, PHASE_ORDERS, QUARTER_PI, MomentSet, assemble_curve
 from .readout import (
+    SAMPLE_BLOCK,
     ChannelCoefficients,
     ChannelParams,
     InverseCDF,
     channel_coefficients,
     hierarchy_matrix,
+    noise_variance,
     sample_homodyne,
 )
 
@@ -40,12 +42,14 @@ def derive_seed(*parts) -> int:
 
 
 def empirical_moments(samples, max_n: int):
-    """One-pass accumulation of Y^n up to 2*max_n for means and errors.
+    """Power sums of Y^n up to 2*max_n for means and errors.
 
     Returns (means, std_errors), index n-1 holding the mean of Y^n and its
     standard error for n = 1..max_n.  Samples are scaled by their max
     magnitude before powering, so the accumulators stay in range; a
     record whose max_n-th power leaves the float range raises DataError.
+    The sums run over SAMPLE_BLOCK-sized slices through buffers that stay
+    in cache, and the slice sums are added in slice order.
     """
     if max_n < 1 or max_n > 4:
         raise ValueError(f"max_n must be in 1..4 (cubic protocol ceiling), got {max_n}")
@@ -54,7 +58,7 @@ def empirical_moments(samples, max_n: int):
         raise ValueError(f"need a 1-d array of at least {MIN_SAMPLES} samples, "
                          f"got shape {x.shape}")
     count = x.size
-    scale = float(np.max(np.abs(x)))  # non-finite iff some sample is
+    scale = max(float(x.max()), -float(x.min()))  # NaN propagates through both
     if not math.isfinite(scale):
         raise DataError("non-finite sample in homodyne record")
     if scale == 0.0:
@@ -64,14 +68,17 @@ def empirical_moments(samples, max_n: int):
     except OverflowError:
         raise DataError(f"sample magnitude {scale:.3g} overflows the order-{max_n} "
                         f"moment") from None
-    w = x / scale
-    raw = np.empty(2 * max_n)
-    raw[0] = w.mean()
-    cur = w * w  # higher powers overwrite this one array
-    raw[1] = cur.mean()
-    for k in range(3, 2 * max_n + 1):
-        np.multiply(cur, w, out=cur)
-        raw[k - 1] = cur.mean()
+    raw = np.zeros(2 * max_n)
+    w = np.empty(min(count, SAMPLE_BLOCK))
+    cur = np.empty_like(w)
+    for lo in range(0, count, SAMPLE_BLOCK):
+        ws = np.divide(x[lo:lo + SAMPLE_BLOCK], scale, out=w[:count - lo])
+        cs = np.multiply(ws, ws, out=cur[:ws.size])
+        raw[0] += ws.sum()
+        raw[1] += cs.sum()
+        for k in range(2, 2 * max_n):
+            raw[k] += np.multiply(cs, ws, out=cs).sum()
+    raw /= count
     means = np.empty(max_n)
     errs = np.empty(max_n)
     bessel = count / (count - 1.0)
@@ -138,9 +145,10 @@ def run_reconstruction(tables: tuple[InverseCDF, ...], params: ChannelParams,
     Returns (MomentSet, NlsCurve).
     """
     coeffs = channel_coefficients(params, "exact")
+    noise_std = math.sqrt(noise_variance(coeffs, params.n_bar))
     ms = MomentSet()
     for k, (table, (phi, order)) in enumerate(zip(tables, PHASE_ORDERS, strict=True)):
-        samples = sample_homodyne(table, params, count, derive_seed(seed, k))
+        samples = sample_homodyne(table, coeffs.c_Q, count, derive_seed(seed, k), noise_std)
         means, std_errors = empirical_moments(samples, order)
         q, q_errors = invert_hierarchy(means, std_errors, coeffs, params.n_bar)
         for n in range(1, order + 1):

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import GridError, HermiticityError, StateError, TruncationError
 
@@ -286,7 +285,10 @@ def displace(state: QuantumState, alpha: complex) -> QuantumState:
 
     The exponential is taken in a doubled (2N) space so truncation is
     measured honestly: the displaced matrix is cut back to N, the lost
-    trace is recorded as leakage, and the result is renormalized.
+    trace is recorded as leakage, and the result is renormalized.  The
+    generator A = alpha b† - alpha* b is anti-Hermitian, so with the
+    eigendecomposition i A = V diag(w) V† of the Hermitian i A,
+    D = V diag(e^{-iw}) V†.
 
     Raises
     ------
@@ -301,7 +303,8 @@ def displace(state: QuantumState, alpha: complex) -> QuantumState:
     k = np.arange(1, Npad)
     b = np.zeros((Npad, Npad), dtype=complex)
     b[k - 1, k] = np.sqrt(k)
-    D = expm(alpha * b.conj().T - alpha.conjugate() * b)
+    w, V = np.linalg.eigh(1j * (alpha * b.conj().T - alpha.conjugate() * b))
+    D = (V * np.exp(-1j * w)) @ V.conj().T
     rho_pad = np.zeros((Npad, Npad), dtype=complex)
     rho_pad[:N, :N] = state.rho
     rho_disp = D @ rho_pad @ D.conj().T

@@ -128,44 +128,28 @@ def channel_coefficients(p: ChannelParams, order: str = "exact") -> ChannelCoeff
     return ChannelCoefficients(c_Q=c_Q, c_E=c_E, order=order)
 
 
-def vacuum_filtered_moment(k: int) -> float:
-    """k-th moment of the filtered vacuum quadrature: Gaussian with
-    variance 1/2, so 0 for odd k and Gamma((k+1)/2)/sqrt(pi) for even k."""
-    if k < 0:
-        raise ValueError(f"moment order must be >= 0, got {k}")
-    if k % 2 == 1:
-        return 0.0
-    return math.gamma((k + 1) / 2.0) / math.sqrt(math.pi)
-
-
-def thermal_filtered_moment(k: int, n_bar: float) -> float:
-    """k-th moment of the filtered thermal quadrature E: Gaussian with
-    variance n_bar + 1/2, so (n_bar + 1/2)^{k/2} (k-1)!! for even k."""
-    if k < 0:
-        raise ValueError(f"moment order must be >= 0, got {k}")
-    if n_bar < 0:
-        raise ValueError(f"n_bar must be >= 0, got {n_bar}")
-    if k % 2 == 1:
-        return 0.0
-    return (n_bar + 0.5) ** (k // 2) * math.prod(range(k - 1, 0, -2))
+def noise_variance(coeffs: ChannelCoefficients, n_bar: float) -> float:
+    """Variance of the channel noise W = Y_in + c_E E, a sum of two
+    independent zero-mean Gaussians: 1/2 + c_E^2 (n_bar + 1/2)."""
+    return 0.5 + coeffs.c_E ** 2 * (n_bar + 0.5)
 
 
 def hierarchy_matrix(coeffs: ChannelCoefficients, n_bar: float, max_n: int) -> np.ndarray:
     """Lower-triangular map H with <Y_out^n> = sum_k H[n, k] <Q^k>, n, k = 0..max_n.
 
     Y_out = c_Q Q + W with the channel noise W = Y_in + c_E E independent
-    of Q, so H[n, k] = C(n, k) c_Q^k <W^{n-k}> with
-    <W^m> = sum_j C(m, j) V_j c_E^{m-j} E_{m-j} (V_j, E_j the filtered
-    vacuum and thermal moments; odd orders vanish).  With noise2 =
-    V2 + c_E^2 E2 the rows up to n = 4 read
+    of Q, so H[n, k] = C(n, k) c_Q^k <W^{n-k}>.  W is Gaussian with
+    variance noise2 = noise_variance(coeffs, n_bar), so
+    <W^m> = noise2^{m/2} (m-1)!! for even m and 0 for odd m, and the rows
+    up to n = 4 read
 
         <Y>   = c_Q <Q>
         <Y^2> = noise2 + c_Q^2 <Q^2>
         <Y^3> = 3 c_Q <Q> noise2 + c_Q^3 <Q^3>
-        <Y^4> = V4 + c_E^4 E4 + 6 V2 c_E^2 E2 + 6 c_Q^2 <Q^2> noise2 + c_Q^4 <Q^4>
+        <Y^4> = 3 noise2^2 + 6 c_Q^2 <Q^2> noise2 + c_Q^4 <Q^4>
     """
-    noise = [sum(math.comb(m, j) * vacuum_filtered_moment(j) * coeffs.c_E ** (m - j)
-                 * thermal_filtered_moment(m - j, n_bar) for j in range(m + 1))
+    noise2 = noise_variance(coeffs, n_bar)
+    noise = [0.0 if m % 2 else noise2 ** (m // 2) * math.prod(range(m - 1, 0, -2))
              for m in range(max_n + 1)]
     H = np.zeros((max_n + 1, max_n + 1))
     for n in range(max_n + 1):
@@ -209,10 +193,10 @@ class InverseCDF:
         bucket gives the cell of its left edge, one comparison moves on to
         the next cell, and only uniforms in wide buckets are searched.
         """
-        b = (u * GUIDE_BUCKETS).astype(np.intp)
-        j = self.guide[b]
-        j += self.cdf[1:][j] <= u
-        tail = np.flatnonzero(self.wide[b])
+        b = np.multiply(u, GUIDE_BUCKETS, out=np.empty(u.size, np.intp), casting="unsafe")
+        j = np.take(self.guide, b)
+        j += np.take(self.cdf[1:], j) <= u
+        tail = np.flatnonzero(np.take(self.wide, b))
         if tail.size:
             j[tail] = np.searchsorted(self.cdf, u[tail], side="right") - 1
         return j
@@ -223,7 +207,12 @@ class InverseCDF:
         The selected cell always has mass > 0, since cdf[j] <= u < cdf[j + 1].
         """
         j = self.cell(u)
-        return self.x[j] + (u - self.cdf[j]) / self.mass[j] * self.dx
+        # x[j] + (u - cdf[j]) / mass[j] * dx, evaluated in place
+        q = np.subtract(u, np.take(self.cdf, j))
+        q /= np.take(self.mass, j)
+        q *= self.dx
+        q += np.take(self.x, j)
+        return q
 
 
 def inverse_cdf_table(state: QuantumState, phi: float,
@@ -252,37 +241,37 @@ def sampling_tables(state: QuantumState,
     return tuple(inverse_cdf_table(state, phi, grid) for phi, _ in PHASE_ORDERS)
 
 
-def sample_homodyne(table: InverseCDF, p: ChannelParams, count: int,
-                    seed: int) -> np.ndarray:
-    """Synthesize count homodyne records of Y_out.
+def sample_homodyne(table: InverseCDF, c_Q: float, count: int, seed: int,
+                    noise_std: float) -> np.ndarray:
+    """Synthesize count homodyne records Y_out = c_Q Q_phi(0) + W.
 
     Q_phi(0) is drawn by inverse-CDF lookup in table, so the record is
-    taken at the table's phase; the channel gains (c_Q, c_E) do not
-    depend on it.  A guide table of GUIDE_BUCKETS equal u-buckets picks
-    the cell in O(1) (Chen & Asau 1974; Devroye 1986, section III.2), with
-    a binary search only in the near-empty tails, and the draw is linear
-    inside the cell.  Y_in and E are Gaussian.  The
-    stream is partitioned into fixed-size blocks, each seeded from (seed,
-    block index), so the result depends only on (seed, count) and any
-    concurrent schedule producing the same blocks yields identical
-    samples.  Per block the draw order is fixed: uniforms for Q, normals
-    for Y_in, normals for E.
+    taken at the table's phase; the channel gains do not depend on it.  A
+    guide table of GUIDE_BUCKETS equal u-buckets picks the cell in O(1)
+    (Chen & Asau 1974; Devroye 1986, section III.2), with a binary search
+    only in the near-empty tails, and the draw is linear inside the cell.
+    The channel noise W = Y_in + c_E E is one Gaussian of standard
+    deviation noise_std = sqrt(noise_variance(coeffs, n_bar)).  The stream
+    is partitioned into fixed-size blocks, each seeded from (seed, block
+    index), so the result depends only on (seed, count) and any concurrent
+    schedule producing the same blocks yields identical samples.  Per
+    block the draw order is fixed: SAMPLE_BLOCK uniforms for Q, then
+    SAMPLE_BLOCK standard normals for W.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    coeffs = channel_coefficients(p, "exact")
-    sig_in = math.sqrt(0.5)
-    sig_E = math.sqrt(p.n_bar + 0.5)
     out = np.empty(count)
-    n_blocks = (count + SAMPLE_BLOCK - 1) // SAMPLE_BLOCK
-    for blk in range(n_blocks):
-        lo = blk * SAMPLE_BLOCK
-        m = min(SAMPLE_BLOCK, count - lo)
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, blk))))
+    u = np.empty(SAMPLE_BLOCK)
+    z = np.empty(SAMPLE_BLOCK)
+    for lo in range(0, count, SAMPLE_BLOCK):
+        rng = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence((seed, lo // SAMPLE_BLOCK))))
         # always draw whole blocks so a longer record extends a shorter
         # one instead of reshuffling the tail
-        u = rng.random(SAMPLE_BLOCK)[:m]
-        y_in = rng.standard_normal(SAMPLE_BLOCK)[:m] * sig_in
-        e = rng.standard_normal(SAMPLE_BLOCK)[:m] * sig_E
-        out[lo:lo + m] = y_in + coeffs.c_Q * table.quadrature(u) + coeffs.c_E * e
+        rng.random(out=u)
+        rng.standard_normal(out=z)
+        dst = out[lo:lo + SAMPLE_BLOCK]
+        m = dst.size
+        np.multiply(table.quadrature(u[:m]), c_Q, out=dst)
+        dst += np.multiply(z[:m], noise_std, out=z[:m])
     return out

@@ -23,8 +23,8 @@ from nlsqueeze.nlsq import (
     assemble_curve,
     exact_moment_set,
 )
-from nlsqueeze.readout import (ChannelParams, channel_coefficients, forward_output_moments,
-                               sampling_tables)
+from nlsqueeze.readout import (SAMPLE_BLOCK, ChannelParams, channel_coefficients,
+                               forward_output_moments, sampling_tables)
 from nlsqueeze.states import StateSpec, make_state
 
 STANDARD = ChannelParams(G=0.1, Gamma_m=1e-9, n_bar=1e4, tau=1e3)
@@ -58,6 +58,26 @@ def test_empirical_moments_survives_huge_values():
     means, _ = empirical_moments(x, 4)
     assert np.all(np.isfinite(means))
     assert means[3] > 0
+
+
+@pytest.mark.parametrize("count", [100, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1,
+                                   7 * SAMPLE_BLOCK // 2])
+def test_empirical_moments_blockwise_matches_fsum(count):
+    x = 1.5 + np.random.default_rng(count).standard_normal(count)
+    means, errs = empirical_moments(x, 4)
+    for n in range(1, 5):
+        mean = math.fsum(x ** n) / count
+        var = (math.fsum(x ** (2 * n)) / count - mean * mean) * count / (count - 1.0)
+        assert means[n - 1] == pytest.approx(mean, rel=1e-12, abs=0.0)
+        assert errs[n - 1] == pytest.approx(math.sqrt(var / count), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_empirical_moments_non_finite_in_last_partial_slice(bad):
+    x = np.ones(7 * SAMPLE_BLOCK // 2)
+    x[-1] = bad
+    with pytest.raises(DataError):
+        empirical_moments(x, 2)
 
 
 def test_empirical_moments_input_validation():

@@ -246,6 +246,13 @@ def test_displace_matches_coherent_construction():
             quadrature_moment(b, phi, n), abs=1e-8)
 
 
+def test_displace_matches_expm_oracle():
+    # the eigendecomposition route against scipy's matrix exponential
+    beta = 0.3 + 0.4j
+    out = displace(vacuum_state(48), beta)
+    np.testing.assert_allclose(out.rho, oracles.oracle_coherent(beta, 48), rtol=0, atol=1e-13)
+
+
 def test_displace_preserves_covariance():
     st_ = displace(vacuum_state(48), 1.1 + 0.2j)
     q1 = quadrature_moment(st_, 0.0, 1)

@@ -15,10 +15,9 @@ from nlsqueeze.readout import (
     channel_coefficients,
     forward_output_moments,
     inverse_cdf_table,
+    noise_variance,
     sample_homodyne,
     sampling_tables,
-    thermal_filtered_moment,
-    vacuum_filtered_moment,
 )
 from nlsqueeze.states import StateSpec, make_state
 
@@ -128,19 +127,6 @@ def test_coefficients_signs_and_bounds(x):
     assert (1.0 - g) <= x / 4.0 + 1e-12
 
 
-# ------------------------------------------------------------- filter moments
-
-def test_filtered_moments_dual_route():
-    for k in (0, 2, 4, 6, 8):
-        assert vacuum_filtered_moment(k) == pytest.approx(
-            oracles.gaussian_moment(k, 0.5), rel=1e-12)
-        assert thermal_filtered_moment(k, 3.7) == pytest.approx(
-            oracles.gaussian_moment(k, 4.2), rel=1e-12)
-    for k in (1, 3, 5):
-        assert vacuum_filtered_moment(k) == 0.0
-        assert thermal_filtered_moment(k, 3.7) == 0.0
-
-
 # ------------------------------------------------------------- forward model
 
 def cubic_state():
@@ -155,9 +141,8 @@ def test_forward_second_moment_frozen():
     st_ = cubic_state()
     co = channel_coefficients(STANDARD)
     y = forward_output_moments(mech_moments(st_, 0.0, up_to=2), co, STANDARD.n_bar)
-    # 1/2 + c_Q^2 <q^2> + c_E^2 E_2 at the standard channel
-    composed = (0.5 + co.c_Q ** 2 * 0.5
-                + co.c_E ** 2 * thermal_filtered_moment(2, STANDARD.n_bar))
+    # 1/2 + c_Q^2 <q^2> + c_E^2 (n_bar + 1/2) at the standard channel
+    composed = 0.5 + co.c_Q ** 2 * 0.5 + co.c_E ** 2 * (STANDARD.n_bar + 0.5)
     assert y[1] == pytest.approx(composed, rel=1e-10)
     assert y[1] == pytest.approx(40.766660, abs=1e-5)
 
@@ -189,7 +174,9 @@ def test_forward_odd_moments_from_coherent():
 # ------------------------------------------------------------- sampling
 
 def sample(state, p, count, seed, phi=0.0):
-    return sample_homodyne(inverse_cdf_table(state, phi), p, count, seed)
+    co = channel_coefficients(p)
+    return sample_homodyne(inverse_cdf_table(state, phi), co.c_Q, count, seed,
+                           math.sqrt(noise_variance(co, p.n_bar)))
 
 
 def test_sampler_deterministic():
@@ -208,6 +195,24 @@ def test_sampler_prefix_property():
     short = sample(st_, STANDARD, n, seed=21)
     long = sample(st_, STANDARD, 2 * n, seed=21)
     np.testing.assert_array_equal(long[:n], short)
+
+
+def test_sampler_follows_the_documented_stream():
+    # blocks 0 and 1 rebuilt from the seed tree: per block SAMPLE_BLOCK
+    # uniforms, then SAMPLE_BLOCK normals, one per sample for W
+    st_ = cubic_state()
+    table = inverse_cdf_table(st_, 0.0)
+    co = channel_coefficients(STANDARD)
+    noise_std = math.sqrt(noise_variance(co, STANDARD.n_bar))
+    seed, n = 77, SAMPLE_BLOCK + 1000
+    ref = []
+    for b in range(2):
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, b))))
+        u = rng.random(SAMPLE_BLOCK)
+        z = rng.standard_normal(SAMPLE_BLOCK)
+        ref.append(co.c_Q * table.quadrature(u) + noise_std * z)
+    ref = np.concatenate(ref)[:n]
+    np.testing.assert_array_equal(sample_homodyne(table, co.c_Q, n, seed, noise_std), ref)
 
 
 def test_sampler_rejects_bad_count():
@@ -262,6 +267,23 @@ def test_sample_moments_match_forward_model():
             sample_moment = float(np.mean(y ** order))
             spread = float(np.std(y ** order)) / math.sqrt(n)
             assert abs(sample_moment - ref[order - 1]) < 5.0 * spread, (phi, order)
+
+
+def test_sample_moments_match_forward_model_noise_dominated():
+    # thermal noise c_E^2 (n_bar + 1/2) ~ 270 swamps the vacuum 1/2 and the
+    # signal c_Q^2 <q^2> ~ 40, so orders 2 and 4 test the noise draw
+    p = ChannelParams(G=0.1, Gamma_m=1e-6, n_bar=1e4, tau=1e3)
+    co = channel_coefficients(p)
+    assert co.c_E ** 2 * (p.n_bar + 0.5) > 100.0
+    st_ = cubic_state()
+    n = 1_000_000
+    for phi in (0.0, HALF_PI):
+        ref = forward_output_moments(mech_moments(st_, phi), co, p.n_bar)
+        y = sample(st_, p, n, seed=43, phi=phi)
+        for order in (1, 2, 3, 4):
+            yn = y ** order
+            spread = float(np.std(yn)) / math.sqrt(n)
+            assert abs(float(np.mean(yn)) - ref[order - 1]) < 5.0 * spread, (phi, order)
 
 
 def test_pure_noise_channel_is_gaussian():

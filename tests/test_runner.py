@@ -524,6 +524,19 @@ def test_module_entry_point(tmp_path):
     assert json.loads(proc.stdout)["curve"]["a0"] == pytest.approx(0.5, abs=1e-10)
 
 
+def test_runtime_imports_no_scipy():
+    # scipy is a test-only dependency; the package itself needs only numpy
+    src = str(Path(runner.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys, nlsqueeze.runner; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 # ------------------------------------------------------------- presets
 
 @pytest.mark.parametrize("name", ["thermalisation.cfg", "interaction_time.cfg",
