@@ -49,7 +49,8 @@ def empirical_moments(samples, max_n: int):
     magnitude before powering, so the accumulators stay in range; a
     record whose max_n-th power leaves the float range raises DataError.
     The sums run over SAMPLE_BLOCK-sized slices through buffers that stay
-    in cache, and the slice sums are added in slice order.
+    in cache, and the slice sums are added in slice order.  Only the
+    powers a mean or an error reads are summed: n <= max_n and even n.
     """
     if max_n < 1 or max_n > 4:
         raise ValueError(f"max_n must be in 1..4 (cubic protocol ceiling), got {max_n}")
@@ -77,7 +78,9 @@ def empirical_moments(samples, max_n: int):
         raw[0] += ws.sum()
         raw[1] += cs.sum()
         for k in range(2, 2 * max_n):
-            raw[k] += np.multiply(cs, ws, out=cs).sum()
+            np.multiply(cs, ws, out=cs)
+            if k < max_n or k % 2:  # raw[k] holds the power k + 1
+                raw[k] += cs.sum()
     raw /= count
     means = np.empty(max_n)
     errs = np.empty(max_n)

@@ -251,7 +251,9 @@ def marginal_density(state: QuantumState, phi: float, grid: PositionGrid) -> np.
 
     Rotates rho by the diagonal Fock phase, rho'_{mn} = rho_{mn}
     e^{-i phi (m-n)}, then evaluates Pr(x_j) = sum_{mn} rho'_{mn}
-    h_m(x_j) h_n(x_j).  Exact within truncation, no interpolation.
+    h_m(x_j) h_n(x_j).  rho' is Hermitian and h_n real, so the imaginary
+    parts cancel pairwise and the sum runs over Re(rho'_{mn}) in real
+    arithmetic.  Exact within truncation, no interpolation.
 
     Raises
     ------
@@ -263,8 +265,8 @@ def marginal_density(state: QuantumState, phi: float, grid: PositionGrid) -> np.
     phi_c = canonical_phase(phi)
     m = np.arange(state.dim)
     phase = np.exp(-1j * phi_c * m)
-    rho_rot = phase[:, None] * state.rho * phase.conj()[None, :]
-    dens = np.einsum("mj,mj->j", basis.values, (rho_rot @ basis.values)).real
+    rho_rot = (phase[:, None] * state.rho * phase.conj()).real
+    dens = np.einsum("mj,mj->j", basis.values, rho_rot @ basis.values)
     low = float(dens.min())
     # PSD tolerance 1e-10 on rho can push the marginal a few times lower,
     # so the clamp threshold sits at -1e-8 rather than the matrix tolerance.

@@ -32,7 +32,7 @@ _SERIES_CROSSOVER = 1e-4
 SAMPLE_BLOCK = 1 << 16
 # Guide-table buckets per inverse-CDF table.  A power of two, so u * K and
 # b / K are exact and the guided lookup equals a binary search bit for bit.
-GUIDE_BUCKETS = 1 << 12
+GUIDE_BUCKETS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -172,10 +172,10 @@ class InverseCDF:
 
     cdf is the normalised cumulative trapezoid of the marginal density on
     the grid points x (cdf[0] = 0, cdf[-1] = 1, nondecreasing), mass[j] =
-    cdf[j + 1] - cdf[j].  The guide table splits [0, 1) into GUIDE_BUCKETS
-    equal buckets: guide[b] is the cell holding b / GUIDE_BUCKETS, and
-    wide[b] marks the buckets whose uniforms may land more than one cell
-    further on (the near-empty tails).
+    cdf[j + 1] - cdf[j].  The guide table splits [0, 1) into
+    K = GUIDE_BUCKETS equal buckets [b / K, (b + 1) / K): guide[b] is the
+    one cell holding the whole bucket, or -1 when the bucket straddles a
+    cell edge.
     """
 
     phi: float
@@ -184,19 +184,17 @@ class InverseCDF:
     cdf: np.ndarray
     mass: np.ndarray
     guide: np.ndarray
-    wide: np.ndarray
 
     def cell(self, u: np.ndarray) -> np.ndarray:
         """Cell j with cdf[j] <= u < cdf[j + 1] for each u in [0, 1).
 
-        Equal to searchsorted(cdf, u, side="right") - 1 bit for bit: the
-        bucket gives the cell of its left edge, one comparison moves on to
-        the next cell, and only uniforms in wide buckets are searched.
+        Equal to searchsorted(cdf, u, side="right") - 1 bit for bit: one
+        gather gives the cell of every uniform in a single-cell bucket, and
+        only the uniforms in straddling buckets are searched.
         """
         b = np.multiply(u, GUIDE_BUCKETS, out=np.empty(u.size, np.intp), casting="unsafe")
         j = np.take(self.guide, b)
-        j += np.take(self.cdf[1:], j) <= u
-        tail = np.flatnonzero(np.take(self.wide, b))
+        tail = np.flatnonzero(j < 0)
         if tail.size:
             j[tail] = np.searchsorted(self.cdf, u[tail], side="right") - 1
         return j
@@ -227,12 +225,14 @@ def inverse_cdf_table(state: QuantumState, phi: float,
     if not np.isfinite(total) or total <= 0:
         raise SamplingError(f"degenerate marginal: cumulative mass {total}")
     F = np.maximum.accumulate(F / total)
-    # b / K is exact in binary, so guide[b] <= cell(u) <= guide[b + 1]
-    # holds exactly for u in bucket b.
+    # b / K is exact in binary and cell(u) is nondecreasing, so
+    # edges[b] <= cell(u) <= edges[b + 1] holds exactly for u in bucket b,
+    # and equal edges pin the bucket to one cell.
     edges = np.searchsorted(F, np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS,
                             side="right") - 1
+    guide = np.where(edges[1:] == edges[:-1], edges[:-1], -1)
     return InverseCDF(phi=phi, x=grid.points, dx=grid.spacing, cdf=F, mass=np.diff(F),
-                      guide=edges[:-1], wide=np.diff(edges) > 1)
+                      guide=guide)
 
 
 def sampling_tables(state: QuantumState,
@@ -249,29 +249,32 @@ def sample_homodyne(table: InverseCDF, c_Q: float, count: int, seed: int,
     taken at the table's phase; the channel gains do not depend on it.  A
     guide table of GUIDE_BUCKETS equal u-buckets picks the cell in O(1)
     (Chen & Asau 1974; Devroye 1986, section III.2), with a binary search
-    only in the near-empty tails, and the draw is linear inside the cell.
+    only in the buckets that straddle a cell edge, and the draw is linear
+    inside the cell.
     The channel noise W = Y_in + c_E E is one Gaussian of standard
     deviation noise_std = sqrt(noise_variance(coeffs, n_bar)).  The stream
     is partitioned into fixed-size blocks, each seeded from (seed, block
     index), so the result depends only on (seed, count) and any concurrent
     schedule producing the same blocks yields identical samples.  Per
-    block the draw order is fixed: SAMPLE_BLOCK uniforms for Q, then
-    SAMPLE_BLOCK standard normals for W.
+    block the stream layout is fixed: SAMPLE_BLOCK uniforms for Q, then
+    standard normals for W, one per sample.  A block that holds m samples
+    draws m uniforms, advances the generator past the other
+    SAMPLE_BLOCK - m uniforms (PCG64 spends one 64-bit output per double),
+    and draws m normals, so a longer record extends a shorter one.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     out = np.empty(count)
-    u = np.empty(SAMPLE_BLOCK)
-    z = np.empty(SAMPLE_BLOCK)
+    u = np.empty(min(count, SAMPLE_BLOCK))
+    z = np.empty_like(u)
     for lo in range(0, count, SAMPLE_BLOCK):
         rng = np.random.Generator(np.random.PCG64(
             np.random.SeedSequence((seed, lo // SAMPLE_BLOCK))))
-        # always draw whole blocks so a longer record extends a shorter
-        # one instead of reshuffling the tail
-        rng.random(out=u)
-        rng.standard_normal(out=z)
         dst = out[lo:lo + SAMPLE_BLOCK]
         m = dst.size
+        rng.random(out=u[:m])
+        rng.bit_generator.advance(SAMPLE_BLOCK - m)
+        rng.standard_normal(out=z[:m])
         np.multiply(table.quadrature(u[:m]), c_Q, out=dst)
         dst += np.multiply(z[:m], noise_std, out=z[:m])
     return out

@@ -211,6 +211,32 @@ def test_marginal_moments_match_operator_route():
                 quadrature_moment(st_, phi, n), abs=1e-6)
 
 
+def _complex_route_marginal(st_, phi, g):
+    # sum_{mn} rho'_{mn} h_m h_n in complex arithmetic, rho' rotated by
+    # the diagonal Fock phase, before the density guards
+    h = build_basis(st_.dim, g).values
+    phase = np.exp(-1j * canonical_phase(phi) * np.arange(st_.dim))
+    rho_rot = phase[:, None] * st_.rho * phase.conj()[None, :]
+    return np.einsum("mj,mj->j", h, rho_rot @ h).real
+
+
+@pytest.mark.parametrize("spec", [
+    StateSpec(kind="vacuum", N=16),
+    StateSpec(kind="coherent", beta=1.2 - 0.8j, N=64),
+    StateSpec(kind="thermal", n_bar=1.5, N=96),
+    StateSpec(kind="cubic_phase", gamma=0.1, N=128),
+    StateSpec(kind="cubic_phase", gamma=0.1, N=192),
+    StateSpec(kind="displaced", alpha=0.3 + 0.4j, N=128,
+              inner=StateSpec(kind="cubic_phase", gamma=0.1, N=128)),
+], ids=["vacuum", "coherent", "thermal", "cubic128", "cubic192", "displaced"])
+def test_marginal_real_route_matches_complex_route(spec):
+    st_ = make_state(spec)
+    g = default_grid(st_.dim)
+    for phi in (0.0, math.pi / 2, math.pi / 4, -math.pi / 4, 0.3):
+        np.testing.assert_allclose(marginal_density(st_, phi, g),
+                                   _complex_route_marginal(st_, phi, g), atol=1e-14, rtol=0)
+
+
 def test_marginal_rejects_undersized_grid():
     st_ = vacuum_state()
     with pytest.raises(GridError):

@@ -189,24 +189,29 @@ def test_sampler_deterministic():
 
 
 def test_sampler_prefix_property():
-    # growing the record must only append, never reshuffle
+    # growing the record must only append, never reshuffle; every count
+    # ends inside a block, in the same block or in a later one
     st_ = cubic_state()
-    n = SAMPLE_BLOCK + 1000
-    short = sample(st_, STANDARD, n, seed=21)
-    long = sample(st_, STANDARD, 2 * n, seed=21)
-    np.testing.assert_array_equal(long[:n], short)
+    for short, long in ((SAMPLE_BLOCK + 1000, 2 * SAMPLE_BLOCK + 2000), (1000, 40_000)):
+        a = sample(st_, STANDARD, short, seed=21)
+        b = sample(st_, STANDARD, long, seed=21)
+        np.testing.assert_array_equal(b[:short], a)
 
 
-def test_sampler_follows_the_documented_stream():
-    # blocks 0 and 1 rebuilt from the seed tree: per block SAMPLE_BLOCK
-    # uniforms, then SAMPLE_BLOCK normals, one per sample for W
+@pytest.mark.parametrize("n", [1, 100, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1,
+                               SAMPLE_BLOCK + 1000, 2 * SAMPLE_BLOCK + 1000],
+                         ids=["1", "100", "B-1", "B", "B+1", "B+1000", "2B+1000"])
+def test_sampler_follows_the_documented_stream(n):
+    # every block rebuilt from the seed tree by whole-block draws: per
+    # block SAMPLE_BLOCK uniforms, then SAMPLE_BLOCK normals, one per
+    # sample for W; a partial last block must read the same stream
     st_ = cubic_state()
     table = inverse_cdf_table(st_, 0.0)
     co = channel_coefficients(STANDARD)
     noise_std = math.sqrt(noise_variance(co, STANDARD.n_bar))
-    seed, n = 77, SAMPLE_BLOCK + 1000
+    seed = 77
     ref = []
-    for b in range(2):
+    for b in range(-(-n // SAMPLE_BLOCK)):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, b))))
         u = rng.random(SAMPLE_BLOCK)
         z = rng.standard_normal(SAMPLE_BLOCK)
@@ -222,8 +227,9 @@ def test_sampler_rejects_bad_count():
 
 @pytest.mark.parametrize("spec", [StateSpec(kind="vacuum", N=32),
                                   StateSpec(kind="thermal", n_bar=1.0, N=96),
+                                  StateSpec(kind="coherent", beta=1.2 - 0.8j, N=64),
                                   StateSpec(kind="cubic_phase", gamma=0.1, N=128)],
-                         ids=["vacuum", "thermal", "cubic"])
+                         ids=["vacuum", "thermal", "coherent", "cubic"])
 def test_guided_lookup_equals_binary_search(spec):
     # the reference is the binary search the guide table replaces, with
     # the linear draw inside the cell it selects
@@ -231,6 +237,12 @@ def test_guided_lookup_equals_binary_search(spec):
     for table, (phi, _) in zip(sampling_tables(make_state(spec)), PHASE_ORDERS):
         F = table.cdf
         assert table.phi == phi and F[0] == 0.0 and F[-1] == 1.0
+        assert table.guide.shape == (GUIDE_BUCKETS,)
+        if spec.kind == "cubic_phase":
+            # each bucket carries probability 1 / GUIDE_BUCKETS, and the
+            # uniforms of straddling buckets (guide -1) are searched; a
+            # lookup that searched most of them again would fail here
+            assert (table.guide < 0).mean() < 0.05
         plateau = F[1:][np.diff(F) == 0.0]  # cell edges inside zero-density runs
         assert plateau.size > 0
         buckets = np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS
