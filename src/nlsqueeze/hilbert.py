@@ -265,7 +265,8 @@ def marginal_density(state: QuantumState, phi: float, grid: PositionGrid) -> np.
     phi_c = canonical_phase(phi)
     m = np.arange(state.dim)
     phase = np.exp(-1j * phi_c * m)
-    rho_rot = (phase[:, None] * state.rho * phase.conj()).real
+    # .real strides 16 bytes; the copy keeps matmul on BLAS under numpy 1.x.
+    rho_rot = np.ascontiguousarray((phase[:, None] * state.rho * phase.conj()).real)
     dens = np.einsum("mj,mj->j", basis.values, rho_rot @ basis.values)
     low = float(dens.min())
     # PSD tolerance 1e-10 on rho can push the marginal a few times lower,

@@ -1,10 +1,11 @@
 """Print one sha256 per output file of the preset runs, for byte checks.
 
-    python3 tools/output_digests.py [--repo DIR] [--seed U64] [--threads 1,2,4]
+    python3 tools/output_digests.py [--repo DIR]
 
 Runs every preset in configs/ in quick mode through sweep, reconstruct
-and certify, once per thread count, with the package imported from
-DIR/src (default: the checkout this script sits in).  Every file a run
+and certify, with seed 31 and once each at --threads 1, 2 and 4, with
+the package imported from DIR/src (default: the checkout this script
+sits in).  Every file a run
 writes and its stdout are hashed after masking what legitimately
 differs between runs: the value of each "wall_clock_s" key, the
 timings printed to stdout, and the output directory.  The lines read
@@ -31,6 +32,8 @@ import tempfile
 from pathlib import Path
 
 COMMANDS = ("sweep", "reconstruct", "certify")
+SEED = 31
+THREAD_COUNTS = (1, 2, 4)
 WALL_CLOCK = re.compile(rb'("wall_clock_s": )[-+0-9.eE]+')
 PRINTED_SECONDS = re.compile(rb"(\[| in )\d+\.\d+ s")
 
@@ -41,11 +44,10 @@ def masked(data: bytes, out_dir: str) -> bytes:
     return PRINTED_SECONDS.sub(rb"\1<seconds>", data)
 
 
-def run(repo: Path, preset: Path, command: str, threads: int, seed: int,
-        out_dir: Path) -> bytes:
+def run(repo: Path, preset: Path, command: str, threads: int, out_dir: Path) -> bytes:
     env = dict(os.environ, PYTHONPATH=str(repo / "src"))
     argv = [sys.executable, "-m", "nlsqueeze", command, "--config", str(preset),
-            "--out", str(out_dir), "--seed", str(seed), "--mode", "quick",
+            "--out", str(out_dir), "--seed", str(SEED), "--mode", "quick",
             "--threads", str(threads)]
     proc = subprocess.run(argv, env=env, capture_output=True, cwd=repo)
     if proc.returncode != 0:
@@ -58,20 +60,15 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repo", type=Path, default=Path(__file__).resolve().parent.parent,
                     help="checkout whose src/ and configs/ are run")
-    ap.add_argument("--seed", type=int, default=31, help="base seed of every run")
-    ap.add_argument("--threads", default="1,2,4",
-                    help="comma-separated replicate thread counts")
     args = ap.parse_args(argv)
     repo = args.repo.resolve()
-    thread_counts = [int(t) for t in args.threads.split(",")]
     with tempfile.TemporaryDirectory() as tmp:
         for preset in sorted((repo / "configs").glob("*.cfg")):
             for command in COMMANDS:
-                for threads in thread_counts:
+                for threads in THREAD_COUNTS:
                     out_dir = Path(tmp) / f"{preset.stem}-{command}-t{threads}"
                     label = f"{preset.stem}/{command}/t{threads}"
-                    files = {"stdout": run(repo, preset, command, threads, args.seed,
-                                           out_dir)}
+                    files = {"stdout": run(repo, preset, command, threads, out_dir)}
                     files.update((p.name, p.read_bytes())
                                  for p in sorted(out_dir.iterdir()))
                     for name, data in files.items():
