@@ -73,18 +73,6 @@ class PositionGrid:
     def spacing(self) -> float:
         return 2.0 * self.extent / (self.n_points - 1)
 
-    @classmethod
-    def from_points(cls, points) -> "PositionGrid":
-        x = np.asarray(points, dtype=float)
-        if x.ndim != 1 or x.size < 2:
-            raise GridError("grid points must be a 1-d array of length >= 2")
-        dx = np.diff(x)
-        if not np.allclose(dx, dx[0], rtol=1e-12, atol=1e-12):
-            raise GridError("grid points are not uniformly spaced")
-        if abs(x[0] + x[-1]) > 1e-9 * max(1.0, abs(x[-1])):
-            raise GridError("grid is not symmetric about zero")
-        return cls(extent=float(x[-1]), n_points=int(x.size))
-
     @staticmethod
     def min_extent(N: int) -> float:
         """Smallest half-width covering the classically allowed region of
@@ -111,17 +99,8 @@ def default_grid(N: int = 128) -> PositionGrid:
     return PositionGrid(extent=extent, n_points=n_points)
 
 
-@dataclass(frozen=True, eq=False)
-class HermiteBasis:
-    """Matrix of orthonormal oscillator eigenfunctions h_n(x_j), n < N."""
-
-    N: int
-    grid: PositionGrid
-    values: np.ndarray  # shape (N, n_points)
-
-
 @lru_cache(maxsize=8)
-def build_basis(N: int, grid: PositionGrid) -> HermiteBasis:
+def build_basis(N: int, grid: PositionGrid) -> np.ndarray:
     """Evaluate the first N oscillator eigenfunctions on the grid.
 
     Parameters
@@ -133,9 +112,10 @@ def build_basis(N: int, grid: PositionGrid) -> HermiteBasis:
 
     Returns
     -------
-    HermiteBasis
-        Rows are h_n(x_j) from the stable upward recurrence
-        h_n = sqrt(2/n) x h_{n-1} - sqrt((n-1)/n) h_{n-2}.
+    np.ndarray
+        Shape (N, n_points), rows h_n(x_j) from the stable upward
+        recurrence h_n = sqrt(2/n) x h_{n-1} - sqrt((n-1)/n) h_{n-2}.
+        Read-only, because the result is cached and shared.
 
     Raises
     ------
@@ -160,7 +140,8 @@ def build_basis(N: int, grid: PositionGrid) -> HermiteBasis:
             f"{ORTHONORMALITY_TOL:g} for N={N} on extent {grid.extent:g}; "
             "enlarge the grid"
         )
-    return HermiteBasis(N=N, grid=grid, values=h)
+    h.flags.writeable = False
+    return h
 
 
 @dataclass
@@ -267,7 +248,7 @@ def marginal_density(state: QuantumState, phi: float, grid: PositionGrid) -> np.
     phase = np.exp(-1j * phi_c * m)
     # .real strides 16 bytes; the copy keeps matmul on BLAS under numpy 1.x.
     rho_rot = np.ascontiguousarray((phase[:, None] * state.rho * phase.conj()).real)
-    dens = np.einsum("mj,mj->j", basis.values, rho_rot @ basis.values)
+    dens = np.einsum("mj,mj->j", basis, rho_rot @ basis)
     low = float(dens.min())
     # PSD tolerance 1e-10 on rho can push the marginal a few times lower,
     # so the clamp threshold sits at -1e-8 rather than the matrix tolerance.

@@ -104,7 +104,13 @@ class NlsCurve:
         )
 
 
-def _coefficients(m: MomentSet):
+def assemble_curve(m: MomentSet) -> NlsCurve:
+    """Build the V(lambda) parabola from the MomentSet entries it reads.
+
+    a0 = Var(p), a1 = -3(<pq^2+q^2p> - 2<p><q^2>), a2 = 9 Var(q^2);
+    coefficient errors are first-order propagated from the moment errors
+    (cross-moment covariances within a quadrature neglected).
+    """
     if math.isnan(m.mixed):
         raise IncompleteMomentError(
             "mixed moment required; supply it exactly or via mixed_moment_recovery"
@@ -121,54 +127,20 @@ def _coefficients(m: MomentSet):
     a0_err = math.sqrt(sp2 ** 2 + (2.0 * p1 * sp1) ** 2)
     a1_err = 3.0 * math.sqrt(smix ** 2 + (2.0 * q2 * sp1) ** 2 + (2.0 * p1 * sq2) ** 2)
     a2_err = 9.0 * math.sqrt(sq4 ** 2 + (2.0 * q2 * sq2) ** 2)
-    return a0, a1, a2, a0_err, a1_err, a2_err
-
-
-def assemble_curve(m: MomentSet) -> NlsCurve:
-    """Build the V(lambda) parabola from the MomentSet entries it reads.
-
-    a0 = Var(p), a1 = -3(<pq^2+q^2p> - 2<p><q^2>), a2 = 9 Var(q^2);
-    coefficient errors are first-order propagated from the moment errors
-    (cross-moment covariances within a quadrature neglected).
-    """
-    return NlsCurve(*_coefficients(m))
-
-
-def nls_variance(m: MomentSet, lam: float) -> float:
-    """V[rho](lambda) for the cubic nonlinear quadrature."""
-    return NlsCurve(*_coefficients(m))(float(lam))
+    return NlsCurve(a0, a1, a2, a0_err, a1_err, a2_err)
 
 
 def second_moment(m: MomentSet, lam: float) -> float:
     """V2[rho](lambda) = <(p - 3 lambda q^2)^2>, no mean subtraction."""
     lam = float(lam)
     first = m.get(HALF_PI, 1) - 3.0 * lam * m.get(0.0, 2)
-    return nls_variance(m, lam) + first * first
-
-
-def matched_displacement(m: MomentSet, lam: float) -> float:
-    """Momentum shift p_bar = 3 lambda <q^2> - <p> that makes V2 of the
-    displaced state equal V of the original."""
-    return 3.0 * float(lam) * m.get(0.0, 2) - m.get(HALF_PI, 1)
+    return assemble_curve(m)(lam) + first * first
 
 
 def classical_threshold(lam: float):
     """Vacuum value (1 + 9 lambda^2)/2, also the nonclassicality threshold."""
     lam = np.asarray(lam, dtype=float) if np.ndim(lam) else float(lam)
     return 0.5 * (1.0 + 9.0 * lam * lam)
-
-
-def squeezing_margin(m: MomentSet, lam: float, k: float = 3.0):
-    """Margin below the classical threshold and the k-sigma verdict.
-
-    Returns (margin, nonclassical) where margin = threshold - V and the
-    verdict requires margin > k * sigma_margin; exact moments carry
-    sigma = 0, so any positive margin certifies.
-    """
-    curve = NlsCurve(*_coefficients(m))
-    lam = float(lam)
-    margin = classical_threshold(lam) - curve(lam)
-    return margin, bool(margin > k * curve.error(lam))
 
 
 def resource_condition(gamma: float, gamma_G: float) -> bool:

@@ -83,7 +83,6 @@ class ChannelCoefficients:
 
     c_Q: float
     c_E: float
-    order: str = "exact"
 
 
 def _radicand(x: float) -> float:
@@ -117,15 +116,15 @@ def channel_coefficients(p: ChannelParams, order: str = "exact") -> ChannelCoeff
     if order == "first_order":
         c_Q = cq0 * (1.0 - 0.25 * x)
         c_E = -2.0 * G * tau * math.sqrt(2.0 * Gm / (3.0 * kappa))
-        return ChannelCoefficients(c_Q=c_Q, c_E=c_E, order=order)
+        return ChannelCoefficients(c_Q=c_Q, c_E=c_E)
     if x == 0.0:
-        return ChannelCoefficients(c_Q=cq0, c_E=0.0, order=order)
+        return ChannelCoefficients(c_Q=cq0, c_E=0.0)
     c_Q = cq0 * (-2.0 * math.expm1(-0.5 * x) / x)
     f = _radicand(x)
     if f < 0:  # impossible for x >= 0; kept as an internal consistency guard
         raise ArithmeticError(f"negative radicand {f} at Gamma_m tau = {x}")
     c_E = -4.0 * G * math.sqrt(2.0 * f / (kappa * tau)) / Gm
-    return ChannelCoefficients(c_Q=c_Q, c_E=c_E, order=order)
+    return ChannelCoefficients(c_Q=c_Q, c_E=c_E)
 
 
 def noise_variance(coeffs: ChannelCoefficients, n_bar: float) -> float:

@@ -1,33 +1,12 @@
 """Experiment driver: config files, parameter sweeps, reports, CLI.
 
 Configuration is a flat key = value file with dotted section prefixes
-('#' starts a comment, blank lines ignored).  Recognised keys:
-
-    state.kind            vacuum | coherent | thermal | cubic_phase | displaced
-    state.beta            complex, coherent amplitude (e.g. 0.106j or 1+0.5j)
-    state.n_bar           thermal occupation
-    state.gamma           cubic nonlinearity
-    state.alpha           displacement (displaced kind)
-    state.N               truncation dimension (default 128)
-    state.inner.*         inner spec of a displaced state (same keys, one level)
-    channel.G             readout coupling (kappa units)
-    channel.Gamma_m       mechanical damping rate
-    channel.n_bar         bath occupation
-    channel.tau           interaction time
-    channel.kappa         cavity linewidth, fixes the frequency scale (default 1)
-    sweep.axis            thermalisation_rate | interaction_time | cooperativity
-    sweep.values          comma list, positive and strictly increasing
-    ensemble.R            replicates, >= 2 (default 5)
-    ensemble.count        samples per phase, >= 100 (default 1e5)
-    ensemble.base_seed    master seed, >= 0 (default 0)
-    lambda.min/max/points evaluation grid (default -0.2 .. 0.4, 101)
-    certify.lambda_star   certification point (default: gamma for cubic states)
-    certify.gamma_G       gate nonlinearity for the resource verdict
-    certify.k_sigma       detection threshold in sigmas, > 0 (default 3)
-    grid.extent           position-grid override (give both or neither); the
-    grid.points           extent must cover state.N and state.inner.N
-    output.dir            where reports land (default .)
-    mode                  full | quick (quick caps count at 1e5 and R at 5)
+('#' starts a comment, blank lines ignored).  The state.* keys are the
+StateSpec fields in STATE_KEYS (state.inner.* holds the inner spec of a
+displaced state), the channel.* keys are the ChannelParams fields
+(channel.G and channel.tau required, Gamma_m and n_bar default to 0),
+and CONFIG_KEYS lists every other key with its ExperimentConfig field
+and converter.  Defaults live in those three dataclasses.
 
 Sweep axes move one channel parameter to hit the requested value in
 kappa units: thermalisation_rate sets Gamma_m = value*kappa/n_bar at
@@ -67,6 +46,76 @@ SWEEP_HEADER = "sweep_value,lambda,v_mean,v_std,v_analytic,threshold"
 
 # ---------------------------------------------------------------- config
 
+def _finite(text) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
+def _positive(text) -> float:
+    value = _finite(text)
+    if value <= 0:
+        raise ValueError("must be > 0")
+    return value
+
+
+def _at_least(low: int, convert=int):
+    def check(text) -> int:
+        value = convert(text)
+        if value < low:
+            raise ValueError(f"must be >= {low}")
+        return value
+    return check
+
+
+def _one_of(choices: tuple):
+    def check(text: str) -> str:
+        if text not in choices:
+            raise ValueError(f"expected one of {choices}")
+        return text
+    return check
+
+
+def _complex(text: str) -> complex:
+    return complex(text.replace(" ", "").replace("(", "").replace(")", ""))
+
+
+def _sweep_values(text: str) -> tuple:
+    values = tuple(_finite(part) for part in text.split(",")) if text else ()
+    if any(v <= 0 for v in values):
+        raise ValueError("must be positive")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError("must be strictly increasing")
+    return values
+
+
+STATE_KEYS = {"kind": str, "beta": _complex, "n_bar": _finite, "gamma": _finite,
+              "alpha": _complex, "N": int}
+CHANNEL_KEYS = dict.fromkeys(("G", "Gamma_m", "n_bar", "tau", "kappa"), _finite)
+
+# Every config key outside state.* and channel.*: the ExperimentConfig
+# field it sets and the converter that reads its value.  echo() writes
+# the sections in this order.
+CONFIG_KEYS = {
+    "sweep.axis": ("sweep_axis", _one_of(AXES)),
+    "sweep.values": ("sweep_values", _sweep_values),
+    "ensemble.R": ("R", _at_least(MIN_REPLICATES)),
+    "ensemble.count": ("count", _at_least(MIN_SAMPLES, lambda text: int(_finite(text)))),
+    "ensemble.base_seed": ("base_seed", _at_least(0)),
+    "lambda.min": ("lambda_min", _finite),
+    "lambda.max": ("lambda_max", _finite),
+    "lambda.points": ("lambda_points", _at_least(1)),
+    "certify.lambda_star": ("lambda_star", _finite),
+    "certify.gamma_G": ("gamma_G", _positive),
+    "certify.k_sigma": ("k_sigma", _positive),
+    "grid.extent": ("grid_extent", _finite),
+    "grid.points": ("grid_points", int),
+    "output.dir": ("out_dir", str),
+    "mode": ("mode", _one_of(MODES)),
+}
+
+
 @dataclass
 class ExperimentConfig:
     state_spec: StateSpec
@@ -74,36 +123,55 @@ class ExperimentConfig:
     sweep_axis: str | None = None
     sweep_values: tuple = ()
     R: int = 5
-    count: int = QUICK_COUNT_CAP
+    count: int = QUICK_COUNT_CAP        # samples per schedule phase
     base_seed: int = 0
     lambda_min: float = -0.2
     lambda_max: float = 0.4
     lambda_points: int = 101
-    lambda_star: float | None = None
-    gamma_G: float | None = None
+    lambda_star: float | None = None    # None: gamma for cubic states, else 0
+    gamma_G: float | None = None        # gate nonlinearity of the resource verdict
     k_sigma: float = 3.0
-    grid: PositionGrid | None = None
+    grid_extent: float | None = None    # both or neither; the grid must cover
+    grid_points: int | None = None      # state.N and state.inner.N
     out_dir: str = "."
-    mode: str = "full"
+    mode: str = "full"                  # quick caps count and R
+    grid: PositionGrid | None = field(init=False, default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if (self.grid_extent is None) != (self.grid_points is None):
+            raise ValueError("grid.extent and grid.points must be given together")
+        if self.grid_extent is not None:
+            try:
+                self.grid = PositionGrid(self.grid_extent, self.grid_points)
+                level = self.state_spec
+                while level is not None:  # a displaced state is sampled at inner.N
+                    self.grid.validate_for(level.N)
+                    level = level.inner
+            except GridError as exc:
+                raise ValueError(f"invalid grid.extent / grid.points: {exc}") from None
+        spec = self.state_spec
+        if self.gamma_G is not None and spec.kind == "cubic_phase" and spec.gamma <= 0:
+            raise ValueError("certify.gamma_G needs state.gamma > 0 for a cubic_phase "
+                             f"state, got {spec.gamma:g}")
+        if self.mode == "quick":
+            self.count = min(self.count, QUICK_COUNT_CAP)
+            self.R = min(self.R, QUICK_R_CAP)
 
     def lambda_grid(self) -> np.ndarray:
         return np.linspace(self.lambda_min, self.lambda_max, self.lambda_points)
 
     def echo(self) -> dict:
-        return {
-            "state": _spec_echo(self.state_spec),
-            "channel": _channel_echo(self.channel) if self.channel else None,
-            "sweep": {"axis": self.sweep_axis, "values": list(self.sweep_values)},
-            "ensemble": {"R": self.R, "count": self.count, "base_seed": self.base_seed},
-            "lambda": {"min": self.lambda_min, "max": self.lambda_max,
-                       "points": self.lambda_points},
-            "certify": {"lambda_star": self.lambda_star, "gamma_G": self.gamma_G,
-                        "k_sigma": self.k_sigma},
-            "grid": ({"extent": self.grid.extent, "points": self.grid.n_points}
-                     if self.grid else None),
-            "output": {"dir": self.out_dir},
-            "mode": self.mode,
-        }
+        out = {"state": _spec_echo(self.state_spec),
+               "channel": _channel_echo(self.channel) if self.channel else None}
+        for key, (name, _) in CONFIG_KEYS.items():
+            section, _, entry = key.rpartition(".")
+            if section:
+                out.setdefault(section, {})[entry] = getattr(self, name)
+            else:
+                out[key] = getattr(self, name)
+        if self.grid is None:
+            out["grid"] = None
+        return out
 
 
 def _spec_echo(spec: StateSpec) -> dict:
@@ -148,46 +216,22 @@ def _convert(key: str, value, convert):
         raise ConfigError(f"bad value for {key}: {value!r} ({exc})") from None
 
 
-def _pop(raw: dict, key: str, convert, default=None):
-    return _convert(key, raw.pop(key), convert) if key in raw else default
-
-
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError("not a finite number")
-    return value
-
-
-def _seed(text) -> int:
-    value = int(text)
-    if value < 0:
-        raise ValueError("must be a non-negative integer")
-    return value
-
-
-def _complex(text: str) -> complex:
-    return complex(text.replace(" ", "").replace("(", "").replace(")", ""))
+def _pop_fields(raw: dict, prefix: str, converters: dict) -> dict:
+    """Converted values of the prefix + name keys present in raw, by name."""
+    return {name: _convert(prefix + name, raw.pop(prefix + name), convert)
+            for name, convert in converters.items() if prefix + name in raw}
 
 
 def _pop_state(raw: dict, prefix: str) -> StateSpec:
-    kind = raw.pop(prefix + "kind", None)
-    if kind is None:
+    kwargs = _pop_fields(raw, prefix, STATE_KEYS)
+    if "kind" not in kwargs:
         raise ConfigError(f"missing {prefix}kind")
-    kwargs = dict(
-        beta=_pop(raw, prefix + "beta", _complex, 0j),
-        n_bar=_pop(raw, prefix + "n_bar", _finite, 0.0),
-        gamma=_pop(raw, prefix + "gamma", _finite, 0.0),
-        alpha=_pop(raw, prefix + "alpha", _complex, 0j),
-        N=_pop(raw, prefix + "N", int, 128),
-    )
-    inner = None
     if any(k.startswith(prefix + "inner.") for k in raw):
-        if kind != "displaced":
+        if kwargs["kind"] != "displaced":
             raise ConfigError(f"{prefix}inner.* only applies to kind=displaced")
-        inner = _pop_state(raw, prefix + "inner.")
+        kwargs["inner"] = _pop_state(raw, prefix + "inner.")
     try:
-        return StateSpec(kind=kind, inner=inner, **kwargs)
+        return StateSpec(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"invalid state spec: {exc}") from None
 
@@ -195,35 +239,13 @@ def _pop_state(raw: dict, prefix: str) -> StateSpec:
 def _pop_channel(raw: dict) -> ChannelParams | None:
     if not any(k.startswith("channel.") for k in raw):
         return None
-    G = _pop(raw, "channel.G", _finite)
-    tau = _pop(raw, "channel.tau", _finite)
-    if G is None or tau is None:
+    kwargs = _pop_fields(raw, "channel.", CHANNEL_KEYS)
+    if "G" not in kwargs or "tau" not in kwargs:
         raise ConfigError("channel section needs at least channel.G and channel.tau")
     try:
-        return ChannelParams(
-            G=G,
-            Gamma_m=_pop(raw, "channel.Gamma_m", _finite, 0.0),
-            n_bar=_pop(raw, "channel.n_bar", _finite, 0.0),
-            tau=tau,
-            kappa=_pop(raw, "channel.kappa", _finite, 1.0),
-        )
+        return ChannelParams(**{"Gamma_m": 0.0, "n_bar": 0.0, **kwargs})
     except ValueError as exc:
         raise ConfigError(f"invalid channel parameters: {exc}") from None
-
-
-def _pop_sweep_values(raw: dict) -> tuple:
-    text = raw.pop("sweep.values", None)
-    if text is None or text == "":
-        return ()
-    try:
-        values = tuple(_finite(part) for part in text.split(","))
-    except ValueError:
-        raise ConfigError(f"bad sweep.values: {text!r}") from None
-    if any(v <= 0 for v in values):
-        raise ConfigError("sweep values must be positive")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ConfigError("sweep values must be strictly increasing")
-    return values
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -231,62 +253,14 @@ def parse_config(text: str) -> ExperimentConfig:
     raw = _parse_lines(text)
     spec = _pop_state(raw, "state.")
     channel = _pop_channel(raw)
-    axis = raw.pop("sweep.axis", None)
-    if axis is not None and axis not in AXES:
-        raise ConfigError(f"unknown sweep axis {axis!r}; expected one of {AXES}")
-    values = _pop_sweep_values(raw)
-    mode = raw.pop("mode", "full")
-    cfg = ExperimentConfig(
-        state_spec=spec,
-        channel=channel,
-        sweep_axis=axis,
-        sweep_values=values,
-        R=_pop(raw, "ensemble.R", int, 5),
-        count=int(_pop(raw, "ensemble.count", _finite, 1e5)),
-        base_seed=_pop(raw, "ensemble.base_seed", _seed, 0),
-        lambda_min=_pop(raw, "lambda.min", _finite, -0.2),
-        lambda_max=_pop(raw, "lambda.max", _finite, 0.4),
-        lambda_points=_pop(raw, "lambda.points", int, 101),
-        lambda_star=_pop(raw, "certify.lambda_star", _finite, None),
-        gamma_G=_pop(raw, "certify.gamma_G", _finite, None),
-        k_sigma=_pop(raw, "certify.k_sigma", _finite, 3.0),
-        out_dir=raw.pop("output.dir", "."),
-    )
-    extent = _pop(raw, "grid.extent", _finite, None)
-    points = _pop(raw, "grid.points", int, None)
-    if (extent is None) != (points is None):
-        raise ConfigError("grid.extent and grid.points must be given together")
-    if extent is not None:
-        try:
-            cfg.grid = PositionGrid(extent, points)
-            level = spec
-            while level is not None:  # a displaced state is sampled at inner.N
-                cfg.grid.validate_for(level.N)
-                level = level.inner
-        except GridError as exc:
-            raise ConfigError(f"invalid grid.extent / grid.points: {exc}") from None
+    fields = {name: _convert(key, raw.pop(key), convert)
+              for key, (name, convert) in CONFIG_KEYS.items() if key in raw}
     if raw:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(raw))}")
-    _set_mode(cfg, mode)
-    if cfg.R < MIN_REPLICATES:
-        raise ConfigError(f"ensemble.R must be >= {MIN_REPLICATES}, got {cfg.R}")
-    if cfg.count < MIN_SAMPLES:
-        raise ConfigError(f"ensemble.count must be >= {MIN_SAMPLES}, got {cfg.count}")
-    if cfg.lambda_points < 1:
-        raise ConfigError("lambda.points must be >= 1")
-    if cfg.k_sigma <= 0:
-        raise ConfigError(f"certify.k_sigma must be > 0, got {cfg.k_sigma:g}")
-    return cfg
-
-
-def _set_mode(cfg: ExperimentConfig, mode: str):
-    """Validate the run mode and apply the quick-mode caps."""
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    cfg.mode = mode
-    if mode == "quick":
-        cfg.count = min(cfg.count, QUICK_COUNT_CAP)
-        cfg.R = min(cfg.R, QUICK_R_CAP)
+    try:
+        return ExperimentConfig(state_spec=spec, channel=channel, **fields)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def load_config(path, out_dir=None, base_seed=None, mode=None) -> ExperimentConfig:
@@ -295,9 +269,9 @@ def load_config(path, out_dir=None, base_seed=None, mode=None) -> ExperimentConf
     if out_dir is not None:
         cfg.out_dir = str(out_dir)
     if base_seed is not None:
-        cfg.base_seed = _convert("ensemble.base_seed (--seed)", base_seed, _seed)
+        cfg.base_seed = _convert("--seed", base_seed, _at_least(0))
     if mode is not None:
-        _set_mode(cfg, mode)
+        cfg = replace(cfg, mode=_convert("--mode", mode, _one_of(MODES)))
     return cfg
 
 
@@ -373,14 +347,16 @@ def _run_points(config: ExperimentConfig, points, threads: int = 1,
 
 
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepReport:
-    """Ensemble per sweep value; seeds derive from (base_seed, point index)."""
+    """Ensemble per sweep value; seeds derive from (base_seed, point index).
+    Every point's channel is derived, and its axis checked, before the
+    state is built."""
     if config.channel is None:
         raise ConfigError("sweep needs a channel section")
     if config.sweep_axis is None:
         raise ConfigError("sweep needs sweep.axis")
-    points = ((sv, apply_axis(config.channel, config.sweep_axis, sv),
+    points = [(sv, apply_axis(config.channel, config.sweep_axis, sv),
                derive_seed(config.base_seed, i))
-              for i, sv in enumerate(config.sweep_values))
+              for i, sv in enumerate(config.sweep_values)]
     return _run_points(config, points, threads)
 
 

@@ -82,6 +82,17 @@ def _coherent_amplitudes(beta: complex, N: int) -> np.ndarray:
     return c
 
 
+def _pure_state(c: np.ndarray, what: str, fix: str) -> QuantumState:
+    """Projector on the normalised Fock amplitudes c; the norm lost to the
+    truncation is recorded as leakage."""
+    norm2 = float(np.sum(np.abs(c) ** 2))
+    leak = max(0.0, 1.0 - norm2)
+    if leak > LEAK_TOL:
+        raise TruncationError(f"{what} leaks {leak:.2e} {fix}")
+    c = c / math.sqrt(norm2)
+    return QuantumState(rho=np.outer(c, c.conj()), leakage=leak)
+
+
 def make_state(spec: StateSpec, grid: PositionGrid | None = None) -> QuantumState:
     """Construct the density matrix described by spec.
 
@@ -106,15 +117,8 @@ def make_state(spec: StateSpec, grid: PositionGrid | None = None) -> QuantumStat
         state = QuantumState(rho=_vacuum(N))
 
     elif spec.kind == "coherent":
-        c = _coherent_amplitudes(spec.beta, N)
-        norm2 = float(np.sum(np.abs(c) ** 2))
-        leak = max(0.0, 1.0 - norm2)
-        if leak > LEAK_TOL:
-            raise TruncationError(
-                f"coherent beta={spec.beta} leaks {leak:.2e} at N={N}; increase N"
-            )
-        c = c / math.sqrt(norm2)
-        state = QuantumState(rho=np.outer(c, c.conj()), leakage=leak)
+        state = _pure_state(_coherent_amplitudes(spec.beta, N),
+                            f"coherent beta={spec.beta}", f"at N={N}; increase N")
 
     elif spec.kind == "thermal":
         ratio = spec.n_bar / (spec.n_bar + 1.0)
@@ -129,18 +133,9 @@ def make_state(spec: StateSpec, grid: PositionGrid | None = None) -> QuantumStat
 
     elif spec.kind == "cubic_phase":
         basis = build_basis(N, grid)
-        x = grid.points
-        psi = basis.values[0] * np.exp(1j * spec.gamma * x ** 3)
-        c = (basis.values * grid.spacing) @ psi
-        norm2 = float(np.sum(np.abs(c) ** 2))
-        leak = max(0.0, 1.0 - norm2)
-        if leak > LEAK_TOL:
-            raise TruncationError(
-                f"cubic gamma={spec.gamma} leaks {leak:.2e} at N={N} on "
-                f"extent {grid.extent:g}; increase N or the grid"
-            )
-        c = c / math.sqrt(norm2)
-        state = QuantumState(rho=np.outer(c, c.conj()), leakage=leak)
+        psi = basis[0] * np.exp(1j * spec.gamma * grid.points ** 3)
+        state = _pure_state((basis * grid.spacing) @ psi, f"cubic gamma={spec.gamma}",
+                            f"at N={N} on extent {grid.extent:g}; increase N or the grid")
 
     elif spec.kind == "displaced":
         inner = make_state(spec.inner, grid=grid)

@@ -15,7 +15,7 @@ import numpy as np
 from conftest import record_criterion
 from nlsqueeze.estimate import derive_seed, ensemble_run, invert_hierarchy
 from nlsqueeze.hilbert import QuantumState
-from nlsqueeze.nlsq import classical_threshold, exact_moment_set, nls_variance, second_moment
+from nlsqueeze.nlsq import assemble_curve, classical_threshold, exact_moment_set, second_moment
 from nlsqueeze.readout import (ChannelParams, channel_coefficients, forward_output_moments,
                                sampling_tables)
 from nlsqueeze.runner import main
@@ -47,7 +47,7 @@ def test_criterion_01_vacuum_threshold():
     t0 = time.perf_counter()
     m = exact_moment_set(make_state(StateSpec(kind="vacuum", N=32)))
     lams = np.linspace(-0.3, 0.3, 101)
-    worst = max(abs(nls_variance(m, l) - classical_threshold(l)) for l in lams)
+    worst = max(abs(assemble_curve(m)(l) - classical_threshold(l)) for l in lams)
     dt = time.perf_counter() - t0
     conclude("01 vacuum curve equals classical threshold",
              worst <= 1e-12 and dt < 1.0,
@@ -63,7 +63,7 @@ def test_criterion_02_cubic_analytic_curve():
             StateSpec(kind="cubic_phase", gamma=gamma, N=128)))
         for l in lams:
             ref = 0.5 * (1.0 + 9.0 * (gamma - l) ** 2)
-            worst = max(worst, abs(nls_variance(m, l) - ref))
+            worst = max(worst, abs(assemble_curve(m)(l) - ref))
     dt = time.perf_counter() - t0
     conclude("02 cubic approximant matches closed-form curve",
              worst <= 1e-4 and dt < 10.0,
@@ -95,7 +95,7 @@ def test_criterion_04_classicality_floor():
             rho = rho + w * make_state(
                 StateSpec(kind="coherent", beta=beta, N=48)).rho
         m = exact_moment_set(QuantumState(rho=rho))
-        v = np.array([nls_variance(m, l) for l in lams])
+        v = np.array([assemble_curve(m)(l) for l in lams])
         floor = min(floor, float(np.min(v - thr)))
     conclude("04 coherent mixtures never beat the threshold",
              floor >= -1e-8, f"min margin {floor:.1e} (floor -1e-8)")

@@ -54,23 +54,6 @@ def test_grid_spacing_and_symmetry():
     np.testing.assert_allclose(g.points, -g.points[::-1], atol=0)
 
 
-def test_grid_from_points_round_trip():
-    g = PositionGrid(6.0, 61)
-    h = PositionGrid.from_points(g.points.copy())
-    assert h.extent == g.extent and h.n_points == g.n_points
-
-
-def test_grid_from_points_rejects_nonuniform():
-    pts = np.concatenate([np.linspace(-5, 0, 50), np.linspace(0.1, 5, 51)])
-    with pytest.raises(GridError):
-        PositionGrid.from_points(pts)
-
-
-def test_grid_from_points_rejects_asymmetric():
-    with pytest.raises(GridError):
-        PositionGrid.from_points(np.linspace(-4.0, 5.0, 91))
-
-
 def test_default_grid_covers_turning_points():
     g = default_grid(128)
     assert g.extent >= PositionGrid.min_extent(128)
@@ -89,15 +72,23 @@ def test_too_small_grid_rejected():
 def test_basis_orthonormal_on_default_grid():
     g = default_grid(128)
     b = build_basis(128, g)
-    gram = (b.values * g.spacing) @ b.values.T
+    gram = (b * g.spacing) @ b.T
     assert np.max(np.abs(gram - np.eye(128))) < 1e-8
+
+
+def test_cached_basis_is_read_only():
+    g = PositionGrid(12.0, 241)
+    b = build_basis(8, g)
+    with pytest.raises(ValueError):
+        b[0, 0] = 1.0
+    assert build_basis(8, g) is b
 
 
 def test_basis_ground_state_value():
     g = PositionGrid(12.0, 241)  # odd count so x = 0 is a grid point
     b = build_basis(8, g)
     i0 = g.n_points // 2
-    assert b.values[0, i0] == pytest.approx(math.pi ** -0.25, abs=1e-14)
+    assert b[0, i0] == pytest.approx(math.pi ** -0.25, abs=1e-14)
 
 
 def test_basis_matches_hermite_polynomials():
@@ -109,7 +100,7 @@ def test_basis_matches_hermite_polynomials():
     for n in range(6):
         ref = (eval_hermite(n, x) * np.exp(-0.5 * x * x)
                / math.sqrt(2.0 ** n * math.factorial(n) * math.sqrt(math.pi)))
-        np.testing.assert_allclose(b.values[n], ref, atol=1e-10)
+        np.testing.assert_allclose(b[n], ref, atol=1e-10)
 
 
 # ------------------------------------------------------------- moments
@@ -214,7 +205,7 @@ def test_marginal_moments_match_operator_route():
 def _complex_route_marginal(st_, phi, g):
     # sum_{mn} rho'_{mn} h_m h_n in complex arithmetic, rho' rotated by
     # the diagonal Fock phase, before the density guards
-    h = build_basis(st_.dim, g).values
+    h = build_basis(st_.dim, g)
     phase = np.exp(-1j * canonical_phase(phi) * np.arange(st_.dim))
     rho_rot = phase[:, None] * st_.rho * phase.conj()[None, :]
     return np.einsum("mj,mj->j", h, rho_rot @ h).real

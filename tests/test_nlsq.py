@@ -16,11 +16,8 @@ from nlsqueeze.nlsq import (
     classical_threshold,
     exact_mixed_moment,
     exact_moment_set,
-    matched_displacement,
-    nls_variance,
     resource_condition,
     second_moment,
-    squeezing_margin,
 )
 from nlsqueeze.states import StateSpec, make_state
 
@@ -62,7 +59,7 @@ def test_moment_set_missing_entry():
     m = vacuum_set()
     m.mixed = math.nan
     with pytest.raises(IncompleteMomentError):
-        nls_variance(m, 0.1)
+        assemble_curve(m)(0.1)
 
 
 def test_moment_set_rejects_entries_outside_schedule():
@@ -86,14 +83,14 @@ def test_exact_moment_set_fills_the_schedule():
 def test_vacuum_curve_is_threshold():
     m = vacuum_set()
     for lam in np.linspace(-0.3, 0.3, 101):
-        assert nls_variance(m, lam) == pytest.approx(
+        assert assemble_curve(m)(lam) == pytest.approx(
             classical_threshold(lam), abs=1e-12)
 
 
 def test_vacuum_minimum_at_zero():
     m = vacuum_set()
     lams = np.linspace(-0.5, 0.5, 2001)
-    vals = [nls_variance(m, l) for l in lams]
+    vals = [assemble_curve(m)(l) for l in lams]
     assert min(vals) == pytest.approx(0.5, abs=1e-12)
     assert abs(lams[int(np.argmin(vals))]) < 1e-4
 
@@ -108,11 +105,11 @@ def test_cubic_curve_coefficients_frozen():
 
 
 def test_curve_and_variance_agree_bitwise():
+    # V(lambda) at one lambda equals the entry of the curve on an array
     st_ = make_state(StateSpec(kind="cubic_phase", gamma=0.15, N=128))
-    m = exact_moment_set(st_)
-    c = assemble_curve(m)
-    for lam in (-0.2, 0.0, 0.1, 0.37):
-        assert c(lam) == nls_variance(m, lam)
+    c = assemble_curve(exact_moment_set(st_))
+    lams = (-0.2, 0.0, 0.1, 0.37)
+    assert [c(lam) for lam in lams] == list(c(np.array(lams)))
 
 
 def test_variance_against_dense_oracle():
@@ -120,7 +117,7 @@ def test_variance_against_dense_oracle():
     st_ = make_state(StateSpec(kind="cubic_phase", gamma=0.12, N=128))
     m = exact_moment_set(st_)
     for lam in (-0.1, 0.05, 0.25):
-        assert nls_variance(m, lam) == pytest.approx(
+        assert assemble_curve(m)(lam) == pytest.approx(
             oracles.oracle_nls_variance(rho, lam), abs=1e-7)
 
 
@@ -137,7 +134,7 @@ def test_second_moment_exceeds_variance():
     st_ = make_state(StateSpec(kind="cubic_phase", gamma=0.1, N=128))
     m = exact_moment_set(st_)
     for lam in (-0.1, 0.0, 0.1, 0.3):
-        assert second_moment(m, lam) >= nls_variance(m, lam) - 1e-12
+        assert second_moment(m, lam) >= assemble_curve(m)(lam) - 1e-12
 
 
 def test_matched_displacement_closes_gap():
@@ -145,11 +142,11 @@ def test_matched_displacement_closes_gap():
     gamma, lam = 0.1, 0.2
     base = StateSpec(kind="cubic_phase", gamma=gamma, N=96)
     m = exact_moment_set(make_state(base))
-    pbar = matched_displacement(m, lam)
+    pbar = 3.0 * lam * m.get(0.0, 2) - m.get(HALF_PI, 1)
     shifted = StateSpec(kind="displaced", alpha=1j * pbar / math.sqrt(2.0),
                         inner=base, N=96)
     m2 = exact_moment_set(make_state(shifted))
-    assert second_moment(m2, lam) == pytest.approx(nls_variance(m, lam), abs=1e-7)
+    assert second_moment(m2, lam) == pytest.approx(assemble_curve(m)(lam), abs=1e-7)
 
 
 def test_variance_invariant_under_momentum_displacement():
@@ -160,8 +157,8 @@ def test_variance_invariant_under_momentum_displacement():
                          inner=base, N=96)
         m = exact_moment_set(make_state(spec))
         for lam in (-0.1, 0.1, 0.3):
-            assert nls_variance(m, lam) == pytest.approx(
-                nls_variance(m0, lam), abs=1e-8)
+            assert assemble_curve(m)(lam) == pytest.approx(
+                assemble_curve(m0)(lam), abs=1e-8)
 
 
 def test_coherent_bound_attained():
@@ -179,19 +176,6 @@ def test_threshold_values():
     assert classical_threshold(0.1) == pytest.approx(0.545, abs=1e-15)
     arr = classical_threshold(np.array([0.0, 0.1]))
     np.testing.assert_allclose(arr, [0.5, 0.545], atol=1e-15)
-
-
-def test_squeezing_margin_cubic():
-    st_ = make_state(StateSpec(kind="cubic_phase", gamma=0.1, N=128))
-    margin, verdict = squeezing_margin(exact_moment_set(st_), 0.1)
-    assert margin == pytest.approx(0.045, abs=1e-6)
-    assert verdict is True
-
-
-def test_squeezing_margin_vacuum_is_null():
-    margin, verdict = squeezing_margin(vacuum_set(), 0.1)
-    assert margin == pytest.approx(0.0, abs=1e-12)
-    assert verdict is False
 
 
 def test_resource_condition():
@@ -220,7 +204,7 @@ def test_coherent_mixtures_respect_threshold(components):
             mixed[key] = mixed.get(key, 0.0) + (w / total) * value
     m = analytic_set(mixed)
     lams = np.linspace(-0.3, 0.3, 61)
-    worst = min(nls_variance(m, l) - classical_threshold(l) for l in lams)
+    worst = min(assemble_curve(m)(l) - classical_threshold(l) for l in lams)
     assert worst >= -1e-8
 
 

@@ -62,7 +62,6 @@ def test_exact_coefficients_frozen():
     co = channel_coefficients(STANDARD)
     assert co.c_Q == pytest.approx(-8.944269673931554, rel=1e-12)
     assert co.c_E == pytest.approx(-0.005163976826697523, rel=1e-10)
-    assert co.order == "exact"
 
 
 def test_lossless_limit():

@@ -87,6 +87,36 @@ def test_parse_defaults():
     assert cfg.k_sigma == 3.0
 
 
+ECHO_DISPLACED = (
+    '{"state": {"kind": "displaced", "N": 64, "alpha": "(0.1+0.2j)", "inner": '
+    '{"kind": "cubic_phase", "N": 64, "gamma": 0.1}}, "channel": {"G": 0.1, '
+    '"Gamma_m": 1e-09, "n_bar": 10000.0, "tau": 1000.0, "kappa": 1.0, '
+    '"cooperativity": 1000.0000000000001}, "sweep": {"axis": "thermalisation_rate", '
+    '"values": [1e-07, 1e-05]}, "ensemble": {"R": 3, "count": 4000, "base_seed": 99}, '
+    '"lambda": {"min": -0.1, "max": 0.3, "points": 9}, "certify": {"lambda_star": 0.15, '
+    '"gamma_G": 0.1, "k_sigma": 3.0}, "grid": {"extent": 20.0, "points": 2048}, '
+    '"output": {"dir": "unused"}, "mode": "full"}')
+
+ECHO_VACUUM = (
+    '{"state": {"kind": "vacuum", "N": 128}, "channel": null, "sweep": {"axis": null, '
+    '"values": []}, "ensemble": {"R": 5, "count": 100000, "base_seed": 0}, "lambda": '
+    '{"min": -0.2, "max": 0.4, "points": 101}, "certify": {"lambda_star": null, '
+    '"gamma_G": null, "k_sigma": 3.0}, "grid": null, "output": {"dir": "."}, '
+    '"mode": "full"}')
+
+
+def test_config_echo_is_pinned():
+    # no preset sets grid.* or certify.lambda_star, so the report digests
+    # do not cover these echo entries
+    text = FULL_TEXT.replace(
+        "state.kind = cubic_phase\nstate.gamma = 0.1\nstate.N = 64",
+        "state.kind = displaced\nstate.alpha = 0.1+0.2j\nstate.N = 64\n"
+        "state.inner.kind = cubic_phase\nstate.inner.gamma = 0.1\nstate.inner.N = 64")
+    text += "grid.extent = 20\ngrid.points = 2048\ncertify.lambda_star = 0.15\n"
+    assert json.dumps(parse_config(text).echo()) == ECHO_DISPLACED
+    assert json.dumps(parse_config("state.kind = vacuum\n").echo()) == ECHO_VACUUM
+
+
 def test_parse_complex_amplitudes():
     cfg = parse_config("state.kind = coherent\nstate.beta = 0.5+0.25j\n")
     assert cfg.state_spec.beta == 0.5 + 0.25j
@@ -181,6 +211,19 @@ def test_axis_cooperativity():
     ch = ChannelParams(G=0.1, Gamma_m=1e-8, n_bar=1e4, tau=1e3)
     out = apply_axis(ch, "cooperativity", 10.0)
     assert out.G == pytest.approx(math.sqrt(10.0 * 1e4 * 1e-8), rel=1e-12)
+
+
+def test_sweep_checks_axis_before_building_the_state(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("state built before the sweep axis was checked")
+
+    monkeypatch.setattr(runner, "make_state", fail)
+    for axis, old, new in (("thermalisation_rate", "channel.n_bar = 1.0e4", "channel.n_bar = 0"),
+                           ("cooperativity", "channel.Gamma_m = 1.0e-9", "channel.Gamma_m = 0")):
+        text = FULL_TEXT.replace("sweep.axis = thermalisation_rate", f"sweep.axis = {axis}")
+        text = text.replace(old, new)
+        with pytest.raises(ConfigError, match=axis):
+            run_sweep(parse_config(text))
 
 
 def test_axis_requires_positive_inputs():
@@ -451,9 +494,12 @@ def test_cli_bad_config(tmp_path):
                  "state.inner.N = 64",
                  "mode = full": "mode = full\ngrid.extent = 8\ngrid.points = 400"}, [],
      "grid.extent"),
+    ("certify", {"certify.gamma_G = 0.1": "certify.gamma_G = 0"}, [], "certify.gamma_G"),
+    ("certify", {"state.gamma = 0.1": "state.gamma = -0.1"}, [], "certify.gamma_G"),
 ], ids=["G-nan", "tau-inf", "sweep-inf", "count-inf", "k_sigma-nan", "k_sigma-negative",
         "threads-zero", "threads-negative", "seed-negative", "base_seed-negative",
-        "R-one", "count-below-100", "grid-too-small", "grid-too-small-for-inner"])
+        "R-one", "count-below-100", "grid-too-small", "grid-too-small-for-inner",
+        "gamma_G-zero", "gamma_G-with-negative-gamma"])
 def test_cli_rejects_bad_numbers(tmp_path, capsys, command, edits, argv, key):
     text = FULL_TEXT
     for old, new in edits.items():
