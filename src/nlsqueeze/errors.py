@@ -27,10 +27,6 @@ class StateError(NumericsError):
     """Density matrix violates trace or positivity tolerances."""
 
 
-class IncompleteMomentError(NumericsError):
-    """A required (phase, order) moment is missing from a MomentSet."""
-
-
 class ChannelConditionError(NumericsError):
     """|c_Q| too small for a stable inversion of the moment hierarchy."""
 

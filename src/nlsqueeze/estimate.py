@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChannelConditionError, DataError
-from .nlsq import HALF_PI, PHASE_ORDERS, QUARTER_PI, MomentSet, assemble_curve
+from .nlsq import MINUS, P, PHASE_ORDERS, PLUS, MomentSet, assemble_curve
 from .readout import (
     SAMPLE_BLOCK,
     ChannelCoefficients,
@@ -127,35 +127,34 @@ def mixed_moment_recovery(m: MomentSet):
 
     <p q^2 + q^2 p> = (2 sqrt(2)/3)(<Q^3_{pi/4}> - <Q^3_{-pi/4}>)
                       - (2/3) <p^3>,
-    with the +-iq commutator terms cancelling in the difference.
+    with the +-iq commutator terms cancelling in the difference, read
+    from the order-3 entries of the rows PLUS, MINUS and P.
     Returns (value, std_error).
     """
     c = 2.0 * math.sqrt(2.0) / 3.0
-    plus, minus = m.get(QUARTER_PI, 3), m.get(-QUARTER_PI, 3)
-    p3 = m.get(HALF_PI, 3)
+    plus, minus, p3 = m.values[[PLUS, MINUS, P], 3].tolist()
+    s_plus, s_minus, s_p3 = m.errors[[PLUS, MINUS, P], 3].tolist()
     value = c * (plus - minus) - (2.0 / 3.0) * p3
-    err = math.sqrt(c ** 2 * (m.error(QUARTER_PI, 3) ** 2
-                              + m.error(-QUARTER_PI, 3) ** 2)
-                    + (2.0 / 3.0) ** 2 * m.error(HALF_PI, 3) ** 2)
+    err = math.sqrt(c ** 2 * (s_plus ** 2 + s_minus ** 2) + (2.0 / 3.0) ** 2 * s_p3 ** 2)
     return value, err
 
 
 def run_reconstruction(tables: tuple[InverseCDF, ...], params: ChannelParams,
                        count: int, seed: int):
     """One full reconstruction: 4 phases, count samples each, drawn from
-    tables (readout.sampling_tables, one per PHASE_ORDERS phase).
+    tables (readout.sampling_tables, one per PHASE_ORDERS row, in row
+    order).
 
     Returns (MomentSet, NlsCurve).
     """
     coeffs = channel_coefficients(params, "exact")
     noise_std = math.sqrt(noise_variance(coeffs, params.n_bar))
     ms = MomentSet()
-    for k, (table, (phi, order)) in enumerate(zip(tables, PHASE_ORDERS, strict=True)):
+    for k, (table, (_, order)) in enumerate(zip(tables, PHASE_ORDERS, strict=True)):
         samples = sample_homodyne(table, coeffs.c_Q, count, derive_seed(seed, k), noise_std)
         means, std_errors = empirical_moments(samples, order)
-        q, q_errors = invert_hierarchy(means, std_errors, coeffs, params.n_bar)
-        for n in range(1, order + 1):
-            ms.set(phi, n, q[n - 1], q_errors[n - 1])
+        ms.values[k, 1:order + 1], ms.errors[k, 1:order + 1] = invert_hierarchy(
+            means, std_errors, coeffs, params.n_bar)
     ms.mixed, ms.mixed_error = mixed_moment_recovery(ms)
     return ms, assemble_curve(ms)
 

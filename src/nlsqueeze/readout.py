@@ -177,7 +177,6 @@ class InverseCDF:
     cell edge.
     """
 
-    phi: float
     x: np.ndarray
     dx: float
     cdf: np.ndarray
@@ -230,7 +229,7 @@ def inverse_cdf_table(state: QuantumState, phi: float,
     edges = np.searchsorted(F, np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS,
                             side="right") - 1
     guide = np.where(edges[1:] == edges[:-1], edges[:-1], -1)
-    return InverseCDF(phi=phi, x=grid.points, dx=grid.spacing, cdf=F, mass=np.diff(F),
+    return InverseCDF(x=grid.points, dx=grid.spacing, cdf=F, mass=np.diff(F),
                       guide=guide)
 
 

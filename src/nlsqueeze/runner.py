@@ -30,8 +30,8 @@ import numpy as np
 from .errors import ConfigError, GridError, NumericsError
 from .estimate import MIN_REPLICATES, MIN_SAMPLES, EnsembleReport, derive_seed, ensemble_run
 from .hilbert import PositionGrid
-from .nlsq import (PHASE_ORDERS, assemble_curve, classical_threshold, exact_moment_set,
-                   resource_condition)
+from .nlsq import (MINUS, P, PHASE_ORDERS, PLUS, Q, assemble_curve, classical_threshold,
+                   exact_moment_set, resource_condition)
 from .readout import ChannelParams, sampling_tables
 from .states import StateSpec, make_state
 
@@ -248,8 +248,10 @@ def _pop_channel(raw: dict) -> ChannelParams | None:
         raise ConfigError(f"invalid channel parameters: {exc}") from None
 
 
-def parse_config(text: str) -> ExperimentConfig:
-    """Parse config text; unknown or duplicate keys are errors."""
+def parse_config(text: str, **overrides) -> ExperimentConfig:
+    """Parse config text; unknown or duplicate keys are errors.  The
+    overrides (ExperimentConfig field -> value) replace the file's values
+    before the config is built."""
     raw = _parse_lines(text)
     spec = _pop_state(raw, "state.")
     channel = _pop_channel(raw)
@@ -258,21 +260,22 @@ def parse_config(text: str) -> ExperimentConfig:
     if raw:
         raise ConfigError(f"unknown config key(s): {', '.join(sorted(raw))}")
     try:
-        return ExperimentConfig(state_spec=spec, channel=channel, **fields)
+        return ExperimentConfig(state_spec=spec, channel=channel, **(fields | overrides))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
 def load_config(path, out_dir=None, base_seed=None, mode=None) -> ExperimentConfig:
-    """Read a config file and apply CLI overrides."""
-    cfg = parse_config(Path(path).read_text(encoding="utf-8"))
+    """Read a config file with the CLI overrides applied, so the quick-mode
+    caps apply once, to the final mode."""
+    overrides = {}
     if out_dir is not None:
-        cfg.out_dir = str(out_dir)
+        overrides["out_dir"] = str(out_dir)
     if base_seed is not None:
-        cfg.base_seed = _convert("--seed", base_seed, _at_least(0))
+        overrides["base_seed"] = _convert("--seed", base_seed, _at_least(0))
     if mode is not None:
-        cfg = replace(cfg, mode=_convert("--mode", mode, _one_of(MODES)))
-    return cfg
+        overrides["mode"] = _convert("--mode", mode, _one_of(MODES))
+    return parse_config(Path(path).read_text(encoding="utf-8"), **overrides)
 
 
 def apply_axis(channel: ChannelParams, axis: str, value: float) -> ChannelParams:
@@ -502,8 +505,9 @@ def state_info(config: ExperimentConfig) -> dict:
     return {
         "state": _spec_echo(config.state_spec),
         "leakage": state.leakage,
-        "moments": {f"phi={phi:g},n={n}": m.get(phi, n)
-                    for phi, order in sorted(PHASE_ORDERS) for n in range(1, order + 1)},
+        "moments": {f"phi={PHASE_ORDERS[k][0]:g},n={n}": m.values[k, n]
+                    for k in (MINUS, Q, PLUS, P)  # ascending phase
+                    for n in range(1, PHASE_ORDERS[k][1] + 1)},
         "mixed_moment": m.mixed,
         "curve": {"a0": curve.a0, "a1": curve.a1, "a2": curve.a2},
         "v_min": float(np.min(v)),

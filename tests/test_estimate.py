@@ -17,8 +17,11 @@ from nlsqueeze.estimate import (
 from nlsqueeze.hilbert import quadrature_moment
 from nlsqueeze.nlsq import (
     HALF_PI,
+    MINUS,
+    P,
     PHASE_ORDERS,
-    QUARTER_PI,
+    PLUS,
+    Q,
     MomentSet,
     assemble_curve,
     exact_moment_set,
@@ -141,9 +144,9 @@ def test_round_trip_through_channel(state_spec):
 def test_mixed_recovery_from_exact_rotations():
     st = cubic_state()
     m = MomentSet()
-    for phi in (QUARTER_PI, -QUARTER_PI, HALF_PI):
-        mech = exact_moment_set(st, keys=((phi, 3),))
-        m.set(phi, 3, mech.get(phi, 3), 0.01)
+    for k in (PLUS, MINUS, P):
+        m.values[k, 3] = quadrature_moment(st, PHASE_ORDERS[k][0], 3)
+        m.errors[k, 3] = 0.01
     value, err = mixed_moment_recovery(m)
     assert value == pytest.approx(0.45, abs=1e-6)
     c = 2.0 * math.sqrt(2.0) / 3.0
@@ -157,12 +160,11 @@ def test_noiseless_inversion_reproduces_exact_curve():
     st = cubic_state()
     co = channel_coefficients(STANDARD)
     ms = MomentSet()
-    for phi, order in PHASE_ORDERS:
+    for k, (phi, order) in enumerate(PHASE_ORDERS):
         mech = [quadrature_moment(st, phi, n) for n in range(1, order + 1)]
         y = forward_output_moments(mech, co, STANDARD.n_bar)
-        q, _ = invert_hierarchy(y, np.zeros(order), co, STANDARD.n_bar)
-        for n in range(1, order + 1):
-            ms.set(phi, n, q[n - 1])
+        ms.values[k, 1:order + 1], ms.errors[k, 1:order + 1] = invert_hierarchy(
+            y, np.zeros(order), co, STANDARD.n_bar)
     ms.mixed, ms.mixed_error = mixed_moment_recovery(ms)
     est = assemble_curve(ms)
     ref = assemble_curve(exact_moment_set(st))
@@ -173,8 +175,8 @@ def test_noiseless_inversion_reproduces_exact_curve():
 def test_run_reconstruction_recovers_curve():
     st = cubic_state()
     ms, curve = run_reconstruction(sampling_tables(st), STANDARD, 200_000, seed=7)
-    for key in ((0.0, 1), (0.0, 4), (HALF_PI, 3), (QUARTER_PI, 3)):
-        assert math.isfinite(ms.get(*key))
+    for k, n in ((Q, 1), (Q, 4), (P, 3), (PLUS, 3)):
+        assert math.isfinite(ms.values[k, n])
     # estimates land within a few propagated errors of the closed forms
     assert abs(curve.a0 - 0.545) < 4.0 * curve.a0_err
     assert abs(curve(0.1) - 0.5) < 4.0 * curve.error(0.1)

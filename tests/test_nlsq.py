@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlsqueeze.errors import IncompleteMomentError
+from nlsqueeze.estimate import run_reconstruction
 from nlsqueeze.nlsq import (
-    HALF_PI,
     MAX_ORDER,
+    MINUS,
+    P,
     PHASE_ORDERS,
-    QUARTER_PI,
+    PLUS,
+    Q,
     MomentSet,
     NlsCurve,
     assemble_curve,
@@ -19,18 +21,22 @@ from nlsqueeze.nlsq import (
     resource_condition,
     second_moment,
 )
+from nlsqueeze.readout import ChannelParams, sampling_tables
 from nlsqueeze.states import StateSpec, make_state
 
 import oracles
 
 
 def analytic_set(moments: dict) -> MomentSet:
+    """MomentSet of a {(phase, n): value, "mixed": value} dict, errors 0."""
+    row = {phase: k for k, (phase, _) in enumerate(PHASE_ORDERS)}
     m = MomentSet()
     for key, value in moments.items():
         if key == "mixed":
             m.mixed, m.mixed_error = value, 0.0
         else:
-            m.set(*key, value)
+            phase, n = key
+            m.values[row[phase], n], m.errors[row[phase], n] = value, 0.0
     return m
 
 
@@ -40,42 +46,24 @@ def vacuum_set() -> MomentSet:
 
 # ------------------------------------------------------------- moment set
 
-def test_moment_set_get_and_keys():
-    m = MomentSet()
-    m.set(0.0, 2, 0.5, 0.01)
-    assert m.get(0.0, 2) == 0.5
-    assert m.error(0.0, 2) == 0.01
-    # a full turn addresses the same entry
-    assert m.get(2.0 * math.pi, 2) == 0.5
+def test_named_rows_match_the_schedule():
+    assert [PHASE_ORDERS[k][0] for k in (Q, P, PLUS, MINUS)] == [
+        0.0, math.pi / 2.0, math.pi / 4.0, -math.pi / 4.0]
 
 
-def test_moment_set_missing_entry():
-    m = MomentSet()
-    with pytest.raises(IncompleteMomentError):
-        m.get(0.0, 2)
-    with pytest.raises(IncompleteMomentError):
-        m.error(0.0, 2)
-    # an unset mixed moment stops the curve where it is read
-    m = vacuum_set()
-    m.mixed = math.nan
-    with pytest.raises(IncompleteMomentError):
-        assemble_curve(m)(0.1)
+def reconstructed_set(state) -> MomentSet:
+    params = ChannelParams(G=0.1, Gamma_m=1e-9, n_bar=1e4, tau=1e3)
+    return run_reconstruction(sampling_tables(state), params, 1000, seed=3)[0]
 
 
-def test_moment_set_rejects_entries_outside_schedule():
-    m = MomentSet()
-    for phi, n in ((0.3, 2), (math.pi, 1), (-HALF_PI, 1), (0.0, 0), (0.0, MAX_ORDER + 1)):
-        with pytest.raises(ValueError):
-            m.set(phi, n, 1.0)
-        with pytest.raises(ValueError):
-            m.get(phi, n)
-
-
-def test_exact_moment_set_fills_the_schedule():
-    m = exact_moment_set(make_state(StateSpec(kind="vacuum", N=16)))
-    filled = [[n <= order for n in range(1, MAX_ORDER + 1)] for _, order in PHASE_ORDERS]
-    np.testing.assert_array_equal(~np.isnan(m.values), filled)
-    np.testing.assert_array_equal(~np.isnan(m.errors), filled)
+@pytest.mark.parametrize("build", [exact_moment_set, reconstructed_set],
+                         ids=["exact", "reconstructed"])
+def test_exact_moment_set_fills_the_schedule(build):
+    m = build(make_state(StateSpec(kind="vacuum", N=16)))
+    filled = [[1 <= n <= order for n in range(MAX_ORDER + 1)] for _, order in PHASE_ORDERS]
+    np.testing.assert_array_equal(np.isfinite(m.values), filled)
+    np.testing.assert_array_equal(np.isfinite(m.errors), filled)
+    assert math.isfinite(m.mixed) and math.isfinite(m.mixed_error)
 
 
 # ------------------------------------------------------------- curve
@@ -142,7 +130,7 @@ def test_matched_displacement_closes_gap():
     gamma, lam = 0.1, 0.2
     base = StateSpec(kind="cubic_phase", gamma=gamma, N=96)
     m = exact_moment_set(make_state(base))
-    pbar = 3.0 * lam * m.get(0.0, 2) - m.get(HALF_PI, 1)
+    pbar = 3.0 * lam * m.values[Q, 2] - m.values[P, 1]
     shifted = StateSpec(kind="displaced", alpha=1j * pbar / math.sqrt(2.0),
                         inner=base, N=96)
     m2 = exact_moment_set(make_state(shifted))
@@ -215,8 +203,8 @@ def test_mixed_moment_identity():
     st_ = make_state(StateSpec(kind="cubic_phase", gamma=0.1, N=128))
     m = exact_moment_set(st_)
     c = 2.0 * math.sqrt(2.0) / 3.0
-    via_rotation = (c * (m.get(QUARTER_PI, 3) - m.get(-QUARTER_PI, 3))
-                    - (2.0 / 3.0) * m.get(HALF_PI, 3))
+    via_rotation = (c * (m.values[PLUS, 3] - m.values[MINUS, 3])
+                    - (2.0 / 3.0) * m.values[P, 3])
     assert exact_mixed_moment(st_) == pytest.approx(via_rotation, abs=1e-10)
     assert exact_mixed_moment(st_) == pytest.approx(0.45, abs=1e-6)
 
@@ -227,9 +215,3 @@ def test_mixed_moment_oracle():
     assert exact_mixed_moment(st_) == pytest.approx(
         oracles.oracle_mixed(rho), abs=1e-7)
 
-
-def test_incomplete_set_fails_curve():
-    m = MomentSet()
-    m.set(0.0, 2, 0.5)
-    with pytest.raises(IncompleteMomentError):
-        assemble_curve(m)

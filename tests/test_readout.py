@@ -233,9 +233,12 @@ def test_guided_lookup_equals_binary_search(spec):
     # the reference is the binary search the guide table replaces, with
     # the linear draw inside the cell it selects
     rng = np.random.default_rng(61)
-    for table, (phi, _) in zip(sampling_tables(make_state(spec)), PHASE_ORDERS):
+    state = make_state(spec)
+    for table, (phi, _) in zip(sampling_tables(state), PHASE_ORDERS, strict=True):
         F = table.cdf
-        assert table.phi == phi and F[0] == 0.0 and F[-1] == 1.0
+        # the tables come in schedule-row order
+        np.testing.assert_array_equal(F, inverse_cdf_table(state, phi).cdf)
+        assert F[0] == 0.0 and F[-1] == 1.0
         assert table.guide.shape == (GUIDE_BUCKETS,)
         if spec.kind == "cubic_phase":
             # each bucket carries probability 1 / GUIDE_BUCKETS, and the

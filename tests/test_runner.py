@@ -185,11 +185,21 @@ def test_quick_mode_caps():
 
 def test_load_config_overrides(tmp_path):
     path = tmp_path / "a.cfg"
-    path.write_text(FULL_TEXT)
+    path.write_text(FULL_TEXT.replace("ensemble.R = 3", "ensemble.R = 20")
+                    .replace("ensemble.count = 4000", "ensemble.count = 1e6"))
     cfg = load_config(path, out_dir=tmp_path / "o", base_seed=7, mode="quick")
     assert cfg.base_seed == 7
     assert cfg.mode == "quick"
     assert cfg.out_dir == str(tmp_path / "o")
+    assert (cfg.R, cfg.count) == (5, 100_000)  # a full file run quick is capped
+
+
+def test_full_mode_override_lifts_the_quick_caps(tmp_path):
+    path = tmp_path / "a.cfg"
+    path.write_text("state.kind = vacuum\nensemble.R = 20\nensemble.count = 1e6\n"
+                    "mode = quick\n")
+    cfg = load_config(path, mode="full")
+    assert (cfg.mode, cfg.R, cfg.count) == ("full", 20, 1_000_000)
 
 
 # ------------------------------------------------------------- axes

@@ -3,9 +3,9 @@
     python3 tools/output_digests.py [--repo DIR]
 
 Runs every preset in configs/ in quick mode through sweep, reconstruct
-and certify, with seed 31 and once each at --threads 1, 2 and 4, with
-the package imported from DIR/src (default: the checkout this script
-sits in).  Every file a run
+and certify, with seed 31 and once each at --threads 1, 2 and 4, and
+through state-info once, with the package imported from DIR/src
+(default: the checkout this script sits in).  Every file a run
 writes and its stdout are hashed after masking what legitimately
 differs between runs: the value of each "wall_clock_s" key, the
 timings printed to stdout, and the output directory.  The lines read
@@ -31,9 +31,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-COMMANDS = ("sweep", "reconstruct", "certify")
 SEED = 31
 THREAD_COUNTS = (1, 2, 4)
+# (command, threads) of every run per preset; state-info samples nothing
+RUNS = [(command, threads) for command in ("sweep", "reconstruct", "certify")
+        for threads in THREAD_COUNTS] + [("state-info", 1)]
 WALL_CLOCK = re.compile(rb'("wall_clock_s": )[-+0-9.eE]+')
 PRINTED_SECONDS = re.compile(rb"(\[| in )\d+\.\d+ s")
 
@@ -64,16 +66,15 @@ def main(argv=None) -> int:
     repo = args.repo.resolve()
     with tempfile.TemporaryDirectory() as tmp:
         for preset in sorted((repo / "configs").glob("*.cfg")):
-            for command in COMMANDS:
-                for threads in THREAD_COUNTS:
-                    out_dir = Path(tmp) / f"{preset.stem}-{command}-t{threads}"
-                    label = f"{preset.stem}/{command}/t{threads}"
-                    files = {"stdout": run(repo, preset, command, threads, out_dir)}
-                    files.update((p.name, p.read_bytes())
-                                 for p in sorted(out_dir.iterdir()))
-                    for name, data in files.items():
-                        digest = hashlib.sha256(masked(data, str(out_dir))).hexdigest()
-                        print(f"{digest}  {label}/{name}", flush=True)
+            for command, threads in RUNS:
+                out_dir = Path(tmp) / f"{preset.stem}-{command}-t{threads}"
+                label = f"{preset.stem}/{command}/t{threads}"
+                files = {"stdout": run(repo, preset, command, threads, out_dir)}
+                # state-info writes no files, so its out_dir never exists
+                files.update((p.name, p.read_bytes()) for p in sorted(out_dir.glob("*")))
+                for name, data in files.items():
+                    digest = hashlib.sha256(masked(data, str(out_dir))).hexdigest()
+                    print(f"{digest}  {label}/{name}", flush=True)
     return 0
 
 
