@@ -157,7 +157,11 @@ class QuantumState:
 
 
 def validate_state(state: QuantumState) -> QuantumState:
-    """Check Hermiticity, unit trace, positivity and truncation leakage."""
+    """Check Hermiticity, unit trace, positivity and truncation leakage.
+
+    Positivity: a Cholesky factorisation of rho + (PSD_TOL/2) I, and the
+    smallest eigenvalue against -PSD_TOL only when that fails.
+    """
     rho = state.rho
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     if herm > HERMITICITY_TOL:
@@ -165,9 +169,14 @@ def validate_state(state: QuantumState) -> QuantumState:
     tr = complex(np.trace(rho))
     if abs(tr - 1.0) > TRACE_TOL:
         raise StateError(f"trace {tr} deviates from 1 by more than {TRACE_TOL:g}")
-    lam_min = float(np.linalg.eigvalsh(rho)[0])
-    if lam_min < -PSD_TOL:
-        raise StateError(f"smallest eigenvalue {lam_min:.2e} below -{PSD_TOL:g}")
+    try:
+        # succeeds only if lambda_min >= -PSD_TOL/2 - O(N eps), which
+        # the eigenvalue test below would pass too
+        np.linalg.cholesky(rho + 0.5 * PSD_TOL * np.eye(rho.shape[0]))
+    except np.linalg.LinAlgError:
+        lam_min = float(np.linalg.eigvalsh(rho)[0])
+        if lam_min < -PSD_TOL:
+            raise StateError(f"smallest eigenvalue {lam_min:.2e} below -{PSD_TOL:g}")
     if state.leakage > LEAK_TOL:
         raise TruncationError(
             f"truncation leakage {state.leakage:.2e} exceeds {LEAK_TOL:g}; "
@@ -187,8 +196,21 @@ def quadrature_matrix(N: int, phi: float) -> np.ndarray:
     return Q
 
 
+@lru_cache(maxsize=32)
+def _power_bands(N: int, n: int) -> tuple:
+    """Nonzero diagonals of the real banded Q_0^n at dimension N, as
+    (d, (Q_0^n)[m-d, m] over m) for d = -n, -n+2, ..., n."""
+    Qn = np.linalg.matrix_power(quadrature_matrix(N, 0.0).real, n)
+    return tuple((d, np.diagonal(Qn, d).copy()) for d in range(-n, n + 1, 2))
+
+
 def quadrature_moment(state: QuantumState, phi: float, n: int) -> float:
     """Exact tr(rho Q_phi^n) in the truncated basis.
+
+    Q_phi = U† Q_0 U with U = diag(e^{-i phi m}), so the moment is a
+    trigonometric polynomial in phi whose coefficients are dot products
+    of the diagonals of rho with the fixed diagonals of the real banded
+    Q_0^n.
 
     Parameters
     ----------
@@ -217,9 +239,11 @@ def quadrature_moment(state: QuantumState, phi: float, n: int) -> float:
             f"top-{n} Fock tail holds population {tail:.2e} > {LEAK_TOL:g}; "
             "the moment is not trustworthy at this dimension"
         )
-    Q = quadrature_matrix(N, canonical_phase(phi))
-    Qn = np.linalg.matrix_power(Q, n)
-    val = complex(np.einsum("ij,ji->", state.rho, Qn))
+    phi_c = canonical_phase(phi)
+    # sum_d e^{-i phi d} sum_m rho[m, m-d] (Q_0^n)[m-d, m], kept complex
+    # over +-d so that a non-Hermitian rho leaves an imaginary residue
+    val = complex(sum(np.exp(-1j * phi_c * d) * np.dot(np.diagonal(state.rho, -d), band)
+                      for d, band in _power_bands(N, n)))
     if abs(val.imag) > IMAG_TOL * max(1.0, abs(val.real)):
         raise HermiticityError(
             f"imaginary residue {val.imag:.2e} in <Q_phi^{n}>"
@@ -270,9 +294,12 @@ def displace(state: QuantumState, alpha: complex) -> QuantumState:
     The exponential is taken in a doubled (2N) space so truncation is
     measured honestly: the displaced matrix is cut back to N, the lost
     trace is recorded as leakage, and the result is renormalized.  The
-    generator A = alpha b† - alpha* b is anti-Hermitian, so with the
-    eigendecomposition i A = V diag(w) V† of the Hermitian i A,
-    D = V diag(e^{-iw}) V†.
+    Hermitian generator i A = i (alpha b† - alpha* b) equals U T U†,
+    with T real symmetric tridiagonal, T[k, k-1] = |alpha| sqrt(k), and
+    U = diag(e^{i theta k}), theta = arg(alpha) + pi/2.  With the real
+    eigendecomposition T = W diag(w) Wᵀ, D = U W diag(e^{-iw}) Wᵀ U†.
+    The padded state is zero outside its N x N block, so the kept block
+    is D[:N, :N] rho D[:N, :N]†, and only the first N rows of W enter.
 
     Raises
     ------
@@ -283,16 +310,14 @@ def displace(state: QuantumState, alpha: complex) -> QuantumState:
     if alpha == 0:
         return QuantumState(rho=state.rho.copy(), leakage=state.leakage)
     N = state.dim
-    Npad = 2 * N
-    k = np.arange(1, Npad)
-    b = np.zeros((Npad, Npad), dtype=complex)
-    b[k - 1, k] = np.sqrt(k)
-    w, V = np.linalg.eigh(1j * (alpha * b.conj().T - alpha.conjugate() * b))
-    D = (V * np.exp(-1j * w)) @ V.conj().T
-    rho_pad = np.zeros((Npad, Npad), dtype=complex)
-    rho_pad[:N, :N] = state.rho
-    rho_disp = D @ rho_pad @ D.conj().T
-    block = rho_disp[:N, :N]
+    k = np.arange(1, 2 * N)
+    T = np.zeros((2 * N, 2 * N))
+    T[k, k - 1] = T[k - 1, k] = abs(alpha) * np.sqrt(k)
+    w, W = np.linalg.eigh(T)
+    W = W[:N]
+    U = np.exp(1j * (math.atan2(alpha.imag, alpha.real) + 0.5 * math.pi) * np.arange(N))
+    D = U[:, None] * (((W * np.cos(w)) @ W.T) - 1j * ((W * np.sin(w)) @ W.T)) * U.conj()
+    block = D @ state.rho @ D.conj().T
     captured = float(np.trace(block).real)
     leak = state.leakage + max(0.0, 1.0 - captured)
     if leak > LEAK_TOL:

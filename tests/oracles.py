@@ -61,6 +61,20 @@ def oracle_cubic(gamma: float, N: int, big: int = 256) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+def oracle_displace(rho: np.ndarray, alpha: complex) -> tuple:
+    """D(alpha) rho D(alpha)† with D the expm of alpha a† - alpha* a in
+    the doubled space: pad rho to 2N, cut back to N, renormalise.
+    Returns (rho, leakage of this step)."""
+    N = rho.shape[0]
+    a = ladder(2 * N)
+    D = expm(alpha * a.conj().T - np.conj(alpha) * a)
+    pad = np.zeros((2 * N, 2 * N), dtype=complex)
+    pad[:N, :N] = rho
+    block = (D @ pad @ D.conj().T)[:N, :N]
+    captured = np.trace(block).real
+    return block / captured, 1.0 - captured
+
+
 def oracle_moment(rho: np.ndarray, phi: float, n: int) -> float:
     X = quad_matrix(rho.shape[0], phi)
     val = np.trace(rho @ np.linalg.matrix_power(X, n))

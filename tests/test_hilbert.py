@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from nlsqueeze.errors import GridError, HermiticityError, TruncationError
+from nlsqueeze.errors import GridError, HermiticityError, StateError, TruncationError
 from nlsqueeze.hilbert import (
+    MAX_MOMENT_ORDER,
+    PSD_TOL,
     PositionGrid,
     QuantumState,
     build_basis,
@@ -16,6 +18,7 @@ from nlsqueeze.hilbert import (
     quadrature_moment,
     validate_state,
 )
+from nlsqueeze.nlsq import PHASE_ORDERS
 from nlsqueeze.states import StateSpec, make_state
 
 import oracles
@@ -142,6 +145,32 @@ def test_moment_against_oracle():
             oracles.oracle_moment(rho_ref, phi, n), abs=1e-8)
 
 
+def random_mixed_state(N, support, rank=3, seed=0):
+    """Rank-`rank` Hermitian PSD rho with complex off-diagonals on the
+    first `support` Fock levels of an N-level space."""
+    rng = np.random.default_rng(seed)
+    G = rng.normal(size=(support, rank)) + 1j * rng.normal(size=(support, rank))
+    rho = np.zeros((N, N), dtype=complex)
+    rho[:support, :support] = G @ G.conj().T
+    return rho / np.trace(rho).real
+
+
+@pytest.mark.parametrize("N", [8, 33, 128])
+def test_moment_matches_oracle_on_random_mixed_states(N):
+    support = N // 2
+    rho = random_mixed_state(N, support, seed=N)
+    st_ = QuantumState(rho=rho)
+    phases = [phi for phi, _ in PHASE_ORDERS] + [0.3, 2.9, -3.1]
+    for n in range(1, MAX_MOMENT_ORDER + 1):
+        for phi in phases:
+            if n > N - support:  # the top-n levels hold population
+                with pytest.raises(TruncationError):
+                    quadrature_moment(st_, phi, n)
+                continue
+            assert quadrature_moment(st_, phi, n) == pytest.approx(
+                oracles.oracle_moment(rho, phi, n), rel=1e-12, abs=1e-13)
+
+
 def test_moment_order_limits():
     st_ = vacuum_state()
     with pytest.raises(ValueError):
@@ -263,11 +292,23 @@ def test_displace_matches_coherent_construction():
             quadrature_moment(b, phi, n), abs=1e-8)
 
 
-def test_displace_matches_expm_oracle():
-    # the eigendecomposition route against scipy's matrix exponential
-    beta = 0.3 + 0.4j
-    out = displace(vacuum_state(48), beta)
-    np.testing.assert_allclose(out.rho, oracles.oracle_coherent(beta, 48), rtol=0, atol=1e-13)
+ALPHAS = [0.7, -0.5, 0.6j, -0.4 - 0.9j, 0.3 + 0.4j]
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_displace_matches_expm_oracle(alpha):
+    # the tridiagonal eigendecomposition route against scipy's matrix exponential
+    out = displace(vacuum_state(48), alpha)
+    np.testing.assert_allclose(out.rho, oracles.oracle_coherent(alpha, 48), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_displace_matches_padded_expm_oracle_on_cubic_state(alpha):
+    st_ = make_state(StateSpec(kind="cubic_phase", gamma=0.1, N=64))
+    out = displace(st_, alpha)
+    rho_ref, leak_ref = oracles.oracle_displace(st_.rho, alpha)
+    np.testing.assert_allclose(out.rho, rho_ref, rtol=0, atol=1e-13)
+    assert out.leakage - st_.leakage == pytest.approx(leak_ref, abs=1e-14)
 
 
 def test_displace_preserves_covariance():
@@ -300,11 +341,54 @@ def test_displace_tracks_leakage():
 
 def test_validate_state_rejects_bad_trace():
     rho = np.eye(4, dtype=complex)  # trace 4
-    with pytest.raises(Exception):
+    with pytest.raises(StateError, match="trace"):
         validate_state(QuantumState(rho=rho))
 
 
 def test_validate_state_rejects_negative():
     rho = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
-    with pytest.raises(Exception):
+    with pytest.raises(StateError, match="smallest eigenvalue"):
         validate_state(QuantumState(rho=rho))
+
+
+def _with_smallest_eigenvalue(lam, N=6, seed=3):
+    """Unit-trace Hermitian rho with eigenvalues (1 - lam, lam, 0, ...) in
+    a random complex eigenbasis."""
+    rng = np.random.default_rng(seed)
+    V, _ = np.linalg.qr(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
+    w = np.zeros(N)
+    w[0], w[1] = 1.0 - lam, lam
+    rho = (V * w) @ V.conj().T
+    return QuantumState(rho=0.5 * (rho + rho.conj().T))
+
+
+@pytest.fixture
+def eigvalsh_calls(monkeypatch):
+    calls, eigvalsh = [], np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+def test_validate_state_rejects_just_below_the_bound(eigvalsh_calls):
+    with pytest.raises(StateError, match=r"smallest eigenvalue -2\.0\de-10 below -1e-10"):
+        validate_state(_with_smallest_eigenvalue(-2.0 * PSD_TOL))
+    assert len(eigvalsh_calls) == 1
+
+
+@pytest.mark.parametrize("factor, eigvalsh_needed", [(-0.6, 1), (-0.4, 0)])
+def test_validate_state_accepts_on_both_sides_of_the_shift(factor, eigvalsh_calls,
+                                                           eigvalsh_needed):
+    # the Cholesky factorisation of rho + PSD_TOL/2 fails at -0.6 PSD_TOL,
+    # so the eigenvalue decides; at -0.4 PSD_TOL it succeeds on its own
+    validate_state(_with_smallest_eigenvalue(factor * PSD_TOL))
+    assert len(eigvalsh_calls) == eigvalsh_needed
+
+
+def test_validate_state_accepts_a_pure_state(eigvalsh_calls):
+    validate_state(make_state(StateSpec(kind="cubic_phase", gamma=0.1, N=64)))
+    assert eigvalsh_calls == []

@@ -4,13 +4,15 @@
 
 Runs every preset in configs/ in quick mode through sweep, reconstruct
 and certify, with seed 31 and once each at --threads 1, 2 and 4, and
-through state-info once, with the package imported from DIR/src
-(default: the checkout this script sits in).  Every file a run
-writes and its stdout are hashed after masking what legitimately
-differs between runs: the value of each "wall_clock_s" key, the
-timings printed to stdout, and the output directory.  The lines read
-"<sha256>  <preset>/<command>/t<threads>/<file>", so two checkouts are
-compared with diff:
+runs state-info on a fixed state family (vacuum, coherent, thermal,
+cubic and displaced cubic, each at N = 64 and 128), with the package
+imported from DIR/src (default: the checkout this script sits in).
+Every file a run writes and its stdout are hashed after masking what
+legitimately differs between runs: the value of each "wall_clock_s"
+key, the timings printed to stdout, and the output directory.  The
+lines read "<sha256>  <preset>/<command>/t<threads>/<file>" and
+"<sha256>  state-info/<state>/stdout", so two checkouts are compared
+with diff:
 
     python3 tools/output_digests.py --repo A > a.txt
     python3 tools/output_digests.py --repo B > b.txt
@@ -33,9 +35,21 @@ from pathlib import Path
 
 SEED = 31
 THREAD_COUNTS = (1, 2, 4)
-# (command, threads) of every run per preset; state-info samples nothing
+# (command, threads) of every run per preset
 RUNS = [(command, threads) for command in ("sweep", "reconstruct", "certify")
-        for threads in THREAD_COUNTS] + [("state-info", 1)]
+        for threads in THREAD_COUNTS]
+# The presets all build one cubic state, so state-info runs on its own
+# family; it samples nothing, so one thread count is enough.
+CUBIC = {"kind": "cubic_phase", "gamma": "0.1"}
+STATES = {
+    "vacuum": {"kind": "vacuum"},
+    "coherent": {"kind": "coherent", "beta": "1.2-0.8j"},
+    "thermal": {"kind": "thermal", "n_bar": "0.7"},
+    "cubic": CUBIC,
+    "displaced": {"kind": "displaced", "alpha": "0.3+0.4j",
+                  **{f"inner.{k}": v for k, v in CUBIC.items()}},
+}
+STATE_N = (64, 128)
 WALL_CLOCK = re.compile(rb'("wall_clock_s": )[-+0-9.eE]+')
 PRINTED_SECONDS = re.compile(rb"(\[| in )\d+\.\d+ s")
 
@@ -46,9 +60,15 @@ def masked(data: bytes, out_dir: str) -> bytes:
     return PRINTED_SECONDS.sub(rb"\1<seconds>", data)
 
 
-def run(repo: Path, preset: Path, command: str, threads: int, out_dir: Path) -> bytes:
+def state_config(path: Path, keys: dict, N: int) -> Path:
+    keys = dict(keys, N=N, **({"inner.N": N} if "inner.kind" in keys else {}))
+    path.write_text("".join(f"state.{k} = {v}\n" for k, v in keys.items()), encoding="utf-8")
+    return path
+
+
+def run(repo: Path, config: Path, command: str, threads: int, out_dir: Path) -> bytes:
     env = dict(os.environ, PYTHONPATH=str(repo / "src"))
-    argv = [sys.executable, "-m", "nlsqueeze", command, "--config", str(preset),
+    argv = [sys.executable, "-m", "nlsqueeze", command, "--config", str(config),
             "--out", str(out_dir), "--seed", str(SEED), "--mode", "quick",
             "--threads", str(threads)]
     proc = subprocess.run(argv, env=env, capture_output=True, cwd=repo)
@@ -70,11 +90,18 @@ def main(argv=None) -> int:
                 out_dir = Path(tmp) / f"{preset.stem}-{command}-t{threads}"
                 label = f"{preset.stem}/{command}/t{threads}"
                 files = {"stdout": run(repo, preset, command, threads, out_dir)}
-                # state-info writes no files, so its out_dir never exists
                 files.update((p.name, p.read_bytes()) for p in sorted(out_dir.glob("*")))
                 for name, data in files.items():
                     digest = hashlib.sha256(masked(data, str(out_dir))).hexdigest()
                     print(f"{digest}  {label}/{name}", flush=True)
+        for N in STATE_N:
+            for state, keys in STATES.items():
+                label = f"{state}{N}"
+                config = state_config(Path(tmp) / f"{label}.cfg", keys, N)
+                out_dir = Path(tmp) / f"state-info-{label}"  # never written
+                stdout = run(repo, config, "state-info", 1, out_dir)
+                digest = hashlib.sha256(masked(stdout, str(out_dir))).hexdigest()
+                print(f"{digest}  state-info/{label}/stdout", flush=True)
     return 0
 
 
