@@ -157,12 +157,17 @@ class QuantumState:
 
 
 def validate_state(state: QuantumState) -> QuantumState:
-    """Check Hermiticity, unit trace, positivity and truncation leakage.
+    """Check finite entries, Hermiticity, unit trace, positivity and
+    truncation leakage.
 
-    Positivity: a Cholesky factorisation of rho + (PSD_TOL/2) I, and the
-    smallest eigenvalue against -PSD_TOL only when that fails.
+    Finite entries come first: every later test compares against a
+    tolerance, which NaN would pass.  Positivity: a Cholesky
+    factorisation of rho + (PSD_TOL/2) I, and the smallest eigenvalue
+    against -PSD_TOL only when that fails.
     """
     rho = state.rho
+    if not np.isfinite(rho).all():
+        raise StateError("density matrix has a non-finite entry")
     herm = float(np.max(np.abs(rho - rho.conj().T)))
     if herm > HERMITICITY_TOL:
         raise HermiticityError(f"density matrix asymmetry {herm:.2e} > {HERMITICITY_TOL:g}")

@@ -29,10 +29,10 @@ import numpy as np
 
 from .errors import ConfigError, GridError, NumericsError
 from .estimate import MIN_REPLICATES, MIN_SAMPLES, EnsembleReport, derive_seed, ensemble_run
-from .hilbert import PositionGrid
+from .hilbert import PositionGrid, default_grid
 from .nlsq import (MINUS, P, PHASE_ORDERS, PLUS, Q, assemble_curve, classical_threshold,
                    exact_moment_set, resource_condition)
-from .readout import ChannelParams, sampling_tables
+from .readout import ChannelParams, channel_coefficients, noise_variance, sampling_tables
 from .states import StateSpec, make_state
 
 AXES = ("thermalisation_rate", "interaction_time", "cooperativity")
@@ -323,12 +323,31 @@ def analytic_overlay(spec: StateSpec, state, lambdas: np.ndarray) -> np.ndarray:
     return assemble_curve(exact_moment_set(state))(lambdas)
 
 
+def _check_lattice(config: ExperimentConfig, points):
+    """Reject a point whose gain spreads the grid nodes wider than the
+    channel noise can smooth: |c_Q| dx <= sigma_W / 2, where sigma_W is
+    the noise deviation, keeps the lattice ripple in the density of
+    Y_out below about e^{-79} (Poisson summation)."""
+    spec = config.state_spec
+    while spec.inner is not None:  # a displaced state is sampled at inner.N
+        spec = spec.inner
+    dx = (config.grid or default_grid(spec.N)).spacing
+    for sv, channel, _ in points:
+        coeffs = channel_coefficients(channel)
+        sigma_w = math.sqrt(noise_variance(coeffs, channel.n_bar))
+        if abs(coeffs.c_Q) * dx > 0.5 * sigma_w:
+            raise ConfigError(
+                f"sweep value {sv:g}: |c_Q| dx = {abs(coeffs.c_Q) * dx:.3g} exceeds half "
+                f"the noise deviation {sigma_w:.3g}; raise grid.points")
+
+
 def _run_points(config: ExperimentConfig, points, threads: int = 1,
                 overlay: bool = True) -> SweepReport:
-    """Build the state, its sampling tables and the lambda grid once, then
-    run one ensemble per (sweep_value, channel, seed) in points.  With
-    overlay=False the analytic curve is not computed and v_analytic stays
-    None."""
+    """Check every point's lattice ratio, then build the state, its
+    sampling tables and the lambda grid once, and run one ensemble per
+    (sweep_value, channel, seed) in points.  With overlay=False the
+    analytic curve is not computed and v_analytic stays None."""
+    _check_lattice(config, points)
     t0 = perf_counter()
     state = make_state(config.state_spec, grid=config.grid)
     tables = sampling_tables(state, config.grid)

@@ -345,6 +345,15 @@ def test_validate_state_rejects_bad_trace():
         validate_state(QuantumState(rho=rho))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_validate_state_rejects_a_non_finite_entry(bad):
+    # every tolerance test compares with > or <, which NaN passes
+    rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+    rho[2, 2] = bad
+    with pytest.raises(StateError, match="non-finite"):
+        validate_state(QuantumState(rho=rho))
+
+
 def test_validate_state_rejects_negative():
     rho = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
     with pytest.raises(StateError, match="smallest eigenvalue"):

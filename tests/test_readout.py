@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlsqueeze.hilbert import quadrature_moment
-from nlsqueeze.nlsq import HALF_PI, PHASE_ORDERS
+from nlsqueeze.estimate import mixed_moment_recovery
+from nlsqueeze.hilbert import default_grid, marginal_density, quadrature_moment
+from nlsqueeze.nlsq import HALF_PI, PHASE_ORDERS, MomentSet, assemble_curve, exact_moment_set
 from nlsqueeze.readout import (
     GUIDE_BUCKETS,
     SAMPLE_BLOCK,
@@ -214,7 +215,9 @@ def test_sampler_follows_the_documented_stream(n):
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, b))))
         u = rng.random(SAMPLE_BLOCK)
         z = rng.standard_normal(SAMPLE_BLOCK)
-        ref.append(co.c_Q * table.quadrature(u) + noise_std * z)
+        # the binary search the guide table replaces, then the cell's node
+        ref.append(co.c_Q * table.x[np.searchsorted(table.cdf, u, side="right") - 1]
+                   + noise_std * z)
     ref = np.concatenate(ref)[:n]
     np.testing.assert_array_equal(sample_homodyne(table, co.c_Q, n, seed, noise_std), ref)
 
@@ -230,15 +233,14 @@ def test_sampler_rejects_bad_count():
                                   StateSpec(kind="cubic_phase", gamma=0.1, N=128)],
                          ids=["vacuum", "thermal", "coherent", "cubic"])
 def test_guided_lookup_equals_binary_search(spec):
-    # the reference is the binary search the guide table replaces, with
-    # the linear draw inside the cell it selects
+    # the reference is the binary search the guide table replaces
     rng = np.random.default_rng(61)
     state = make_state(spec)
     for table, (phi, _) in zip(sampling_tables(state), PHASE_ORDERS, strict=True):
         F = table.cdf
         # the tables come in schedule-row order
         np.testing.assert_array_equal(F, inverse_cdf_table(state, phi).cdf)
-        assert F[0] == 0.0 and F[-1] == 1.0
+        assert F.shape == (table.x.size + 1,) and F[0] == 0.0 and F[-1] == 1.0
         assert table.guide.shape == (GUIDE_BUCKETS,)
         if spec.kind == "cubic_phase":
             # each bucket carries probability 1 / GUIDE_BUCKETS, and the
@@ -251,11 +253,50 @@ def test_guided_lookup_equals_binary_search(spec):
         u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], F, plateau, np.nextafter(F, 0.0),
                             buckets, np.nextafter(buckets, 0.0), rng.random(200_000)])
         u = u[(u >= 0.0) & (u < 1.0)]  # the sampler's uniforms lie in [0, 1)
-        idx = np.searchsorted(F, u, side="right")
-        np.testing.assert_array_equal(table.cell(u), idx - 1)
-        f0 = F[idx - 1]
-        ref = table.x[idx - 1] + (u - f0) / (F[idx] - f0) * table.dx
-        np.testing.assert_array_equal(table.quadrature(u), ref)
+        np.testing.assert_array_equal(table.cell(u), np.searchsorted(F, u, side="right") - 1)
+
+
+def test_noiseless_samples_are_scaled_grid_nodes():
+    table = inverse_cdf_table(cubic_state(), 0.0)
+    c_Q = channel_coefficients(STANDARD).c_Q
+    y = sample_homodyne(table, c_Q, SAMPLE_BLOCK + 1000, 5, 0.0)
+    assert np.isin(y, c_Q * table.x).all()
+    assert np.unique(y).size > 100
+
+
+# one state of each kind the sampler must reproduce exactly, displaced
+# around a cubic state so that every schedule row has odd moments
+MOMENT_STATES = [StateSpec(kind="cubic_phase", gamma=0.1, N=128),
+                 StateSpec(kind="coherent", beta=1.2 - 0.8j, N=64),
+                 StateSpec(kind="thermal", n_bar=0.7, N=64),
+                 StateSpec(kind="displaced", alpha=0.3 + 0.4j, N=96,
+                           inner=StateSpec(kind="cubic_phase", gamma=0.1, N=96))]
+
+
+@pytest.mark.parametrize("spec", MOMENT_STATES, ids=["cubic", "coherent", "thermal",
+                                                     "displaced"])
+def test_tables_carry_the_exact_moments(spec):
+    # the distribution the sampler draws Q from has the state's moments:
+    # node j with probability diff(cdf)_j, so the sampled V(lambda) is the
+    # certified one
+    state = make_state(spec)
+    grid = default_grid(state.dim)
+    sampled = MomentSet()
+    for k, (table, (phi, order)) in enumerate(zip(sampling_tables(state), PHASE_ORDERS,
+                                                  strict=True)):
+        weights = np.diff(table.cdf)
+        dens = marginal_density(state, phi, grid)
+        np.testing.assert_allclose(weights, dens / dens.sum(), rtol=0, atol=1e-13)
+        for n in range(1, order + 1):
+            value = float(weights @ table.x ** n)
+            exact = quadrature_moment(state, phi, n)
+            assert abs(value - exact) <= 1e-11 * max(1.0, abs(exact)), (k, n)
+            sampled.values[k, n] = value
+        sampled.errors[k, 1:order + 1] = 0.0
+    sampled.mixed, sampled.mixed_error = mixed_moment_recovery(sampled)
+    lam = np.linspace(-0.2, 0.4, 101)
+    exact_v = assemble_curve(exact_moment_set(state))(lam)
+    np.testing.assert_allclose(assemble_curve(sampled)(lam), exact_v, rtol=1e-11, atol=0)
 
 
 def test_sample_mean_and_variance_vacuum():

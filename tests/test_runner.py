@@ -523,6 +523,40 @@ def test_cli_rejects_bad_numbers(tmp_path, capsys, command, edits, argv, key):
     assert not out.exists()  # rejected before any sampling or output
 
 
+@pytest.mark.parametrize("command, value", [("sweep", "1e-07"), ("reconstruct", "0"),
+                                            ("certify", "0")])
+def test_cli_rejects_a_coarse_lattice_before_building_the_state(tmp_path, capsys,
+                                                                monkeypatch, command, value):
+    # |c_Q| dx = 8.94 * 36/256 = 1.26 > sigma_W / 2 = 0.35 at every point
+    calls = []
+    monkeypatch.setattr(runner, "make_state", lambda *a, **k: calls.append(a))
+    text = FULL_TEXT.replace("mode = full", "mode = full\ngrid.extent = 18\ngrid.points = 257")
+    out = tmp_path / "out"
+    rc = main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)])
+    assert rc == 2 and calls == []
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "grid.points" in err
+    assert f"sweep value {value}:" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("points, rejected", [(900, True), (920, False)])
+def test_lattice_guard_sits_at_half_the_noise_deviation(monkeypatch, points, rejected):
+    # at sweep value 1e-7, |c_Q| dx / sigma_W is 0.505 with 900 points and
+    # 0.494 with 920; the other point stays near 0.4
+    class Built(Exception):
+        pass
+
+    def built(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(runner, "make_state", built)
+    config = parse_config(FULL_TEXT.replace(
+        "mode = full", f"mode = full\ngrid.extent = 18\ngrid.points = {points}"))
+    with pytest.raises(ConfigError if rejected else Built, match="1e-07" if rejected else None):
+        run_sweep(config)
+
+
 def test_cli_numerical_error_exit_code(tmp_path):
     cfg = write_cfg(tmp_path, "state.kind = cubic_phase\nstate.gamma = 0.35\nstate.N = 24\n")
     rc = main(["state-info", "--config", cfg])
