@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChannelConditionError, DataError
-from .nlsq import MINUS, P, PHASE_ORDERS, PLUS, MomentSet, assemble_curve
+from .nlsq import PHASE_ORDERS, MomentSet, assemble_curve, mixed_moment_recovery
 from .readout import (
     SAMPLE_BLOCK,
     ChannelCoefficients,
@@ -120,23 +120,6 @@ def invert_hierarchy(means, std_errors, coeffs: ChannelCoefficients, n_bar: floa
         J[n] = (J[n] - H[n, :n] @ J[:n]) / H[n, n]
         q_errors[n - 1] = math.sqrt(J[n, 1:] ** 2 @ var_y)
     return q[1:], q_errors
-
-
-def mixed_moment_recovery(m: MomentSet):
-    """Symmetrized mixed moment from the rotated third moments.
-
-    <p q^2 + q^2 p> = (2 sqrt(2)/3)(<Q^3_{pi/4}> - <Q^3_{-pi/4}>)
-                      - (2/3) <p^3>,
-    with the +-iq commutator terms cancelling in the difference, read
-    from the order-3 entries of the rows PLUS, MINUS and P.
-    Returns (value, std_error).
-    """
-    c = 2.0 * math.sqrt(2.0) / 3.0
-    plus, minus, p3 = m.values[[PLUS, MINUS, P], 3].tolist()
-    s_plus, s_minus, s_p3 = m.errors[[PLUS, MINUS, P], 3].tolist()
-    value = c * (plus - minus) - (2.0 / 3.0) * p3
-    err = math.sqrt(c ** 2 * (s_plus ** 2 + s_minus ** 2) + (2.0 / 3.0) ** 2 * s_p3 ** 2)
-    return value, err
 
 
 def run_reconstruction(tables: tuple[InverseCDF, ...], params: ChannelParams,

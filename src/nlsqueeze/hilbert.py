@@ -20,8 +20,6 @@ import numpy as np
 
 from .errors import GridError, HermiticityError, StateError, TruncationError
 
-_TWO_PI = 2.0 * math.pi
-
 # Half-width margin (beyond the classical turning point sqrt(2N+1)) needed
 # for the discrete Gram matrix of the first N Hermite functions to be the
 # identity within 1e-8.  Measured: margin 1.5 gives defect ~1e-9 at N=128,
@@ -37,19 +35,6 @@ IMAG_TOL = 1e-10
 MAX_MOMENT_ORDER = 8
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
-
-
-def canonical_phase(phi: float) -> float:
-    """Reduce a quadrature phase to the representative interval (-pi, pi].
-
-    Float reduction of phi + 2*pi*k cannot reproduce phi to the last bit,
-    so periodicity holds to ~1 ulp of 2*pi rather than exactly; see the
-    rotation-periodicity test for the quantitative statement.
-    """
-    r = math.remainder(float(phi), _TWO_PI)
-    if r <= -math.pi:
-        r += _TWO_PI
-    return r
 
 
 @dataclass(frozen=True)
@@ -190,22 +175,15 @@ def validate_state(state: QuantumState) -> QuantumState:
     return state
 
 
-@lru_cache(maxsize=64)
-def quadrature_matrix(N: int, phi: float) -> np.ndarray:
-    """Dense Q_phi = (b e^{-i phi} + b† e^{i phi})/sqrt(2) at dimension N."""
-    n = np.arange(1, N)
-    Q = np.zeros((N, N), dtype=complex)
-    amp = np.sqrt(n / 2.0)
-    Q[n - 1, n] = amp * np.exp(-1j * phi)
-    Q[n, n - 1] = amp * np.exp(1j * phi)
-    return Q
-
-
 @lru_cache(maxsize=32)
 def _power_bands(N: int, n: int) -> tuple:
     """Nonzero diagonals of the real banded Q_0^n at dimension N, as
-    (d, (Q_0^n)[m-d, m] over m) for d = -n, -n+2, ..., n."""
-    Qn = np.linalg.matrix_power(quadrature_matrix(N, 0.0).real, n)
+    (d, (Q_0^n)[m-d, m] over m) for d = -n, -n+2, ..., n, where
+    Q_0[k-1, k] = Q_0[k, k-1] = sqrt(k/2)."""
+    k = np.arange(1, N)
+    Q0 = np.zeros((N, N))
+    Q0[k - 1, k] = Q0[k, k - 1] = np.sqrt(k / 2.0)
+    Qn = np.linalg.matrix_power(Q0, n)
     return tuple((d, np.diagonal(Qn, d).copy()) for d in range(-n, n + 1, 2))
 
 
@@ -221,7 +199,7 @@ def quadrature_moment(state: QuantumState, phi: float, n: int) -> float:
     ----------
     state : QuantumState
     phi : float
-        Quadrature phase in radians (reduced mod 2 pi internally).
+        Quadrature phase in radians.
     n : int
         Moment order, 0 <= n <= MAX_MOMENT_ORDER.
 
@@ -244,10 +222,9 @@ def quadrature_moment(state: QuantumState, phi: float, n: int) -> float:
             f"top-{n} Fock tail holds population {tail:.2e} > {LEAK_TOL:g}; "
             "the moment is not trustworthy at this dimension"
         )
-    phi_c = canonical_phase(phi)
     # sum_d e^{-i phi d} sum_m rho[m, m-d] (Q_0^n)[m-d, m], kept complex
     # over +-d so that a non-Hermitian rho leaves an imaginary residue
-    val = complex(sum(np.exp(-1j * phi_c * d) * np.dot(np.diagonal(state.rho, -d), band)
+    val = complex(sum(np.exp(-1j * phi * d) * np.dot(np.diagonal(state.rho, -d), band)
                       for d, band in _power_bands(N, n)))
     if abs(val.imag) > IMAG_TOL * max(1.0, abs(val.real)):
         raise HermiticityError(
@@ -272,9 +249,8 @@ def marginal_density(state: QuantumState, phi: float, grid: PositionGrid) -> np.
         from 1 by more than 1e-4.
     """
     basis = build_basis(state.dim, grid)
-    phi_c = canonical_phase(phi)
     m = np.arange(state.dim)
-    phase = np.exp(-1j * phi_c * m)
+    phase = np.exp(-1j * phi * m)
     # .real strides 16 bytes; the copy keeps matmul on BLAS under numpy 1.x.
     rho_rot = np.ascontiguousarray((phase[:, None] * state.rho * phase.conj()).real)
     dens = np.einsum("mj,mj->j", basis, rho_rot @ basis)

@@ -14,12 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .errors import HermiticityError
-from .hilbert import IMAG_TOL, QuantumState, quadrature_matrix, quadrature_moment
+from .hilbert import QuantumState, quadrature_moment
 
 HALF_PI = math.pi / 2.0
 QUARTER_PI = math.pi / 4.0
@@ -39,8 +37,8 @@ class MomentSet:
     values[k, n] is <Q_phi^n> at phi = PHASE_ORDERS[k][0], addressed by
     the rows Q, P, PLUS, MINUS; entries outside 1 <= n <= the row's top
     order stay NaN.  The symmetrized mixed moment <p q^2 + q^2 p> has no
-    (row, order) entry; it sits in mixed and mixed_error, set exactly or
-    from estimate.mixed_moment_recovery.
+    (row, order) entry; it sits in mixed and mixed_error, set from
+    mixed_moment_recovery.
     """
 
     def __init__(self):
@@ -70,6 +68,23 @@ class NlsCurve:
         return np.sqrt(
             self.a0_err ** 2 + (lam * self.a1_err) ** 2 + (lam * lam * self.a2_err) ** 2
         )
+
+
+def mixed_moment_recovery(m: MomentSet):
+    """Symmetrized mixed moment from the rotated third moments.
+
+    <p q^2 + q^2 p> = (2 sqrt(2)/3)(<Q^3_{pi/4}> - <Q^3_{-pi/4}>)
+                      - (2/3) <p^3>,
+    with the +-iq commutator terms cancelling in the difference, read
+    from the order-3 entries of the rows PLUS, MINUS and P.
+    Returns (value, std_error).
+    """
+    c = 2.0 * math.sqrt(2.0) / 3.0
+    plus, minus, p3 = m.values[[PLUS, MINUS, P], 3].tolist()
+    s_plus, s_minus, s_p3 = m.errors[[PLUS, MINUS, P], 3].tolist()
+    value = c * (plus - minus) - (2.0 / 3.0) * p3
+    err = math.sqrt(c ** 2 * (s_plus ** 2 + s_minus ** 2) + (2.0 / 3.0) ** 2 * s_p3 ** 2)
+    return value, err
 
 
 def assemble_curve(m: MomentSet) -> NlsCurve:
@@ -113,29 +128,14 @@ def resource_condition(gamma: float, gamma_G: float) -> bool:
     return 0.5 * (1.0 + 9.0 * (gamma - gamma_G) ** 2) < 0.5 * (1.0 + 9.0 * gamma_G ** 2)
 
 
-@lru_cache(maxsize=8)
-def _mixed_operator(N: int) -> np.ndarray:
-    q = quadrature_matrix(N, 0.0)
-    p = quadrature_matrix(N, HALF_PI)
-    qq = q @ q
-    return p @ qq + qq @ p
-
-
-def exact_mixed_moment(state: QuantumState) -> float:
-    """tr(rho (p q^2 + q^2 p)) evaluated with dense operators."""
-    val = complex(np.einsum("ij,ji->", state.rho, _mixed_operator(state.dim)))
-    if abs(val.imag) > IMAG_TOL * max(1.0, abs(val.real)):
-        raise HermiticityError(f"imaginary residue {val.imag:.2e} in mixed moment")
-    return val.real
-
-
 def exact_moment_set(state: QuantumState) -> MomentSet:
     """MomentSet of exact truncated-Fock moments over the whole schedule,
-    mixed moment included, every error 0."""
+    every error 0; the mixed moment is recovered from its own rows, as
+    a reconstruction recovers it."""
     m = MomentSet()
     for k, (phi, order) in enumerate(PHASE_ORDERS):
         for n in range(1, order + 1):
             m.values[k, n] = quadrature_moment(state, phi, n)
         m.errors[k, 1:order + 1] = 0.0
-    m.mixed, m.mixed_error = exact_mixed_moment(state), 0.0
+    m.mixed, m.mixed_error = mixed_moment_recovery(m)
     return m

@@ -132,7 +132,7 @@ class ExperimentConfig:
     gamma_G: float | None = None        # gate nonlinearity of the resource verdict
     k_sigma: float = 3.0
     grid_extent: float | None = None    # both or neither; the grid must cover
-    grid_points: int | None = None      # state.N and state.inner.N
+    grid_points: int | None = None      # the state's dimension, StateSpec.dim
     out_dir: str = "."
     mode: str = "full"                  # quick caps count and R
     grid: PositionGrid | None = field(init=False, default=None, repr=False, compare=False)
@@ -143,10 +143,7 @@ class ExperimentConfig:
         if self.grid_extent is not None:
             try:
                 self.grid = PositionGrid(self.grid_extent, self.grid_points)
-                level = self.state_spec
-                while level is not None:  # a displaced state is sampled at inner.N
-                    self.grid.validate_for(level.N)
-                    level = level.inner
+                self.grid.validate_for(self.state_spec.dim)
             except GridError as exc:
                 raise ValueError(f"invalid grid.extent / grid.points: {exc}") from None
         spec = self.state_spec
@@ -328,10 +325,7 @@ def _check_lattice(config: ExperimentConfig, points):
     channel noise can smooth: |c_Q| dx <= sigma_W / 2, where sigma_W is
     the noise deviation, keeps the lattice ripple in the density of
     Y_out below about e^{-79} (Poisson summation)."""
-    spec = config.state_spec
-    while spec.inner is not None:  # a displaced state is sampled at inner.N
-        spec = spec.inner
-    dx = (config.grid or default_grid(spec.N)).spacing
+    dx = (config.grid or default_grid(config.state_spec.dim)).spacing
     for sv, channel, _ in points:
         coeffs = channel_coefficients(channel)
         sigma_w = math.sqrt(noise_variance(coeffs, channel.n_bar))

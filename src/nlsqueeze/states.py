@@ -34,7 +34,8 @@ class StateSpec:
 
     kind selects the family; beta, n_bar, gamma, alpha are the
     kind-specific parameters; N is the truncation dimension.  A displaced
-    state wraps an inner spec and applies the displacement alpha to it.
+    state wraps an inner spec and applies the displacement alpha to it,
+    so its state has the inner dimension (dim) and N plays no part.
     """
 
     kind: str
@@ -66,6 +67,11 @@ class StateSpec:
             )
         if self.kind == "displaced" and self.inner is None:
             raise ValueError("displaced state needs an inner StateSpec")
+
+    @property
+    def dim(self) -> int:
+        """Dimension of the state built from this spec."""
+        return self.N if self.inner is None else self.inner.dim
 
 
 def _vacuum(N: int) -> np.ndarray:
@@ -101,7 +107,7 @@ def make_state(spec: StateSpec, grid: PositionGrid | None = None) -> QuantumStat
     spec : StateSpec
     grid : PositionGrid, optional
         Needed for the cubic phase construction; defaults to
-        default_grid(spec.N).
+        default_grid(spec.dim).
 
     Raises
     ------
@@ -111,7 +117,7 @@ def make_state(spec: StateSpec, grid: PositionGrid | None = None) -> QuantumStat
     """
     N = spec.N
     if grid is None:
-        grid = default_grid(N)
+        grid = default_grid(spec.dim)
 
     if spec.kind == "vacuum":
         state = QuantumState(rho=_vacuum(N))

@@ -11,7 +11,6 @@ from nlsqueeze.estimate import (
     empirical_moments,
     ensemble_run,
     invert_hierarchy,
-    mixed_moment_recovery,
     run_reconstruction,
 )
 from nlsqueeze.hilbert import quadrature_moment
@@ -25,6 +24,7 @@ from nlsqueeze.nlsq import (
     MomentSet,
     assemble_curve,
     exact_moment_set,
+    mixed_moment_recovery,
 )
 from nlsqueeze.readout import (SAMPLE_BLOCK, ChannelParams, channel_coefficients,
                                forward_output_moments, sampling_tables)

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from nlsqueeze.errors import GridError, HermiticityError, StateError, TruncationError
 from nlsqueeze.hilbert import (
@@ -11,7 +10,6 @@ from nlsqueeze.hilbert import (
     PositionGrid,
     QuantumState,
     build_basis,
-    canonical_phase,
     default_grid,
     displace,
     marginal_density,
@@ -24,28 +22,6 @@ from nlsqueeze.states import StateSpec, make_state
 import oracles
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
-
-
-# ------------------------------------------------------------- phases
-
-def test_canonical_phase_range():
-    for phi in (-10.0, -math.pi, 0.0, 1.0, math.pi, 12.5):
-        c = canonical_phase(phi)
-        assert -math.pi < c <= math.pi
-
-
-@given(st.floats(min_value=-50.0, max_value=50.0))
-def test_canonical_phase_periodic(phi):
-    a = canonical_phase(phi)
-    b = canonical_phase(phi + 2.0 * math.pi)
-    # float 2*pi is not the exact period, so a 1-ulp-scale slack is needed
-    assert abs(a - b) < 2e-13 or abs(abs(a - b) - 2.0 * math.pi) < 2e-13
-
-
-def test_canonical_phase_fixed_points():
-    assert canonical_phase(0.0) == 0.0
-    assert canonical_phase(math.pi) == math.pi
-    assert canonical_phase(-math.pi) == math.pi
 
 
 # ------------------------------------------------------------- grids
@@ -235,7 +211,7 @@ def _complex_route_marginal(st_, phi, g):
     # sum_{mn} rho'_{mn} h_m h_n in complex arithmetic, rho' rotated by
     # the diagonal Fock phase, before the density guards
     h = build_basis(st_.dim, g)
-    phase = np.exp(-1j * canonical_phase(phi) * np.arange(st_.dim))
+    phase = np.exp(-1j * phi * np.arange(st_.dim))
     rho_rot = phase[:, None] * st_.rho * phase.conj()[None, :]
     return np.einsum("mj,mj->j", h, rho_rot @ h).real
 

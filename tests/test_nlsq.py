@@ -16,8 +16,8 @@ from nlsqueeze.nlsq import (
     NlsCurve,
     assemble_curve,
     classical_threshold,
-    exact_mixed_moment,
     exact_moment_set,
+    mixed_moment_recovery,
     resource_condition,
     second_moment,
 )
@@ -198,20 +198,32 @@ def test_coherent_mixtures_respect_threshold(components):
 
 # ------------------------------------------------------------- mixed moment
 
-def test_mixed_moment_identity():
-    # operator route versus the rotated-cube combination it is estimated by
-    st_ = make_state(StateSpec(kind="cubic_phase", gamma=0.1, N=128))
+CUBIC = StateSpec(kind="cubic_phase", gamma=0.1, N=128)
+
+
+@pytest.mark.parametrize("spec", [
+    CUBIC,
+    StateSpec(kind="coherent", beta=1.2 - 0.8j, N=64),
+    StateSpec(kind="thermal", n_bar=0.7, N=64),
+    StateSpec(kind="displaced", alpha=0.3 + 0.4j, N=96,
+              inner=StateSpec(kind="cubic_phase", gamma=0.1, N=96)),
+], ids=["cubic", "coherent", "thermal", "displaced"])
+def test_mixed_moment_identity(spec):
+    # the exact set recovers the mixed moment from its own rotated third
+    # moments, as a reconstruction does; the dense operator is the oracle
+    st_ = make_state(spec)
     m = exact_moment_set(st_)
-    c = 2.0 * math.sqrt(2.0) / 3.0
-    via_rotation = (c * (m.values[PLUS, 3] - m.values[MINUS, 3])
-                    - (2.0 / 3.0) * m.values[P, 3])
-    assert exact_mixed_moment(st_) == pytest.approx(via_rotation, abs=1e-10)
-    assert exact_mixed_moment(st_) == pytest.approx(0.45, abs=1e-6)
+    assert m.mixed == mixed_moment_recovery(m)[0]
+    assert m.mixed == pytest.approx(oracles.oracle_mixed(st_.rho), abs=1e-12)
+
+
+def test_mixed_moment_closed_form():
+    # p -> p + 3 gamma q^2 on the vacuum: <p q^2 + q^2 p> = 6 gamma <q^4> = 0.45
+    assert exact_moment_set(make_state(CUBIC)).mixed == pytest.approx(0.45, abs=1e-6)
 
 
 def test_mixed_moment_oracle():
     rho = oracles.oracle_cubic(0.2, 128)
     st_ = make_state(StateSpec(kind="cubic_phase", gamma=0.2, N=128))
-    assert exact_mixed_moment(st_) == pytest.approx(
+    assert exact_moment_set(st_).mixed == pytest.approx(
         oracles.oracle_mixed(rho), abs=1e-7)
-

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlsqueeze.estimate import mixed_moment_recovery
 from nlsqueeze.hilbert import default_grid, marginal_density, quadrature_moment
-from nlsqueeze.nlsq import HALF_PI, PHASE_ORDERS, MomentSet, assemble_curve, exact_moment_set
+from nlsqueeze.nlsq import (HALF_PI, PHASE_ORDERS, MomentSet, assemble_curve, exact_moment_set,
+                            mixed_moment_recovery)
 from nlsqueeze.readout import (
     GUIDE_BUCKETS,
     SAMPLE_BLOCK,

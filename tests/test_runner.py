@@ -10,6 +10,7 @@ import pytest
 
 from nlsqueeze import readout, runner
 from nlsqueeze.errors import ConfigError
+from nlsqueeze.hilbert import default_grid
 from nlsqueeze.runner import (
     PLOT_HEADER,
     SWEEP_HEADER,
@@ -169,6 +170,14 @@ def test_parse_grid_needs_both_entries():
                  "grid.extent = -1\ngrid.points = 2048\n"):
         with pytest.raises(ConfigError):
             parse_config("state.kind = vacuum\n" + grid)
+
+
+def test_parse_grid_is_checked_at_the_inner_dimension():
+    # the grid covers inner N = 192 but not the unused outer N = 256
+    cfg = parse_config("state.kind = displaced\nstate.alpha = 0.1\nstate.N = 256\n"
+                       "state.inner.kind = cubic_phase\nstate.inner.gamma = 0.1\n"
+                       "state.inner.N = 192\ngrid.extent = 22\ngrid.points = 2503\n")
+    assert cfg.grid == default_grid(192)
 
 
 def test_parse_rejects_invalid_state():
@@ -468,6 +477,16 @@ def test_cli_state_info(tmp_path, capsys):
     assert rc == 0
     out = json.loads(capsys.readouterr().out)
     assert out["curve"]["a2"] == pytest.approx(4.5, abs=1e-4)
+
+
+def test_cli_state_info_of_a_displaced_state_needs_no_outer_N(tmp_path, capsys):
+    # inner N = 192 outgrows the extent-18 grid of the default outer N = 128
+    cfg = write_cfg(tmp_path, "state.kind = displaced\nstate.alpha = 0.3+0.4j\n"
+                    "state.inner.kind = cubic_phase\nstate.inner.gamma = 0.1\n"
+                    "state.inner.N = 192\n")
+    rc = main(["state-info", "--config", cfg])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["state"]["N"] == 128
 
 
 def test_cli_missing_config_file(tmp_path):

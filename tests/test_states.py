@@ -166,6 +166,16 @@ def test_displaced_cubic_momentum_shift():
         quadrature_moment(base, 0.0, 2), abs=1e-7)
 
 
+def test_displaced_state_is_built_at_the_inner_dimension():
+    # the outer N plays no part: the default grid follows the inner N = 192
+    inner = StateSpec(kind="cubic_phase", gamma=0.1, N=192)
+    built = [make_state(StateSpec(kind="displaced", alpha=0.3 + 0.4j, inner=inner, N=N))
+             for N in (128, 192, 256)]
+    for st in built:
+        np.testing.assert_array_equal(st.rho, built[1].rho)
+        assert st.leakage == built[1].leakage
+
+
 # ------------------------------------------------------------- grids
 
 def test_custom_grid_accepted():

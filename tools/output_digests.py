@@ -5,7 +5,7 @@
 Runs every preset in configs/ in quick mode through sweep, reconstruct
 and certify, with seed 31 and once each at --threads 1, 2 and 4, and
 runs state-info on a fixed state family (vacuum, coherent, thermal,
-cubic and displaced cubic, each at N = 64 and 128), with the package
+cubic and displaced cubic, each at N = 64, 128 and 192), with the package
 imported from DIR/src (default: the checkout this script sits in).
 Every file a run writes and its stdout are hashed after masking what
 legitimately differs between runs: the value of each "wall_clock_s"
@@ -49,7 +49,8 @@ STATES = {
     "displaced": {"kind": "displaced", "alpha": "0.3+0.4j",
                   **{f"inner.{k}": v for k, v in CUBIC.items()}},
 }
-STATE_N = (64, 128)
+# 192 is the first N whose default grid grows past extent 18
+STATE_N = (64, 128, 192)
 WALL_CLOCK = re.compile(rb'("wall_clock_s": )[-+0-9.eE]+')
 PRINTED_SECONDS = re.compile(rb"(\[| in )\d+\.\d+ s")
 
