@@ -269,37 +269,82 @@ def marginal_density(state: QuantumState, phi: float, grid: PositionGrid) -> np.
     return dens
 
 
+def _displacement_block(N: int, r: float) -> np.ndarray:
+    """Real S with the first N x N block of D(alpha) equal to U S U†,
+    U = diag(e^{i theta k}), for alpha = r e^{i theta}, r > 0.
+
+    From the closed form <n+a|D|n> = e^{i a theta} g_n^a for a >= 0, with
+    the normalised Laguerre functions g_n^a = sqrt(n!/(n+a)!) e^{-x/2}
+    x^{a/2} L_n^a(x), x = r^2: S[n+a, n] = g_n^a, and <n|D|n+a> =
+    (-1)^a conj(<n+a|D|n>) gives S[n, n+a] = (-1)^a g_n^a.  The g_n^a
+    run up the three-term recurrence in n, vectorised over a,
+    g_{n+1} sqrt((n+1)(n+1+a)) = (2n+1+a-x) g_n - sqrt(n(n+a)) g_{n-1},
+    from g_0^a = exp(-x/2 + (a/2) log x - log(a!)/2) taken in log space.
+    (The recurrence in m that follows from b D = D (b + alpha) is
+    unstable.)  A column whose start lies below 1/limit runs scaled,
+    g_n^a = h_n^a e^{s_a}, and is renormalised whenever |h| passes
+    `limit`: a start below the float range loses no precision, a large r
+    underflows to 0 rather than giving inf * 0, and one step, which grows
+    |h| at most x + N + 2 fold, cannot overflow.
+    """
+    x = r * r
+    if not x < 1e300:  # |g_n^a| <= e^{-x/2} (4x)^N underflows
+        return np.zeros((N, N))
+    a = np.arange(N)
+    n = a[:, None]
+    den = np.sqrt((n + 1.0) * (n + 1.0 + a))
+    c_now = (2.0 * n + 1.0 + a - x) / den
+    c_prev = np.sqrt(n * (n + a)) / den
+    limit = 1e300 / (x + N + 2.0)
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(N)])
+    log_g0 = -0.5 * x + a * math.log(r) - 0.5 * log_fact
+    s = np.minimum(log_g0 + math.log(limit), 0.0)
+    scaled = bool(s.min() < 0.0)
+    h, h_prev, w = np.exp(log_g0 - s), np.zeros(N), np.exp(s)
+    # row n of G holds g_n^a at column n + a, so G.T is the lower triangle
+    G = np.zeros((N, N))
+    G[0] = h * w
+    for k in range(1, N):
+        h, h_prev = c_now[k - 1] * h - c_prev[k - 1] * h_prev, h
+        if scaled and np.abs(h).max() > limit:
+            f = np.maximum(np.abs(h), 1.0)
+            h, h_prev, s = h / f, h_prev / f, s + np.log(f)
+            w = np.exp(s)
+        G[k, k:] = h[:N - k] * w[:N - k] if scaled else h[:N - k]
+    sign = (-1.0) ** a
+    return G.T + np.triu(sign[:, None] * G * sign, 1)
+
+
 def displace(state: QuantumState, alpha: complex) -> QuantumState:
     """Apply D(alpha) = exp(alpha b† - alpha* b) to the state.
 
-    The exponential is taken in a doubled (2N) space so truncation is
-    measured honestly: the displaced matrix is cut back to N, the lost
-    trace is recorded as leakage, and the result is renormalized.  The
-    Hermitian generator i A = i (alpha b† - alpha* b) equals U T U†,
-    with T real symmetric tridiagonal, T[k, k-1] = |alpha| sqrt(k), and
-    U = diag(e^{i theta k}), theta = arg(alpha) + pi/2.  With the real
-    eigendecomposition T = W diag(w) Wᵀ, D = U W diag(e^{-iw}) Wᵀ U†.
-    The padded state is zero outside its N x N block, so the kept block
-    is D[:N, :N] rho D[:N, :N]†, and only the first N rows of W enter.
+    The kept block is D_N rho D_N†, where D_N is the first N x N block
+    of the exact D(alpha) (see _displacement_block), so the population
+    the displacement carries past level N is lost, never reflected back:
+    the lost trace is recorded as leakage and the block renormalised.
+    D_N = U S U† with S real, so the block is U S (U† rho U) Sᵀ U†, taken
+    as two real products for the real and imaginary parts of U† rho U.
 
     Raises
     ------
     TruncationError
-        If accumulated leakage exceeds LEAK_TOL.
+        If accumulated leakage exceeds LEAK_TOL, or the kept trace is not
+        finite.
     """
     alpha = complex(alpha)
     if alpha == 0:
         return QuantumState(rho=state.rho.copy(), leakage=state.leakage)
     N = state.dim
-    k = np.arange(1, 2 * N)
-    T = np.zeros((2 * N, 2 * N))
-    T[k, k - 1] = T[k - 1, k] = abs(alpha) * np.sqrt(k)
-    w, W = np.linalg.eigh(T)
-    W = W[:N]
-    U = np.exp(1j * (math.atan2(alpha.imag, alpha.real) + 0.5 * math.pi) * np.arange(N))
-    D = U[:, None] * (((W * np.cos(w)) @ W.T) - 1j * ((W * np.sin(w)) @ W.T)) * U.conj()
-    block = D @ state.rho @ D.conj().T
+    S = _displacement_block(N, abs(alpha))
+    U = np.exp(1j * math.atan2(alpha.imag, alpha.real) * np.arange(N))
+    rho = U.conj()[:, None] * state.rho * U
+    block = U[:, None] * ((S @ rho.real @ S.T) + 1j * (S @ rho.imag @ S.T)) * U.conj()
     captured = float(np.trace(block).real)
+    if not math.isfinite(captured):
+        raise TruncationError(
+            f"displacement by {alpha} keeps a non-finite trace {captured} "
+            f"at dimension {N}"
+        )
     leak = state.leakage + max(0.0, 1.0 - captured)
     if leak > LEAK_TOL:
         raise TruncationError(

@@ -82,7 +82,8 @@ def _vacuum(N: int) -> np.ndarray:
 
 def _coherent_amplitudes(beta: complex, N: int) -> np.ndarray:
     c = np.zeros(N, dtype=complex)
-    c[0] = math.exp(-0.5 * abs(beta) ** 2)
+    r = abs(beta)
+    c[0] = math.exp(-0.5 * r * r)  # 0 rather than OverflowError for a huge beta
     for n in range(1, N):
         c[n] = c[n - 1] * beta / math.sqrt(n)
     return c
@@ -90,8 +91,11 @@ def _coherent_amplitudes(beta: complex, N: int) -> np.ndarray:
 
 def _pure_state(c: np.ndarray, what: str, fix: str) -> QuantumState:
     """Projector on the normalised Fock amplitudes c; the norm lost to the
-    truncation is recorded as leakage."""
+    truncation is recorded as leakage, and a non-finite norm is rejected
+    (max(0, 1 - nan) would read as no leakage)."""
     norm2 = float(np.sum(np.abs(c) ** 2))
+    if not math.isfinite(norm2):
+        raise TruncationError(f"{what} has a non-finite norm {norm2} {fix}")
     leak = max(0.0, 1.0 - norm2)
     if leak > LEAK_TOL:
         raise TruncationError(f"{what} leaks {leak:.2e} {fix}")
@@ -140,7 +144,9 @@ def make_state(spec: StateSpec, grid: PositionGrid | None = None) -> QuantumStat
     elif spec.kind == "cubic_phase":
         basis = build_basis(N, grid)
         psi = basis[0] * np.exp(1j * spec.gamma * grid.points ** 3)
-        state = _pure_state((basis * grid.spacing) @ psi, f"cubic gamma={spec.gamma}",
+        # basis is real: two real products, no complex copy of it
+        c = grid.spacing * (basis @ psi.real + 1j * (basis @ psi.imag))
+        state = _pure_state(c, f"cubic gamma={spec.gamma}",
                             f"at N={N} on extent {grid.extent:g}; increase N or the grid")
 
     elif spec.kind == "displaced":

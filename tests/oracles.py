@@ -7,7 +7,10 @@ Gaussian noise sources into a single effective one.  Agreement between
 these and the package is evidence, not tautology.
 """
 
+import cmath
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm
@@ -73,6 +76,27 @@ def oracle_displace(rho: np.ndarray, alpha: complex) -> tuple:
     block = (D @ pad @ D.conj().T)[:N, :N]
     captured = np.trace(block).real
     return block / captured, 1.0 - captured
+
+
+def oracle_displacement_element(m: int, n: int, alpha: complex) -> complex:
+    """<m|D(alpha)|n> from its closed form, sqrt(n!/m!) alpha^(m-n)
+    e^(-x/2) L_n^(m-n)(x) for m >= n with x = |alpha|^2, and
+    <n|D|m> = (-1)^(m-n) conj(<m|D|n>).  The Laguerre polynomial is summed
+    in exact rational arithmetic and scaled in 50-digit decimals, so there
+    is no recurrence and nothing under- or overflows on the way."""
+    if m < n:
+        return (-1) ** (n - m) * oracle_displacement_element(n, m, alpha).conjugate()
+    r = abs(alpha)
+    x = Fraction(r * r)
+    lag = sum(Fraction((-1) ** k * math.comb(m, n - k), math.factorial(k)) * x ** k
+              for k in range(n + 1))
+    with localcontext() as ctx:
+        ctx.prec = 50
+        xd = Decimal(r * r)
+        g = (Decimal(lag.numerator) / lag.denominator
+             * (Decimal(math.factorial(n)) / math.factorial(m)).sqrt()
+             * (-xd / 2).exp() * xd.sqrt() ** (m - n))
+    return float(g) * cmath.exp(1j * (m - n) * cmath.phase(alpha))
 
 
 def oracle_moment(rho: np.ndarray, phi: float, n: int) -> float:

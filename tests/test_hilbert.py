@@ -1,8 +1,11 @@
+import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from nlsqueeze import hilbert
 from nlsqueeze.errors import GridError, HermiticityError, StateError, TruncationError
 from nlsqueeze.hilbert import (
     MAX_MOMENT_ORDER,
@@ -273,7 +276,7 @@ ALPHAS = [0.7, -0.5, 0.6j, -0.4 - 0.9j, 0.3 + 0.4j]
 
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_displace_matches_expm_oracle(alpha):
-    # the tridiagonal eigendecomposition route against scipy's matrix exponential
+    # the closed-form matrix elements against scipy's matrix exponential
     out = displace(vacuum_state(48), alpha)
     np.testing.assert_allclose(out.rho, oracles.oracle_coherent(alpha, 48), rtol=0, atol=1e-13)
 
@@ -285,6 +288,29 @@ def test_displace_matches_padded_expm_oracle_on_cubic_state(alpha):
     rho_ref, leak_ref = oracles.oracle_displace(st_.rho, alpha)
     np.testing.assert_allclose(out.rho, rho_ref, rtol=0, atol=1e-13)
     assert out.leakage - st_.leakage == pytest.approx(leak_ref, abs=1e-14)
+
+
+@pytest.mark.parametrize("alpha", [3 + 1j, -2.5 + 2j])
+def test_displace_matches_padded_expm_oracle_on_thermal_state(alpha):
+    st_ = make_state(StateSpec(kind="thermal", n_bar=3.0, N=160))
+    out = displace(st_, alpha)
+    rho_ref, leak_ref = oracles.oracle_displace(st_.rho, alpha)
+    np.testing.assert_allclose(out.rho, rho_ref, rtol=0, atol=1e-13)
+    assert out.leakage - st_.leakage == pytest.approx(leak_ref, abs=1e-14)
+
+
+@pytest.mark.parametrize("N, alpha", [(64, 3 + 1j), (400, 38.6 * cmath.exp(0.7j))],
+                         ids=["N64", "N400-scaled"])
+def test_displacement_block_matches_the_closed_form(N, alpha):
+    # at |alpha| = 38.6 the near-diagonal columns start below the float
+    # range; run unscaled, <387|D|387> read 0.079 instead of 0.046
+    S = hilbert._displacement_block(N, abs(alpha))
+    U = np.exp(1j * cmath.phase(alpha) * np.arange(N))
+    levels = (0, 1, N // 4, N // 2, N - 13, N - 1)
+    for m in levels:
+        for n in levels:
+            assert U[m] * S[m, n] * U[n].conjugate() == pytest.approx(
+                oracles.oracle_displacement_element(m, n, alpha), rel=0, abs=1e-14)
 
 
 def test_displace_preserves_covariance():
@@ -311,6 +337,28 @@ def test_displace_leakage_guard():
 def test_displace_tracks_leakage():
     out = displace(vacuum_state(64), 1.0)
     assert 0.0 <= out.leakage < 1e-8
+
+
+def test_displace_leakage_is_the_poisson_tail():
+    out = displace(vacuum_state(32), 3.0)
+    tail = 1.0 - sum(math.exp(-9.0) * 9.0 ** n / math.factorial(n) for n in range(32))
+    assert out.leakage == pytest.approx(tail, rel=0, abs=1e-14)
+
+
+@pytest.mark.parametrize("N, alpha", [(64, 20.0), (16, 11.0)])
+def test_displace_does_not_wrap_a_state_back_into_the_kept_block(N, alpha):
+    # the whole displaced vacuum lies beyond level N; an exponential of the
+    # truncated generator reflected it back and reported no leakage
+    with pytest.raises(TruncationError, match="leaks 1.00e\\+00"):
+        displace(vacuum_state(N), alpha)
+
+
+@pytest.mark.parametrize("N, alpha", [(192, 1e3), (64, 1e200)])
+def test_displace_rejects_a_huge_displacement_without_overflow(N, alpha):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TruncationError):
+            displace(vacuum_state(N), alpha)
 
 
 # ------------------------------------------------------------- validation

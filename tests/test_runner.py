@@ -489,6 +489,15 @@ def test_cli_state_info_of_a_displaced_state_needs_no_outer_N(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["state"]["N"] == 128
 
 
+def test_cli_state_info_rejects_a_displacement_past_the_kept_block(tmp_path, capsys):
+    # the displaced vacuum sits near level 400, wholly above inner N = 64
+    cfg = write_cfg(tmp_path, "state.kind = displaced\nstate.alpha = 20\n"
+                    "state.inner.kind = vacuum\nstate.inner.N = 64\n")
+    rc = main(["state-info", "--config", cfg])
+    assert rc == 3
+    assert "leaks 1.00e+00" in capsys.readouterr().err
+
+
 def test_cli_missing_config_file(tmp_path):
     rc = main(["sweep", "--config", str(tmp_path / "none.cfg")])
     assert rc == 2

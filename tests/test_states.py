@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from nlsqueeze import states
 from nlsqueeze.errors import TruncationError
-from nlsqueeze.hilbert import default_grid, quadrature_moment
+from nlsqueeze.hilbert import build_basis, default_grid, quadrature_moment
 from nlsqueeze.states import GAMMA_MAX, StateSpec, make_state
 
 import oracles
@@ -72,6 +74,21 @@ def test_coherent_leakage_guard():
         make_state(StateSpec(kind="coherent", beta=4.0 + 0j, N=8))
 
 
+def test_coherent_rejects_a_huge_amplitude_without_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(TruncationError):
+            make_state(StateSpec(kind="coherent", beta=1e200 + 0j, N=64))
+
+
+def test_pure_state_rejects_a_non_finite_norm(monkeypatch):
+    # max(0, 1 - nan) is 0: a NaN norm must not read as no leakage
+    monkeypatch.setattr(states, "_coherent_amplitudes",
+                        lambda beta, N: np.full(N, np.nan + 0j))
+    with pytest.raises(TruncationError, match="non-finite norm"):
+        make_state(StateSpec(kind="coherent", beta=0.5 + 0j, N=16))
+
+
 # ------------------------------------------------------------- thermal
 
 def test_thermal_populations_geometric():
@@ -129,6 +146,20 @@ def test_cubic_moments_converged_in_dimension(gamma, tol):
     for phi, n in ((0.0, 2), (0.0, 4), (HALF_PI, 1), (HALF_PI, 2)):
         drift = abs(quadrature_moment(lo, phi, n) - quadrature_moment(hi, phi, n))
         assert drift < tol, (gamma, phi, n, drift)
+
+
+@pytest.mark.parametrize("N", [128, 192])
+def test_cubic_projection_matches_the_complex_route(N):
+    # reference: the projection as one complex product with a complex copy
+    # of the basis, normalised like the package does
+    gamma = 0.1
+    grid = default_grid(N)
+    basis = build_basis(N, grid)
+    psi = basis[0] * np.exp(1j * gamma * grid.points ** 3)
+    c = (basis * grid.spacing) @ psi
+    c = c / math.sqrt(float(np.sum(np.abs(c) ** 2)))
+    st = make_state(StateSpec(kind="cubic_phase", gamma=gamma, N=N))
+    np.testing.assert_allclose(st.rho, np.outer(c, c.conj()), rtol=0, atol=1e-15)
 
 
 def test_cubic_truncation_guard():
