@@ -281,11 +281,11 @@ def _displacement_block(N: int, r: float) -> np.ndarray:
     g_{n+1} sqrt((n+1)(n+1+a)) = (2n+1+a-x) g_n - sqrt(n(n+a)) g_{n-1},
     from g_0^a = exp(-x/2 + (a/2) log x - log(a!)/2) taken in log space.
     (The recurrence in m that follows from b D = D (b + alpha) is
-    unstable.)  A column whose start lies below 1/limit runs scaled,
-    g_n^a = h_n^a e^{s_a}, and is renormalised whenever |h| passes
-    `limit`: a start below the float range loses no precision, a large r
-    underflows to 0 rather than giving inf * 0, and one step, which grows
-    |h| at most x + N + 2 fold, cannot overflow.
+    unstable.)  Each column runs scaled, g_n^a = h_n^a e^{s_a}, with
+    s_a < 0 only where the start lies below 1/limit, and is renormalised
+    whenever |h| passes `limit`: a start below the float range loses no
+    precision, a large r underflows to 0 rather than giving inf * 0, and
+    one step, which grows |h| at most x + N + 2 fold, cannot overflow.
     """
     x = r * r
     if not x < 1e300:  # |g_n^a| <= e^{-x/2} (4x)^N underflows
@@ -299,18 +299,17 @@ def _displacement_block(N: int, r: float) -> np.ndarray:
     log_fact = np.array([math.lgamma(k + 1.0) for k in range(N)])
     log_g0 = -0.5 * x + a * math.log(r) - 0.5 * log_fact
     s = np.minimum(log_g0 + math.log(limit), 0.0)
-    scaled = bool(s.min() < 0.0)
     h, h_prev, w = np.exp(log_g0 - s), np.zeros(N), np.exp(s)
     # row n of G holds g_n^a at column n + a, so G.T is the lower triangle
     G = np.zeros((N, N))
     G[0] = h * w
     for k in range(1, N):
         h, h_prev = c_now[k - 1] * h - c_prev[k - 1] * h_prev, h
-        if scaled and np.abs(h).max() > limit:
+        if np.abs(h).max() > limit:
             f = np.maximum(np.abs(h), 1.0)
             h, h_prev, s = h / f, h_prev / f, s + np.log(f)
             w = np.exp(s)
-        G[k, k:] = h[:N - k] * w[:N - k] if scaled else h[:N - k]
+        G[k, k:] = h[:N - k] * w[:N - k]
     sign = (-1.0) ** a
     return G.T + np.triu(sign[:, None] * G * sign, 1)
 

@@ -281,22 +281,23 @@ def test_displace_matches_expm_oracle(alpha):
     np.testing.assert_allclose(out.rho, oracles.oracle_coherent(alpha, 48), rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("alpha", ALPHAS)
-def test_displace_matches_padded_expm_oracle_on_cubic_state(alpha):
-    st_ = make_state(StateSpec(kind="cubic_phase", gamma=0.1, N=64))
+def _assert_matches_padded_expm_oracle(spec, alpha):
+    st_ = make_state(spec)
     out = displace(st_, alpha)
     rho_ref, leak_ref = oracles.oracle_displace(st_.rho, alpha)
     np.testing.assert_allclose(out.rho, rho_ref, rtol=0, atol=1e-13)
     assert out.leakage - st_.leakage == pytest.approx(leak_ref, abs=1e-14)
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+def test_displace_matches_padded_expm_oracle_on_cubic_state(alpha):
+    _assert_matches_padded_expm_oracle(StateSpec(kind="cubic_phase", gamma=0.1, N=64), alpha)
 
 
 @pytest.mark.parametrize("alpha", [3 + 1j, -2.5 + 2j])
 def test_displace_matches_padded_expm_oracle_on_thermal_state(alpha):
-    st_ = make_state(StateSpec(kind="thermal", n_bar=3.0, N=160))
-    out = displace(st_, alpha)
-    rho_ref, leak_ref = oracles.oracle_displace(st_.rho, alpha)
-    np.testing.assert_allclose(out.rho, rho_ref, rtol=0, atol=1e-13)
-    assert out.leakage - st_.leakage == pytest.approx(leak_ref, abs=1e-14)
+    # the recurrence in m that follows from b D = D (b + alpha) misses by 0.17 here
+    _assert_matches_padded_expm_oracle(StateSpec(kind="thermal", n_bar=3.0, N=160), alpha)
 
 
 @pytest.mark.parametrize("N, alpha", [(64, 3 + 1j), (400, 38.6 * cmath.exp(0.7j))],
