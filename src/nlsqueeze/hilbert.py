@@ -269,6 +269,13 @@ def marginal_density(state: QuantumState, phi: float, grid: PositionGrid) -> np.
     return dens
 
 
+def coherent_log_moduli(r: float, N: int) -> np.ndarray:
+    """log |<n|beta>| = -r^2/2 + n log r - log(n!)/2 for n < N and |beta| = r > 0,
+    finite where e^{-r^2/2} underflows: the start g_0^n of _displacement_block."""
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(N)])
+    return -0.5 * (r * r) + np.arange(N) * math.log(r) - 0.5 * log_fact
+
+
 def _displacement_block(N: int, r: float) -> np.ndarray:
     """Real S with the first N x N block of D(alpha) equal to U S U†,
     U = diag(e^{i theta k}), for alpha = r e^{i theta}, r > 0.
@@ -296,8 +303,7 @@ def _displacement_block(N: int, r: float) -> np.ndarray:
     c_now = (2.0 * n + 1.0 + a - x) / den
     c_prev = np.sqrt(n * (n + a)) / den
     limit = 1e300 / (x + N + 2.0)
-    log_fact = np.array([math.lgamma(k + 1.0) for k in range(N)])
-    log_g0 = -0.5 * x + a * math.log(r) - 0.5 * log_fact
+    log_g0 = coherent_log_moduli(r, N)
     s = np.minimum(log_g0 + math.log(limit), 0.0)
     h, h_prev, w = np.exp(log_g0 - s), np.zeros(N), np.exp(s)
     # row n of G holds g_n^a at column n + a, so G.T is the lower triangle

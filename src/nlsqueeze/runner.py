@@ -534,30 +534,29 @@ def state_info(config: ExperimentConfig) -> dict:
 # ---------------------------------------------------------------- CLI
 
 def build_parser() -> argparse.ArgumentParser:
+    commands = {
+        "sweep": "run the configured parameter sweep and write CSV/JSON reports",
+        "certify": "run one ensemble and emit a nonclassicality certificate",
+        "reconstruct": "run one ensemble and write the reconstruction report",
+        "state-info": "print exact moments and curve for the configured state",
+    }
     ap = argparse.ArgumentParser(
         prog="nlsqueeze",
-        description="Simulate and estimate cubic nonlinear squeezing of a "
-                    "mechanical oscillator read out through a QND optical channel.",
+        description="Simulate and estimate cubic nonlinear squeezing of a mechanical\n"
+                    "oscillator read out through a QND optical channel.",
+        epilog="commands:\n" + "\n".join(f"  {name:<13}{text}" for name, text in commands.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-    specs = (
-        ("sweep", "run the configured parameter sweep and write CSV/JSON reports"),
-        ("certify", "run one ensemble and emit a nonclassicality certificate"),
-        ("reconstruct", "run one ensemble and write the reconstruction report"),
-        ("state-info", "print exact moments and curve for the configured state"),
-    )
-    for name, help_text in specs:
-        sp = sub.add_parser(name, help=help_text)
-        sp.add_argument("--config", required=True, metavar="PATH",
-                        help="experiment config file")
-        sp.add_argument("--out", default=None, metavar="DIR",
-                        help="output directory (overrides output.dir)")
-        sp.add_argument("--seed", type=int, default=None, metavar="U64",
-                        help="override ensemble.base_seed")
-        sp.add_argument("--mode", choices=MODES, default=None,
-                        help="override mode")
-        sp.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="replicate worker threads, >= 1 (default 1)")
+    # every command takes the same options, so one parser reads them all
+    ap.add_argument("command", choices=commands, help="what to run (see commands below)")
+    ap.add_argument("--config", required=True, metavar="PATH", help="experiment config file")
+    ap.add_argument("--out", default=None, metavar="DIR",
+                    help="output directory (overrides output.dir)")
+    ap.add_argument("--seed", type=int, default=None, metavar="U64",
+                    help="override ensemble.base_seed")
+    ap.add_argument("--mode", choices=MODES, default=None, help="override mode")
+    ap.add_argument("--threads", type=int, default=1, metavar="N",
+                    help="replicate worker threads, >= 1 (default 1)")
     return ap
 
 

@@ -19,6 +19,7 @@ from .hilbert import (
     PositionGrid,
     QuantumState,
     build_basis,
+    coherent_log_moduli,
     default_grid,
     displace,
     validate_state,
@@ -74,19 +75,13 @@ class StateSpec:
         return self.N if self.inner is None else self.inner.dim
 
 
-def _vacuum(N: int) -> np.ndarray:
-    rho = np.zeros((N, N), dtype=complex)
-    rho[0, 0] = 1.0
-    return rho
-
-
 def _coherent_amplitudes(beta: complex, N: int) -> np.ndarray:
-    c = np.zeros(N, dtype=complex)
-    r = abs(beta)
-    c[0] = math.exp(-0.5 * r * r)  # 0 rather than OverflowError for a huge beta
-    for n in range(1, N):
-        c[n] = c[n - 1] * beta / math.sqrt(n)
-    return c
+    """<n|beta> = e^{i n theta} |<n|beta>| for beta = |beta| e^{i theta}, from
+    the log moduli, so none underflows with e^{-|beta|^2/2}; beta = 0 is the vacuum."""
+    if beta == 0:
+        return np.eye(1, N, dtype=complex)[0]
+    theta = math.atan2(beta.imag, beta.real)
+    return np.exp(coherent_log_moduli(abs(beta), N) + 1j * theta * np.arange(N))
 
 
 def _pure_state(c: np.ndarray, what: str, fix: str) -> QuantumState:
@@ -124,7 +119,7 @@ def make_state(spec: StateSpec, grid: PositionGrid | None = None) -> QuantumStat
         grid = default_grid(spec.dim)
 
     if spec.kind == "vacuum":
-        state = QuantumState(rho=_vacuum(N))
+        state = _pure_state(_coherent_amplitudes(0j, N), "vacuum", f"at N={N}")
 
     elif spec.kind == "coherent":
         state = _pure_state(_coherent_amplitudes(spec.beta, N),

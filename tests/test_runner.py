@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -16,6 +17,7 @@ from nlsqueeze.runner import (
     SWEEP_HEADER,
     apply_axis,
     analytic_overlay,
+    build_parser,
     certify,
     emit_plot_data,
     load_config,
@@ -496,6 +498,56 @@ def test_cli_state_info_rejects_a_displacement_past_the_kept_block(tmp_path, cap
     rc = main(["state-info", "--config", cfg])
     assert rc == 3
     assert "leaks 1.00e+00" in capsys.readouterr().err
+
+
+COMMANDS = ("sweep", "certify", "reconstruct", "state-info")
+ALL_OPTIONS = ["--config", "c.cfg", "--out", "o", "--seed", "7", "--mode", "quick",
+               "--threads", "2"]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("options, expected", [
+    (["--config", "c.cfg"], {"config": "c.cfg", "out": None, "seed": None, "mode": None,
+                             "threads": 1}),
+    (ALL_OPTIONS, {"config": "c.cfg", "out": "o", "seed": 7, "mode": "quick", "threads": 2}),
+], ids=["defaults", "all-options"])
+def test_cli_grammar(command, options, expected):
+    assert vars(build_parser().parse_args([command, *options])) == {"command": command,
+                                                                     **expected}
+
+
+def test_cli_options_may_precede_the_command(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "state.kind = coherent\nstate.beta = 0.5j\nstate.N = 32\n")
+    outputs = []
+    for argv in (["state-info", "--config", cfg, "--seed", "3"],
+                 ["--config", cfg, "--seed", "3", "state-info"]):
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and json.loads(outputs[0])["state"]["kind"] == "coherent"
+
+
+@pytest.mark.parametrize("argv", [
+    ["plot", "--config", "c.cfg"],
+    ["state-info"],
+    ["sweep", "--config", "c.cfg", "--threads", "two"],
+    ["certify", "--config", "c.cfg", "--mode", "medium"],
+], ids=["unknown-command", "no-config", "threads-not-int", "unknown-mode"])
+def test_cli_rejects_bad_arguments(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for command in COMMANDS:
+        assert re.search(rf"^  {command} +\w+", out, re.MULTILINE), command
+    for option in ALL_OPTIONS[::2]:
+        assert option in out
 
 
 def test_cli_missing_config_file(tmp_path):

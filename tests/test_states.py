@@ -6,7 +6,7 @@ import pytest
 
 from nlsqueeze import states
 from nlsqueeze.errors import TruncationError
-from nlsqueeze.hilbert import build_basis, default_grid, quadrature_moment
+from nlsqueeze.hilbert import LEAK_TOL, build_basis, default_grid, quadrature_moment
 from nlsqueeze.states import GAMMA_MAX, StateSpec, make_state
 
 import oracles
@@ -79,6 +79,21 @@ def test_coherent_rejects_a_huge_amplitude_without_overflow():
         warnings.simplefilter("error")
         with pytest.raises(TruncationError):
             make_state(StateSpec(kind="coherent", beta=1e200 + 0j, N=64))
+
+
+def test_coherent_past_the_underflow_of_the_vacuum_overlap():
+    # e^{-|beta|^2/2} underflows to 0 at |beta| = 38.7, a state that fits N = 1800
+    beta = 38.7
+    st = make_state(StateSpec(kind="coherent", beta=beta, N=1800))
+    assert st.leakage <= LEAK_TOL
+    n_mean = float(np.arange(1800) @ np.diag(st.rho).real)
+    assert n_mean == pytest.approx(beta ** 2, rel=1e-12)
+
+
+def test_coherent_at_zero_is_vacuum():
+    st = make_state(StateSpec(kind="coherent", beta=0j, N=16))
+    ref = make_state(StateSpec(kind="vacuum", N=16))
+    assert np.array_equal(st.rho, ref.rho) and st.leakage == ref.leakage == 0.0
 
 
 def test_pure_state_rejects_a_non_finite_norm(monkeypatch):

@@ -4,10 +4,10 @@
 
 Runs every preset in configs/ in quick mode through sweep, reconstruct
 and certify, with seed 31 and once each at --threads 1, 2 and 4, and
-runs state-info on a fixed state family (vacuum, coherent, thermal,
-cubic, and cubic displaced by 0.3+0.4j and by 2-1.5j, each at N = 64,
-128 and 192), with the package imported from DIR/src (default: the
-checkout this script sits in).
+runs state-info on a fixed state family (vacuum, coherent at 1.2-0.8j
+and at 3-2j, thermal, cubic, and cubic displaced by 0.3+0.4j and by
+2-1.5j, each at N = 64, 128 and 192), with the package imported from
+DIR/src (default: the checkout this script sits in).
 Every file a run writes and its stdout are hashed after masking what
 legitimately differs between runs: the value of each "wall_clock_s"
 key, the timings printed to stdout, and the output directory.  The
@@ -45,6 +45,8 @@ CUBIC = {"kind": "cubic_phase", "gamma": "0.1"}
 STATES = {
     "vacuum": {"kind": "vacuum"},
     "coherent": {"kind": "coherent", "beta": "1.2-0.8j"},
+    # a larger amplitude, whose Fock amplitudes span more decades
+    "coherent_far": {"kind": "coherent", "beta": "3-2j"},
     "thermal": {"kind": "thermal", "n_bar": "0.7"},
     "cubic": CUBIC,
     "displaced": {"kind": "displaced", "alpha": "0.3+0.4j",
