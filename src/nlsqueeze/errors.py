@@ -20,7 +20,7 @@ class TruncationError(NumericsError):
 
 
 class HermiticityError(NumericsError):
-    """An expectation value carried a non-negligible imaginary residue."""
+    """A density matrix is not Hermitian within tolerance."""
 
 
 class StateError(NumericsError):

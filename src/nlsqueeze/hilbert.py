@@ -4,17 +4,20 @@ Conventions: q = (b + b†)/√2 and p = i(b† - b)/√2, so the vacuum has
 Var(q) = Var(p) = 1/2.  The rotated quadrature is
 Q_φ = (b e^{-iφ} + b† e^{iφ})/√2, with Q_0 = q and Q_{π/2} = p.
 
-States live as N x N density matrices in the Fock basis.  A uniform,
-symmetric position grid carries the orthonormal oscillator
-eigenfunctions h_n(x) used to build wavefunctions, marginal densities
-along any phase, and the sampling CDF.
+States live in the Fock basis as a factor and its weights,
+rho = sum_k w_k a_k a_k†: one vector for a pure state, the identity for
+a thermal one, and D(alpha) maps the factor.  QuantumState.from_rho
+factors a dense density matrix; validation checks the factor and the
+weights and never factors rho.  A uniform, symmetric position grid
+carries the orthonormal oscillator eigenfunctions h_n(x) used to build
+wavefunctions, marginal densities along any phase, and the sampling CDF.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -31,7 +34,6 @@ HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 LEAK_TOL = 1e-8
-IMAG_TOL = 1e-10
 MAX_MOMENT_ORDER = 8
 
 _trapz = getattr(np, "trapezoid", None) or np.trapz
@@ -131,42 +133,83 @@ def build_basis(N: int, grid: PositionGrid) -> np.ndarray:
 
 @dataclass
 class QuantumState:
-    """Density matrix in the truncated Fock basis plus accumulated leakage."""
+    """rho = sum_k weights[k] a_k a_k† over the columns a_k of vectors
+    (N x r, real or complex) in the truncated Fock basis, plus the
+    accumulated leakage.
 
-    rho: np.ndarray
+    A pure state has r = 1 and a thermal state is the identity with its
+    populations as weights, so rho is Hermitian by construction and
+    positive when every weight is.  Treated as immutable once built: the
+    diagonals of rho are cached as the moments read them.
+    """
+
+    vectors: np.ndarray
+    weights: np.ndarray
     leakage: float = 0.0
+    _bands: dict = field(default_factory=dict, init=False, repr=False)
+
+    @classmethod
+    def from_rho(cls, rho: np.ndarray, leakage: float = 0.0) -> "QuantumState":
+        """Factor a dense density matrix by eigh, keeping negative
+        eigenvalues as weights so that validate_state still rejects them.
+
+        Raises
+        ------
+        StateError
+            If rho has a non-finite entry.
+        HermiticityError
+            If rho is not Hermitian within HERMITICITY_TOL.
+        """
+        rho = np.asarray(rho, dtype=complex)
+        if not np.isfinite(rho).all():
+            raise StateError("density matrix has a non-finite entry")
+        herm = float(np.max(np.abs(rho - rho.conj().T)))
+        if herm > HERMITICITY_TOL:
+            raise HermiticityError(f"density matrix asymmetry {herm:.2e} > {HERMITICITY_TOL:g}")
+        weights, vectors = np.linalg.eigh(rho)
+        return cls(vectors=vectors, weights=weights, leakage=leakage)
 
     @property
     def dim(self) -> int:
-        return self.rho.shape[0]
+        return self.vectors.shape[0]
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        """The dense N x N density matrix, cached."""
+        return (self.vectors * self.weights) @ self.vectors.conj().T
+
+    def band(self, d: int) -> np.ndarray:
+        """Diagonal -d of rho, rho[m + d, m] = sum_k w_k a_k[m + d] a_k*[m]
+        over m, for d >= 0 (empty from d = N on): O(N r), cached."""
+        if d not in self._bands:
+            a, lower = self.vectors, self.vectors[d:]
+            self._bands[d] = np.einsum("mk,mk,k->m", lower, a[:len(lower)].conj(), self.weights)
+        return self._bands[d]
+
+
+def _trace(vectors: np.ndarray, weights: np.ndarray) -> float:
+    """tr rho = sum_k w_k |a_k|^2."""
+    return float(weights @ (vectors * vectors.conj()).real.sum(axis=0))
 
 
 def validate_state(state: QuantumState) -> QuantumState:
-    """Check finite entries, Hermiticity, unit trace, positivity and
-    truncation leakage.
+    """Check a finite factor and weights, weights >= -PSD_TOL, unit trace
+    and truncation leakage.
 
     Finite entries come first: every later test compares against a
-    tolerance, which NaN would pass.  Positivity: a Cholesky
-    factorisation of rho + (PSD_TOL/2) I, and the smallest eigenvalue
-    against -PSD_TOL only when that fails.
+    tolerance, which NaN would pass.  rho is Hermitian by construction,
+    and positive when no weight is negative, so nothing is factored: the
+    smallest weight is the smallest eigenvalue for an orthonormal factor
+    (QuantumState.from_rho), and every built state has nonnegative weights.
     """
-    rho = state.rho
-    if not np.isfinite(rho).all():
-        raise StateError("density matrix has a non-finite entry")
-    herm = float(np.max(np.abs(rho - rho.conj().T)))
-    if herm > HERMITICITY_TOL:
-        raise HermiticityError(f"density matrix asymmetry {herm:.2e} > {HERMITICITY_TOL:g}")
-    tr = complex(np.trace(rho))
+    if not (np.isfinite(state.vectors).all() and np.isfinite(state.weights).all()):
+        raise StateError("state factor or weights have a non-finite entry")
+    lam_min = float(np.min(state.weights))
+    if lam_min < -PSD_TOL:
+        raise StateError(f"smallest eigenvalue {lam_min:.2e} below -{PSD_TOL:g}")
+    tr = _trace(state.vectors, state.weights)
     if abs(tr - 1.0) > TRACE_TOL:
         raise StateError(f"trace {tr} deviates from 1 by more than {TRACE_TOL:g}")
-    try:
-        # succeeds only if lambda_min >= -PSD_TOL/2 - O(N eps), which
-        # the eigenvalue test below would pass too
-        np.linalg.cholesky(rho + 0.5 * PSD_TOL * np.eye(rho.shape[0]))
-    except np.linalg.LinAlgError:
-        lam_min = float(np.linalg.eigvalsh(rho)[0])
-        if lam_min < -PSD_TOL:
-            raise StateError(f"smallest eigenvalue {lam_min:.2e} below -{PSD_TOL:g}")
     if state.leakage > LEAK_TOL:
         raise TruncationError(
             f"truncation leakage {state.leakage:.2e} exceeds {LEAK_TOL:g}; "
@@ -177,14 +220,15 @@ def validate_state(state: QuantumState) -> QuantumState:
 
 @lru_cache(maxsize=32)
 def _power_bands(N: int, n: int) -> tuple:
-    """Nonzero diagonals of the real banded Q_0^n at dimension N, as
-    (d, (Q_0^n)[m-d, m] over m) for d = -n, -n+2, ..., n, where
-    Q_0[k-1, k] = Q_0[k, k-1] = sqrt(k/2)."""
+    """Nonzero diagonals of the real symmetric banded Q_0^n at dimension
+    N on and above the main one, as (d, (Q_0^n)[m, m + d] over m) for
+    d = n mod 2, n mod 2 + 2, ..., n, where Q_0[k-1, k] = Q_0[k, k-1] =
+    sqrt(k/2)."""
     k = np.arange(1, N)
     Q0 = np.zeros((N, N))
     Q0[k - 1, k] = Q0[k, k - 1] = np.sqrt(k / 2.0)
     Qn = np.linalg.matrix_power(Q0, n)
-    return tuple((d, np.diagonal(Qn, d).copy()) for d in range(-n, n + 1, 2))
+    return tuple((d, np.diagonal(Qn, d).copy()) for d in range(n % 2, n + 1, 2))
 
 
 def quadrature_moment(state: QuantumState, phi: float, n: int) -> float:
@@ -192,8 +236,10 @@ def quadrature_moment(state: QuantumState, phi: float, n: int) -> float:
 
     Q_phi = U† Q_0 U with U = diag(e^{-i phi m}), so the moment is a
     trigonometric polynomial in phi whose coefficients are dot products
-    of the diagonals of rho with the fixed diagonals of the real banded
-    Q_0^n.
+    of the diagonals of rho, taken from its factor (QuantumState.band),
+    with the fixed diagonals of the real banded Q_0^n.  rho and Q_0^n
+    are Hermitian, so diagonal d and -d together give twice the real part
+    of one of them.
 
     Parameters
     ----------
@@ -208,39 +254,37 @@ def quadrature_moment(state: QuantumState, phi: float, n: int) -> float:
     TruncationError
         If the top-n Fock levels of rho carry more than LEAK_TOL population, in
         which case Q^n couples to the missing part of the space.
-    HermiticityError
-        If the imaginary residue of the trace exceeds tolerance.
     """
     if n < 0 or n > MAX_MOMENT_ORDER:
         raise ValueError(f"moment order {n} outside [0, {MAX_MOMENT_ORDER}]")
     if n == 0:
         return 1.0
     N = state.dim
-    tail = float(np.sum(np.real(np.diag(state.rho))[max(0, N - n):]))
+    tail = float(np.sum(state.band(0).real[max(0, N - n):]))
     if tail > LEAK_TOL:
         raise TruncationError(
             f"top-{n} Fock tail holds population {tail:.2e} > {LEAK_TOL:g}; "
             "the moment is not trustworthy at this dimension"
         )
-    # sum_d e^{-i phi d} sum_m rho[m, m-d] (Q_0^n)[m-d, m], kept complex
-    # over +-d so that a non-Hermitian rho leaves an imaginary residue
-    val = complex(sum(np.exp(-1j * phi * d) * np.dot(np.diagonal(state.rho, -d), band)
-                      for d, band in _power_bands(N, n)))
-    if abs(val.imag) > IMAG_TOL * max(1.0, abs(val.real)):
-        raise HermiticityError(
-            f"imaginary residue {val.imag:.2e} in <Q_phi^{n}>"
-        )
-    return val.real
+    # sum_d e^{-i phi d} sum_m rho[m + d, m] (Q_0^n)[m, m + d] over d = -n..n
+    val = 0.0
+    for d, band in _power_bands(N, n):
+        term = complex(np.dot(state.band(d), band))
+        val += term.real if d == 0 else 2.0 * (math.cos(phi * d) * term.real
+                                               + math.sin(phi * d) * term.imag)
+    return val
 
 
 def marginal_density(state: QuantumState, phi: float, grid: PositionGrid) -> np.ndarray:
     """Probability density of Q_phi on the grid.
 
-    Rotates rho by the diagonal Fock phase, rho'_{mn} = rho_{mn}
-    e^{-i phi (m-n)}, then evaluates Pr(x_j) = sum_{mn} rho'_{mn}
-    h_m(x_j) h_n(x_j).  rho' is Hermitian and h_n real, so the imaginary
-    parts cancel pairwise and the sum runs over Re(rho'_{mn}) in real
-    arithmetic.  Exact within truncation, no interpolation.
+    Rotates the factor by the diagonal Fock phase, b_k = U a_k with
+    U = diag(e^{-i phi m}), then evaluates Pr(x_j) = sum_k w_k
+    |sum_m h_m(x_j) b_k[m]|^2 in real products of the real basis with
+    the real and imaginary parts of b_k.  When r is not small against N,
+    the dense rho is rotated instead and Pr(x_j) = sum_{mn}
+    Re(U rho U†)_{mn} h_m(x_j) h_n(x_j), which costs one product with the
+    basis instead of 2r.  Exact within truncation, no interpolation.
 
     Raises
     ------
@@ -249,11 +293,15 @@ def marginal_density(state: QuantumState, phi: float, grid: PositionGrid) -> np.
         from 1 by more than 1e-4.
     """
     basis = build_basis(state.dim, grid)
-    m = np.arange(state.dim)
-    phase = np.exp(-1j * phi * m)
-    # .real strides 16 bytes; the copy keeps matmul on BLAS under numpy 1.x.
-    rho_rot = np.ascontiguousarray((phase[:, None] * state.rho * phase.conj()).real)
-    dens = np.einsum("mj,mj->j", basis, rho_rot @ basis)
+    phase = np.exp(-1j * phi * np.arange(state.dim))
+    if 4 * state.weights.size <= state.dim:
+        b = phase[:, None] * state.vectors
+        re, im = b.real.T @ basis, b.imag.T @ basis
+        dens = state.weights @ (re * re + im * im)
+    else:
+        # .real strides 16 bytes; the copy keeps matmul on BLAS under numpy 1.x.
+        rho_rot = np.ascontiguousarray((phase[:, None] * state.rho * phase.conj()).real)
+        dens = np.einsum("mj,mj->j", basis, rho_rot @ basis)
     low = float(dens.min())
     # PSD tolerance 1e-10 on rho can push the marginal a few times lower,
     # so the clamp threshold sits at -1e-8 rather than the matrix tolerance.
@@ -326,9 +374,9 @@ def displace(state: QuantumState, alpha: complex) -> QuantumState:
     The kept block is D_N rho D_N†, where D_N is the first N x N block
     of the exact D(alpha) (see _displacement_block), so the population
     the displacement carries past level N is lost, never reflected back:
-    the lost trace is recorded as leakage and the block renormalised.
-    D_N = U S U† with S real, so the block is U S (U† rho U) Sᵀ U†, taken
-    as two real products for the real and imaginary parts of U† rho U.
+    the lost trace is recorded as leakage and the weights renormalised.
+    D_N = U S U† with S real, so the factor maps to U S (U† A), taken as
+    two real products for the real and imaginary parts of U† A.
 
     Raises
     ------
@@ -338,13 +386,14 @@ def displace(state: QuantumState, alpha: complex) -> QuantumState:
     """
     alpha = complex(alpha)
     if alpha == 0:
-        return QuantumState(rho=state.rho.copy(), leakage=state.leakage)
+        return QuantumState(vectors=state.vectors.copy(), weights=state.weights.copy(),
+                            leakage=state.leakage)
     N = state.dim
     S = _displacement_block(N, abs(alpha))
-    U = np.exp(1j * math.atan2(alpha.imag, alpha.real) * np.arange(N))
-    rho = U.conj()[:, None] * state.rho * U
-    block = U[:, None] * ((S @ rho.real @ S.T) + 1j * (S @ rho.imag @ S.T)) * U.conj()
-    captured = float(np.trace(block).real)
+    U = np.exp(1j * math.atan2(alpha.imag, alpha.real) * np.arange(N))[:, None]
+    a = U.conj() * state.vectors
+    a = U * (S @ a.real + 1j * (S @ a.imag))
+    captured = _trace(a, state.weights)
     if not math.isfinite(captured):
         raise TruncationError(
             f"displacement by {alpha} keeps a non-finite trace {captured} "
@@ -356,6 +405,4 @@ def displace(state: QuantumState, alpha: complex) -> QuantumState:
             f"displacement by {alpha} leaks {leak:.2e} > {LEAK_TOL:g} "
             f"at dimension {N}"
         )
-    block = block / captured
-    block = 0.5 * (block + block.conj().T)
-    return validate_state(QuantumState(rho=block, leakage=leak))
+    return validate_state(QuantumState(vectors=a, weights=state.weights / captured, leakage=leak))

@@ -22,6 +22,7 @@ import json
 import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
+from functools import cache
 from pathlib import Path
 from time import perf_counter
 
@@ -533,6 +534,7 @@ def state_info(config: ExperimentConfig) -> dict:
 
 # ---------------------------------------------------------------- CLI
 
+@cache  # a parser keeps no state between parse_args calls, so main reuses one
 def build_parser() -> argparse.ArgumentParser:
     commands = {
         "sweep": "run the configured parameter sweep and write CSV/JSON reports",

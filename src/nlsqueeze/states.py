@@ -85,7 +85,7 @@ def _coherent_amplitudes(beta: complex, N: int) -> np.ndarray:
 
 
 def _pure_state(c: np.ndarray, what: str, fix: str) -> QuantumState:
-    """Projector on the normalised Fock amplitudes c; the norm lost to the
+    """Pure state of the normalised Fock amplitudes c; the norm lost to the
     truncation is recorded as leakage, and a non-finite norm is rejected
     (max(0, 1 - nan) would read as no leakage)."""
     norm2 = float(np.sum(np.abs(c) ** 2))
@@ -94,12 +94,12 @@ def _pure_state(c: np.ndarray, what: str, fix: str) -> QuantumState:
     leak = max(0.0, 1.0 - norm2)
     if leak > LEAK_TOL:
         raise TruncationError(f"{what} leaks {leak:.2e} {fix}")
-    c = c / math.sqrt(norm2)
-    return QuantumState(rho=np.outer(c, c.conj()), leakage=leak)
+    return QuantumState(vectors=(c / math.sqrt(norm2))[:, None], weights=np.ones(1),
+                        leakage=leak)
 
 
 def make_state(spec: StateSpec, grid: PositionGrid | None = None) -> QuantumState:
-    """Construct the density matrix described by spec.
+    """Construct the state described by spec, as a factor and its weights.
 
     Parameters
     ----------
@@ -134,7 +134,7 @@ def make_state(spec: StateSpec, grid: PositionGrid | None = None) -> QuantumStat
             raise TruncationError(
                 f"thermal n_bar={spec.n_bar} leaks {leak:.2e} at N={N}; increase N"
             )
-        state = QuantumState(rho=np.diag(pops / total).astype(complex), leakage=leak)
+        state = QuantumState(vectors=np.eye(N), weights=pops / total, leakage=leak)
 
     elif spec.kind == "cubic_phase":
         basis = build_basis(N, grid)

@@ -89,12 +89,11 @@ def test_criterion_04_classicality_floor():
     for _ in range(200):
         k = int(rng.integers(1, 5))
         weights = rng.dirichlet(np.ones(k))
-        rho = 0.0
-        for w in weights:
+        vectors = []
+        for _ in weights:
             beta = complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
-            rho = rho + w * make_state(
-                StateSpec(kind="coherent", beta=beta, N=48)).rho
-        m = exact_moment_set(QuantumState(rho=rho))
+            vectors.append(make_state(StateSpec(kind="coherent", beta=beta, N=48)).vectors)
+        m = exact_moment_set(QuantumState(vectors=np.hstack(vectors), weights=weights))
         v = np.array([assemble_curve(m)(l) for l in lams])
         floor = min(floor, float(np.min(v - thr)))
     conclude("04 coherent mixtures never beat the threshold",

@@ -138,7 +138,7 @@ def random_mixed_state(N, support, rank=3, seed=0):
 def test_moment_matches_oracle_on_random_mixed_states(N):
     support = N // 2
     rho = random_mixed_state(N, support, seed=N)
-    st_ = QuantumState(rho=rho)
+    st_ = QuantumState.from_rho(rho)
     phases = [phi for phi, _ in PHASE_ORDERS] + [0.3, 2.9, -3.1]
     for n in range(1, MAX_MOMENT_ORDER + 1):
         for phi in phases:
@@ -164,7 +164,7 @@ def test_moment_tail_guard():
     N = 32
     rho = np.zeros((N, N), dtype=complex)
     rho[N - 1, N - 1] = 1.0  # all mass on the last level
-    st_ = QuantumState(rho=rho)
+    st_ = QuantumState.from_rho(rho)
     with pytest.raises(TruncationError):
         quadrature_moment(st_, 0.0, 2)
 
@@ -174,10 +174,10 @@ def test_moment_hermiticity_guard():
     rho = np.zeros((N, N), dtype=complex)
     rho[0, 0] = 1.0
     rho[0, 1] = 0.4  # deliberately not matched by rho[1, 0]
-    st_ = QuantumState(rho=rho)
-    # against p the unmatched element leaves a pure imaginary trace
+    # a factored state is Hermitian by construction, so the dense entry
+    # point rejects the unmatched element before any moment is taken
     with pytest.raises(HermiticityError):
-        quadrature_moment(st_, math.pi / 2, 1)
+        quadrature_moment(QuantumState.from_rho(rho), math.pi / 2, 1)
 
 
 # ------------------------------------------------------------- marginals
@@ -227,9 +227,16 @@ def _complex_route_marginal(st_, phi, g):
     StateSpec(kind="cubic_phase", gamma=0.1, N=192),
     StateSpec(kind="displaced", alpha=0.3 + 0.4j, N=128,
               inner=StateSpec(kind="cubic_phase", gamma=0.1, N=128)),
-], ids=["vacuum", "coherent", "thermal", "cubic128", "cubic192", "displaced"])
+    "mixture",
+], ids=["vacuum", "coherent", "thermal", "cubic128", "cubic192", "displaced", "mixture"])
 def test_marginal_real_route_matches_complex_route(spec):
-    st_ = make_state(spec)
+    # the thermal state (r = N) takes the dense route, the others the factor
+    if spec == "mixture":  # rank 2, with unequal weights
+        pure = [make_state(StateSpec(kind="coherent", beta=b, N=64)).vectors
+                for b in (1.2 - 0.8j, -0.5 + 1j)]
+        st_ = QuantumState(vectors=np.hstack(pure), weights=np.array([0.7, 0.3]))
+    else:
+        st_ = make_state(spec)
     g = default_grid(st_.dim)
     for phi in (0.0, math.pi / 2, math.pi / 4, -math.pi / 4, 0.3):
         np.testing.assert_allclose(marginal_density(st_, phi, g),
@@ -248,7 +255,7 @@ def test_marginal_negative_dip_guard():
     rho = np.zeros((8, 8), dtype=complex)
     rho[0, 0] = 1.0 + 1e-5
     rho[7, 7] = -1e-5  # negative weight out at the |7> turning point
-    st_ = QuantumState(rho=rho)
+    st_ = QuantumState.from_rho(rho)
     with pytest.raises(TruncationError):
         marginal_density(st_, 0.0, PositionGrid(8.0, 401))
 
@@ -259,7 +266,8 @@ def test_displace_zero_is_identity():
     st_ = vacuum_state()
     out = displace(st_, 0.0)
     np.testing.assert_array_equal(out.rho, st_.rho)
-    assert out.rho is not st_.rho
+    assert not np.shares_memory(out.vectors, st_.vectors)
+    assert not np.shares_memory(out.weights, st_.weights)
 
 
 def test_displace_matches_coherent_construction():
@@ -287,6 +295,7 @@ def _assert_matches_padded_expm_oracle(spec, alpha):
     rho_ref, leak_ref = oracles.oracle_displace(st_.rho, alpha)
     np.testing.assert_allclose(out.rho, rho_ref, rtol=0, atol=1e-13)
     assert out.leakage - st_.leakage == pytest.approx(leak_ref, abs=1e-14)
+    return out
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
@@ -297,7 +306,8 @@ def test_displace_matches_padded_expm_oracle_on_cubic_state(alpha):
 @pytest.mark.parametrize("alpha", [3 + 1j, -2.5 + 2j])
 def test_displace_matches_padded_expm_oracle_on_thermal_state(alpha):
     # the recurrence in m that follows from b D = D (b + alpha) misses by 0.17 here
-    _assert_matches_padded_expm_oracle(StateSpec(kind="thermal", n_bar=3.0, N=160), alpha)
+    out = _assert_matches_padded_expm_oracle(StateSpec(kind="thermal", n_bar=3.0, N=160), alpha)
+    assert out.vectors.shape == (160, 160)  # the full-rank factor route
 
 
 @pytest.mark.parametrize("N, alpha", [(64, 3 + 1j), (400, 38.6 * cmath.exp(0.7j))],
@@ -367,7 +377,7 @@ def test_displace_rejects_a_huge_displacement_without_overflow(N, alpha):
 def test_validate_state_rejects_bad_trace():
     rho = np.eye(4, dtype=complex)  # trace 4
     with pytest.raises(StateError, match="trace"):
-        validate_state(QuantumState(rho=rho))
+        validate_state(QuantumState.from_rho(rho))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
@@ -376,13 +386,39 @@ def test_validate_state_rejects_a_non_finite_entry(bad):
     rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
     rho[2, 2] = bad
     with pytest.raises(StateError, match="non-finite"):
-        validate_state(QuantumState(rho=rho))
+        validate_state(QuantumState.from_rho(rho))
+
+
+def _bad_factor(flaw):
+    """A 3-level state whose factor or weights carry one flaw."""
+    vectors, weights = np.eye(3, dtype=complex), np.array([0.5, 0.3, 0.2])
+    if flaw in ("nan", "inf"):
+        vectors[1, 2] = getattr(np, flaw)
+    elif flaw in ("nan-weight", "inf-weight"):
+        weights[0] = getattr(np, flaw.split("-")[0])
+    elif flaw == "negative-weight":
+        weights[:] = 0.5 + PSD_TOL, 0.5 + PSD_TOL, -2.0 * PSD_TOL
+    elif flaw == "trace":  # trace 1 + 2 TRACE_TOL
+        vectors[0, 0] = math.sqrt(1.0 + 4.0 * hilbert.TRACE_TOL)
+    return QuantumState(vectors=vectors, weights=weights)
+
+
+FLAW_MESSAGES = {"nan": "non-finite", "inf": "non-finite", "nan-weight": "non-finite",
+                 "inf-weight": "non-finite",
+                 "negative-weight": r"smallest eigenvalue -2\.00e-10", "trace": "trace"}
+
+
+@pytest.mark.parametrize("flaw", FLAW_MESSAGES)
+def test_validate_state_rejects_a_bad_factor(flaw):
+    validate_state(_bad_factor(None))  # the unflawed state passes
+    with pytest.raises(StateError, match=FLAW_MESSAGES[flaw]):
+        validate_state(_bad_factor(flaw))
 
 
 def test_validate_state_rejects_negative():
     rho = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
     with pytest.raises(StateError, match="smallest eigenvalue"):
-        validate_state(QuantumState(rho=rho))
+        validate_state(QuantumState.from_rho(rho))
 
 
 def _with_smallest_eigenvalue(lam, N=6, seed=3):
@@ -393,36 +429,44 @@ def _with_smallest_eigenvalue(lam, N=6, seed=3):
     w = np.zeros(N)
     w[0], w[1] = 1.0 - lam, lam
     rho = (V * w) @ V.conj().T
-    return QuantumState(rho=0.5 * (rho + rho.conj().T))
+    return QuantumState.from_rho(0.5 * (rho + rho.conj().T))
 
 
 @pytest.fixture
-def eigvalsh_calls(monkeypatch):
-    calls, eigvalsh = [], np.linalg.eigvalsh
+def factorisations(monkeypatch):
+    """Calls of the dense factorisations a positivity check could use."""
+    calls = []
+    for name in ("cholesky", "eigh", "eigvalsh"):
+        def counting(a, *args, _name=name, _f=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _f(a, *args, **kwargs)
 
-    def counting(a):
-        calls.append(a.shape)
-        return eigvalsh(a)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        monkeypatch.setattr(np.linalg, name, counting)
     return calls
 
 
-def test_validate_state_rejects_just_below_the_bound(eigvalsh_calls):
+def test_validate_state_rejects_just_below_the_bound():
     with pytest.raises(StateError, match=r"smallest eigenvalue -2\.0\de-10 below -1e-10"):
         validate_state(_with_smallest_eigenvalue(-2.0 * PSD_TOL))
-    assert len(eigvalsh_calls) == 1
 
 
-@pytest.mark.parametrize("factor, eigvalsh_needed", [(-0.6, 1), (-0.4, 0)])
-def test_validate_state_accepts_on_both_sides_of_the_shift(factor, eigvalsh_calls,
-                                                           eigvalsh_needed):
-    # the Cholesky factorisation of rho + PSD_TOL/2 fails at -0.6 PSD_TOL,
-    # so the eigenvalue decides; at -0.4 PSD_TOL it succeeds on its own
+@pytest.mark.parametrize("factor", [-0.6, -0.4])
+def test_validate_state_accepts_just_above_the_bound(factor):
     validate_state(_with_smallest_eigenvalue(factor * PSD_TOL))
-    assert len(eigvalsh_calls) == eigvalsh_needed
 
 
-def test_validate_state_accepts_a_pure_state(eigvalsh_calls):
+def test_validate_state_accepts_a_pure_state(factorisations):
     validate_state(make_state(StateSpec(kind="cubic_phase", gamma=0.1, N=64)))
-    assert eigvalsh_calls == []
+    assert factorisations == []
+
+
+@pytest.mark.parametrize("spec", [
+    StateSpec(kind="thermal", n_bar=0.7, N=128),
+    StateSpec(kind="displaced", alpha=0.3 + 0.4j, N=128,
+              inner=StateSpec(kind="cubic_phase", gamma=0.1, N=128)),
+    StateSpec(kind="displaced", alpha=3 + 1j, N=160,
+              inner=StateSpec(kind="thermal", n_bar=3.0, N=160)),
+], ids=["thermal", "displaced", "displaced_thermal"])
+def test_mixed_and_displaced_states_are_checked_without_a_factorisation(spec, factorisations):
+    validate_state(make_state(spec))
+    assert factorisations == []

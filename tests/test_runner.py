@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -514,6 +515,21 @@ ALL_OPTIONS = ["--config", "c.cfg", "--out", "o", "--seed", "7", "--mode", "quic
 def test_cli_grammar(command, options, expected):
     assert vars(build_parser().parse_args([command, *options])) == {"command": command,
                                                                      **expected}
+
+
+def test_cli_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    cfg = write_cfg(tmp_path, "state.kind = vacuum\nstate.N = 8\n")
+    assert main(["state-info", "--config", cfg]) == 0
+    built, init = [], argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    for _ in range(2):
+        assert main(["state-info", "--config", cfg]) == 0
+    assert built == [] and build_parser() is build_parser()
 
 
 def test_cli_options_may_precede_the_command(tmp_path, capsys):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from nlsqueeze import states
+from nlsqueeze import hilbert, states
 from nlsqueeze.errors import TruncationError
 from nlsqueeze.hilbert import LEAK_TOL, build_basis, default_grid, quadrature_moment
 from nlsqueeze.states import GAMMA_MAX, StateSpec, make_state
@@ -220,6 +220,54 @@ def test_displaced_state_is_built_at_the_inner_dimension():
     for st in built:
         np.testing.assert_array_equal(st.rho, built[1].rho)
         assert st.leakage == built[1].leakage
+
+
+# ------------------------------------------------------------- factored form
+
+def _projector(c):
+    c = c / math.sqrt(float(np.sum(np.abs(c) ** 2)))
+    return np.outer(c, c.conj())
+
+
+def _cubic_projector(gamma, N):
+    grid = default_grid(N)
+    basis = build_basis(N, grid)
+    return _projector((basis * grid.spacing) @ (basis[0] * np.exp(1j * gamma * grid.points ** 3)))
+
+
+def _dense_displaced(rho, alpha):
+    # the kept block U S (U† rho U) Sᵀ U† of D(alpha) rho D(alpha)†, renormalised
+    N = rho.shape[0]
+    S = hilbert._displacement_block(N, abs(alpha))
+    U = np.exp(1j * math.atan2(alpha.imag, alpha.real) * np.arange(N))
+    block = U[:, None] * (S @ (U.conj()[:, None] * rho * U) @ S.T) * U.conj()
+    return block / np.trace(block).real
+
+
+def _dense_thermal(n_bar, N):
+    pops = (1.0 / (n_bar + 1.0)) * (n_bar / (n_bar + 1.0)) ** np.arange(N)
+    return np.diag(pops / pops.sum()).astype(complex)
+
+
+CUBIC = StateSpec(kind="cubic_phase", gamma=0.1, N=128)
+THERMAL = StateSpec(kind="thermal", n_bar=0.7, N=64)
+
+
+@pytest.mark.parametrize("spec, dense, rank", [
+    (StateSpec(kind="vacuum", N=32), lambda: _projector(np.eye(1, 32)[0]), 1),
+    (StateSpec(kind="coherent", beta=1.2 - 0.8j, N=64),
+     lambda: _projector(states._coherent_amplitudes(1.2 - 0.8j, 64)), 1),
+    (THERMAL, lambda: _dense_thermal(0.7, 64), 64),
+    (CUBIC, lambda: _cubic_projector(0.1, 128), 1),
+    (StateSpec(kind="displaced", alpha=0.3 + 0.4j, inner=CUBIC),
+     lambda: _dense_displaced(_cubic_projector(0.1, 128), 0.3 + 0.4j), 1),
+    (StateSpec(kind="displaced", alpha=0.3 + 0.4j, inner=THERMAL),
+     lambda: _dense_displaced(_dense_thermal(0.7, 64), 0.3 + 0.4j), 64),
+], ids=["vacuum", "coherent", "thermal", "cubic", "displaced", "displaced_thermal"])
+def test_factor_reproduces_the_dense_construction(spec, dense, rank):
+    st = make_state(spec)
+    assert st.vectors.shape == (spec.dim, rank) and st.weights.shape == (rank,)
+    np.testing.assert_allclose(st.rho, dense(), rtol=0, atol=1e-13)
 
 
 # ------------------------------------------------------------- grids

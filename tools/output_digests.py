@@ -5,8 +5,9 @@
 Runs every preset in configs/ in quick mode through sweep, reconstruct
 and certify, with seed 31 and once each at --threads 1, 2 and 4, and
 runs state-info on a fixed state family (vacuum, coherent at 1.2-0.8j
-and at 3-2j, thermal, cubic, and cubic displaced by 0.3+0.4j and by
-2-1.5j, each at N = 64, 128 and 192), with the package imported from
+and at 3-2j, thermal, cubic, cubic displaced by 0.3+0.4j and by
+2-1.5j, and thermal displaced by 0.3+0.4j, each at N = 64, 128 and
+192), with the package imported from
 DIR/src (default: the checkout this script sits in).
 Every file a run writes and its stdout are hashed after masking what
 legitimately differs between runs: the value of each "wall_clock_s"
@@ -54,6 +55,9 @@ STATES = {
     # a larger displacement, so more of the displacement block enters the output
     "displaced_far": {"kind": "displaced", "alpha": "2-1.5j",
                       **{f"inner.{k}": v for k, v in CUBIC.items()}},
+    # a full-rank factor through the displacement
+    "displaced_thermal": {"kind": "displaced", "alpha": "0.3+0.4j",
+                          "inner.kind": "thermal", "inner.n_bar": "0.7"},
 }
 # 192 is the first N whose default grid grows past extent 18
 STATE_N = (64, 128, 192)
