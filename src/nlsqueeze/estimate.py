@@ -1,12 +1,13 @@
 """From homodyne records to the nonlinear-squeezing curve.
 
-The pipeline per reconstruction: estimate output moments <Y^n> with
-standard errors at each of the four phases (0, pi/2, +-pi/4), invert the
-triangular moment hierarchy phase by phase, recover the mixed moment
-from the rotated third moments, and assemble the V(lambda) parabola.
-Ensembles repeat this with independent derived seeds and keep the
-per-replicate curve coefficients, from which pointwise statistics on any
-lambda grid follow.
+The pipeline per reconstruction: estimate output moments <Y^n> and their
+covariance at each of the four phases (0, pi/2, +-pi/4), invert the
+triangular moment hierarchy phase by phase, carrying the covariance
+through its Jacobian, recover the mixed moment from the rotated third
+moments, and assemble the V(lambda) parabola with the covariance of its
+coefficients.  Ensembles repeat this with independent derived seeds and
+keep the per-replicate curve coefficients and mixed moments, from which
+pointwise statistics on any lambda grid follow.
 """
 
 from __future__ import annotations
@@ -42,15 +43,16 @@ def derive_seed(*parts) -> int:
 
 
 def empirical_moments(samples, max_n: int):
-    """Power sums of Y^n up to 2*max_n for means and errors.
+    """Power sums of Y^n up to 2*max_n for means and their covariance.
 
-    Returns (means, std_errors), index n-1 holding the mean of Y^n and its
-    standard error for n = 1..max_n.  Samples are scaled by their max
-    magnitude before powering, so the accumulators stay in range; a
-    record whose max_n-th power leaves the float range raises DataError.
+    Returns (means, cov): means[n-1] is the mean of Y^n for n = 1..max_n,
+    and cov[n-1, m-1] = (<Y^(n+m)> - <Y^n><Y^m>)/(count - 1) the
+    covariance of the means of Y^n and Y^m.  Samples are scaled by their
+    max magnitude before powering, so the accumulators stay in range; a
+    record whose max_n-th power leaves the float range raises DataError,
+    and a covariance entry past it is inf.
     The sums run over SAMPLE_BLOCK-sized slices through buffers that stay
-    in cache, and the slice sums are added in slice order.  Only the
-    powers a mean or an error reads are summed: n <= max_n and even n.
+    in cache, and the slice sums are added in slice order.
     """
     if max_n < 1 or max_n > 4:
         raise ValueError(f"max_n must be in 1..4 (cubic protocol ceiling), got {max_n}")
@@ -65,11 +67,11 @@ def empirical_moments(samples, max_n: int):
     if scale == 0.0:
         scale = 1.0
     try:
-        powers = [scale ** n for n in range(1, max_n + 1)]
+        powers = np.array([scale ** n for n in range(1, max_n + 1)])
     except OverflowError:
         raise DataError(f"sample magnitude {scale:.3g} overflows the order-{max_n} "
                         f"moment") from None
-    raw = np.zeros(2 * max_n)
+    raw = np.zeros(2 * max_n)  # raw[k] holds the power k + 1
     w = np.empty(min(count, SAMPLE_BLOCK))
     cur = np.empty_like(w)
     for lo in range(0, count, SAMPLE_BLOCK):
@@ -79,30 +81,23 @@ def empirical_moments(samples, max_n: int):
         raw[1] += cs.sum()
         for k in range(2, 2 * max_n):
             np.multiply(cs, ws, out=cs)
-            if k < max_n or k % 2:  # raw[k] holds the power k + 1
-                raw[k] += cs.sum()
+            raw[k] += cs.sum()
     raw /= count
-    means = np.empty(max_n)
-    errs = np.empty(max_n)
-    bessel = count / (count - 1.0)
-    for n in range(1, max_n + 1):
-        mu = raw[n - 1]
-        var = max(raw[2 * n - 1] - mu * mu, 0.0) * bessel
-        means[n - 1] = powers[n - 1] * mu
-        errs[n - 1] = powers[n - 1] * math.sqrt(var / count)
-    return means, errs
+    mu = raw[:max_n]
+    i = np.arange(max_n)  # i + 1 = n
+    cov = (raw[i[:, None] + i + 1] - np.outer(mu, mu)) / (count - 1.0)
+    return powers * mu, cov * np.outer(powers, powers)
 
 
-def invert_hierarchy(means, std_errors, coeffs: ChannelCoefficients, n_bar: float):
+def invert_hierarchy(means, cov, coeffs: ChannelCoefficients, n_bar: float):
     """Forward substitution through readout.hierarchy_matrix at one phase.
 
-    Takes the output moments <Y^n> and their standard errors for
-    n = 1..len(means) and returns (q, q_errors), the mechanical moments
-    <Q^n> and their errors for the same orders.  Row n gives
-    <Q^n> = (<Y^n> - sum_{k<n} H[n, k] <Q^k>) / H[n, n].  Standard errors
-    are first-order propagated through the Jacobian J = d<Q>/d<Y> (the
-    inverse of H); covariances between different output moments are
-    neglected.
+    Takes the output moments <Y^n> for n = 1..len(means) and their
+    covariance, and returns (q, q_cov), the mechanical moments <Q^n> for
+    the same orders and their covariance.  Row n gives
+    <Q^n> = (<Y^n> - sum_{k<n} H[n, k] <Q^k>) / H[n, n].  The covariance
+    is first-order propagated, J cov J^T, through the Jacobian
+    J = d<Q>/d<Y> (the inverse of H).
     """
     cq = coeffs.c_Q
     if abs(cq) < CQ_FLOOR:
@@ -110,16 +105,14 @@ def invert_hierarchy(means, std_errors, coeffs: ChannelCoefficients, n_bar: floa
             f"|c_Q| = {abs(cq):.2e} below {CQ_FLOOR:g}; channel too weak to invert"
         )
     max_n = len(means)
-    var_y = np.asarray(std_errors, dtype=float) ** 2
     H = hierarchy_matrix(coeffs, n_bar, max_n)
     q = np.ones(max_n + 1)   # q[0] = <Q^0> = 1 exactly
     J = np.eye(max_n + 1)    # J[n, k] = d<Q^n>/d<Y^k>, filled row by row
-    q_errors = np.empty(max_n)
     for n in range(1, max_n + 1):
         q[n] = (means[n - 1] - sum(H[n, k] * q[k] for k in range(n))) / H[n, n]
         J[n] = (J[n] - H[n, :n] @ J[:n]) / H[n, n]
-        q_errors[n - 1] = math.sqrt(J[n, 1:] ** 2 @ var_y)
-    return q[1:], q_errors
+    J = J[1:, 1:]
+    return q[1:], J @ cov @ J.T
 
 
 def run_reconstruction(tables: tuple[InverseCDF, ...], params: ChannelParams,
@@ -135,24 +128,20 @@ def run_reconstruction(tables: tuple[InverseCDF, ...], params: ChannelParams,
     ms = MomentSet()
     for k, (table, (_, order)) in enumerate(zip(tables, PHASE_ORDERS, strict=True)):
         samples = sample_homodyne(table, coeffs.c_Q, count, derive_seed(seed, k), noise_std)
-        means, std_errors = empirical_moments(samples, order)
-        ms.values[k, 1:order + 1], ms.errors[k, 1:order + 1] = invert_hierarchy(
-            means, std_errors, coeffs, params.n_bar)
-    ms.mixed, ms.mixed_error = mixed_moment_recovery(ms)
+        means, cov = empirical_moments(samples, order)
+        ms.values[k, 1:order + 1], ms.cov[k, :order, :order] = invert_hierarchy(
+            means, cov, coeffs, params.n_bar)
+    ms.mixed = mixed_moment_recovery(ms)
     return ms, assemble_curve(ms)
 
 
 @dataclass
 class EnsembleReport:
     """Per-replicate curve coefficients and mixed moments of R
-    reconstructions, with their means, sample deviations and the
-    replicate seeds."""
+    reconstructions, and the replicate seeds."""
 
     coeff_values: dict     # name -> ndarray over replicates (a0, a1, a2)
-    coeff_mean: dict
-    coeff_std: dict
-    mixed_mean: float
-    mixed_std: float
+    mixed_values: np.ndarray
     seeds: list
 
     def v_at(self, lam: float):
@@ -192,13 +181,9 @@ def ensemble_run(tables: tuple[InverseCDF, ...], params: ChannelParams, count: i
     else:
         results = [one(s) for s in seeds]
 
-    coeff_values = {k: np.array([getattr(c, k) for _, c in results]) for k in ("a0", "a1", "a2")}
-    mixed_vals = np.array([ms.mixed for ms, _ in results])
     return EnsembleReport(
-        coeff_values=coeff_values,
-        coeff_mean={k: float(v.mean()) for k, v in coeff_values.items()},
-        coeff_std={k: float(v.std(ddof=1)) for k, v in coeff_values.items()},
-        mixed_mean=float(mixed_vals.mean()),
-        mixed_std=float(mixed_vals.std(ddof=1)),
+        coeff_values={k: np.array([getattr(c, k) for _, c in results])
+                      for k in ("a0", "a1", "a2")},
+        mixed_values=np.array([ms.mixed for ms, _ in results]),
         seeds=seeds,
     )

@@ -150,8 +150,11 @@ class QuantumState:
 
     @classmethod
     def from_rho(cls, rho: np.ndarray, leakage: float = 0.0) -> "QuantumState":
-        """Factor a dense density matrix by eigh, keeping negative
-        eigenvalues as weights so that validate_state still rejects them.
+        """Factor a dense density matrix by eigh.  Eigenpairs whose weight
+        is at rounding level, |w| <= N eps max|w|, far below PSD_TOL, are
+        dropped, so a low-rank rho keeps a low-rank factor; negative
+        eigenvalues beyond that stay as weights, so validate_state still
+        rejects them.
 
         Raises
         ------
@@ -167,7 +170,8 @@ class QuantumState:
         if herm > HERMITICITY_TOL:
             raise HermiticityError(f"density matrix asymmetry {herm:.2e} > {HERMITICITY_TOL:g}")
         weights, vectors = np.linalg.eigh(rho)
-        return cls(vectors=vectors, weights=weights, leakage=leakage)
+        keep = np.abs(weights) > len(rho) * np.finfo(float).eps * np.abs(weights).max()
+        return cls(vectors=vectors[:, keep], weights=weights[keep], leakage=leakage)
 
     @property
     def dim(self) -> int:
@@ -204,7 +208,7 @@ def validate_state(state: QuantumState) -> QuantumState:
     """
     if not (np.isfinite(state.vectors).all() and np.isfinite(state.weights).all()):
         raise StateError("state factor or weights have a non-finite entry")
-    lam_min = float(np.min(state.weights))
+    lam_min = float(np.min(state.weights, initial=0.0))  # from_rho(0) has no weights
     if lam_min < -PSD_TOL:
         raise StateError(f"smallest eigenvalue {lam_min:.2e} below -{PSD_TOL:g}")
     tr = _trace(state.vectors, state.weights)

@@ -28,83 +28,80 @@ QUARTER_PI = math.pi / 4.0
 PHASE_ORDERS = ((0.0, 4), (HALF_PI, 3), (QUARTER_PI, 3), (-QUARTER_PI, 3))
 Q, P, PLUS, MINUS = range(len(PHASE_ORDERS))  # rows of PHASE_ORDERS
 MAX_ORDER = 4
+MIXED_C = 2.0 * math.sqrt(2.0) / 3.0  # weight of the rotated cubes in mixed_moment_recovery
 
 
 class MomentSet:
-    """Quadrature moments <Q_phi^n> and their standard errors in two
-    (schedule row, order 0..MAX_ORDER) tables.
+    """Quadrature moments <Q_phi^n> in a (schedule row, order
+    0..MAX_ORDER) table, with their covariance per row.
 
     values[k, n] is <Q_phi^n> at phi = PHASE_ORDERS[k][0], addressed by
     the rows Q, P, PLUS, MINUS; entries outside 1 <= n <= the row's top
-    order stay NaN.  The symmetrized mixed moment <p q^2 + q^2 p> has no
-    (row, order) entry; it sits in mixed and mixed_error, set from
-    mixed_moment_recovery.
+    order stay NaN.  cov[k, n-1, m-1] is the covariance of the orders n
+    and m of row k, zero outside the row's orders; rows are independent
+    records, so moments of different rows do not covary.  The
+    symmetrized mixed moment <p q^2 + q^2 p> has no (row, order) entry;
+    it sits in mixed, set from mixed_moment_recovery.
     """
 
     def __init__(self):
         self.values = np.full((len(PHASE_ORDERS), MAX_ORDER + 1), np.nan)
-        self.errors = np.full_like(self.values, np.nan)
-        self.mixed = self.mixed_error = math.nan
+        self.cov = np.zeros((len(PHASE_ORDERS), MAX_ORDER, MAX_ORDER))
+        self.mixed = math.nan
 
 
 @dataclass
 class NlsCurve:
-    """Parabola V(lambda) = a0 + a1 lambda + a2 lambda^2 with coefficient
-    errors."""
+    """Parabola V(lambda) = a0 + a1 lambda + a2 lambda^2 with the 3 x 3
+    covariance of (a0, a1, a2)."""
 
     a0: float
     a1: float
     a2: float
-    a0_err: float = 0.0
-    a1_err: float = 0.0
-    a2_err: float = 0.0
+    cov: np.ndarray
 
     def __call__(self, lam):
         lam = np.asarray(lam, dtype=float) if np.ndim(lam) else float(lam)
         return self.a0 + lam * (self.a1 + lam * self.a2)
 
     def error(self, lam):
-        lam = np.asarray(lam, dtype=float) if np.ndim(lam) else float(lam)
-        return np.sqrt(
-            self.a0_err ** 2 + (lam * self.a1_err) ** 2 + (lam * lam * self.a2_err) ** 2
-        )
+        """sqrt(v cov v^T) with v = (1, lambda, lambda^2)."""
+        lam = np.asarray(lam, dtype=float)
+        v = np.array([np.ones_like(lam), lam, lam * lam])
+        return np.sqrt(np.sum(v * (self.cov @ v), axis=0))
 
 
-def mixed_moment_recovery(m: MomentSet):
+def mixed_moment_recovery(m: MomentSet) -> float:
     """Symmetrized mixed moment from the rotated third moments.
 
     <p q^2 + q^2 p> = (2 sqrt(2)/3)(<Q^3_{pi/4}> - <Q^3_{-pi/4}>)
                       - (2/3) <p^3>,
     with the +-iq commutator terms cancelling in the difference, read
     from the order-3 entries of the rows PLUS, MINUS and P.
-    Returns (value, std_error).
     """
-    c = 2.0 * math.sqrt(2.0) / 3.0
     plus, minus, p3 = m.values[[PLUS, MINUS, P], 3].tolist()
-    s_plus, s_minus, s_p3 = m.errors[[PLUS, MINUS, P], 3].tolist()
-    value = c * (plus - minus) - (2.0 / 3.0) * p3
-    err = math.sqrt(c ** 2 * (s_plus ** 2 + s_minus ** 2) + (2.0 / 3.0) ** 2 * s_p3 ** 2)
-    return value, err
+    return MIXED_C * (plus - minus) - (2.0 / 3.0) * p3
 
 
 def assemble_curve(m: MomentSet) -> NlsCurve:
     """Build the V(lambda) parabola from the rows Q and P and the mixed
     moment of m.
 
-    a0 = Var(p), a1 = -3(<pq^2+q^2p> - 2<p><q^2>), a2 = 9 Var(q^2);
-    coefficient errors are first-order propagated from the moment errors
-    (cross-moment covariances within a quadrature neglected).
+    a0 = Var(p), a1 = -3(<pq^2+q^2p> - 2<p><q^2>), a2 = 9 Var(q^2).  Their
+    covariance is first-order propagated, sum_k g_k cov_k g_k^T, with
+    g_k = d(a0, a1, a2)/d(orders 1..MAX_ORDER of row k).
     """
     q, p = m.values[Q].tolist(), m.values[P].tolist()
-    sq, sp = m.errors[Q].tolist(), m.errors[P].tolist()
     a0 = p[2] - p[1] * p[1]
     a1 = -3.0 * (m.mixed - 2.0 * p[1] * q[2])
     a2 = 9.0 * (q[4] - q[2] * q[2])
-    a0_err = math.sqrt(sp[2] ** 2 + (2.0 * p[1] * sp[1]) ** 2)
-    a1_err = 3.0 * math.sqrt(m.mixed_error ** 2 + (2.0 * q[2] * sp[1]) ** 2
-                             + (2.0 * p[1] * sq[2]) ** 2)
-    a2_err = 9.0 * math.sqrt(sq[4] ** 2 + (2.0 * q[2] * sq[2]) ** 2)
-    return NlsCurve(a0, a1, a2, a0_err, a1_err, a2_err)
+    g = np.zeros((len(PHASE_ORDERS), 3, MAX_ORDER))  # g[k, i, n-1] = d a_i / d values[k, n]
+    g[P, 0, :2] = -2.0 * p[1], 1.0                  # a0 through p, p^2
+    g[P, 1, [0, 2]] = 6.0 * q[2], 2.0               # a1 through p, and p^3 in the mixed moment
+    g[Q, 1, 1] = 6.0 * p[1]                         # a1 through q^2
+    g[PLUS, 1, 2], g[MINUS, 1, 2] = -3.0 * MIXED_C, 3.0 * MIXED_C  # and the rotated cubes
+    g[Q, 2, [1, 3]] = -18.0 * q[2], 9.0             # a2 through q^2, q^4
+    return NlsCurve(a0, a1, a2, (g @ m.cov @ g.transpose(0, 2, 1)).sum(axis=0))
 
 
 def second_moment(m: MomentSet, lam: float) -> float:
@@ -130,12 +127,11 @@ def resource_condition(gamma: float, gamma_G: float) -> bool:
 
 def exact_moment_set(state: QuantumState) -> MomentSet:
     """MomentSet of exact truncated-Fock moments over the whole schedule,
-    every error 0; the mixed moment is recovered from its own rows, as
-    a reconstruction recovers it."""
+    with zero covariance; the mixed moment is recovered from its own
+    rows, as a reconstruction recovers it."""
     m = MomentSet()
     for k, (phi, order) in enumerate(PHASE_ORDERS):
         for n in range(1, order + 1):
             m.values[k, n] = quadrature_moment(state, phi, n)
-        m.errors[k, 1:order + 1] = 0.0
-    m.mixed, m.mixed_error = mixed_moment_recovery(m)
+    m.mixed = mixed_moment_recovery(m)
     return m

@@ -416,6 +416,11 @@ def emit_plot_data(report: SweepReport) -> str:
     return _csv(PLOT_HEADER, _plot_rows(report))
 
 
+def _mean_std(values: np.ndarray) -> dict:
+    """Mean and sample deviation over the replicates."""
+    return {"mean": float(values.mean()), "std": float(values.std(ddof=1))}
+
+
 def _point_dict(pt: SweepPoint) -> dict:
     rep = pt.report
     return {
@@ -424,11 +429,10 @@ def _point_dict(pt: SweepPoint) -> dict:
         "point_seed": pt.seed,
         "replicate_seeds": list(rep.seeds),
         "coefficients": {
-            name: {"mean": rep.coeff_mean[name], "std": rep.coeff_std[name],
-                   "values": [float(v) for v in rep.coeff_values[name]]}
-            for name in ("a0", "a1", "a2")
+            name: {**_mean_std(values), "values": [float(v) for v in values]}
+            for name, values in rep.coeff_values.items()
         },
-        "mixed_moment": {"mean": rep.mixed_mean, "std": rep.mixed_std},
+        "mixed_moment": _mean_std(rep.mixed_values),
         "wall_clock_s": pt.wall_clock_s,
     }
 
@@ -573,17 +577,15 @@ def main(argv=None) -> int:
             report = run_sweep(config, threads=args.threads)
             paths = write_sweep_outputs(report)
             for pt in report.points:
-                print(f"sweep_value={pt.sweep_value:g}  "
-                      f"a0={pt.report.coeff_mean['a0']:.6g}"
-                      f"±{pt.report.coeff_std['a0']:.2g}  "
+                a0 = _mean_std(pt.report.coeff_values["a0"])
+                print(f"sweep_value={pt.sweep_value:g}  a0={a0['mean']:.6g}±{a0['std']:.2g}  "
                       f"[{pt.wall_clock_s:.2f} s]")
         elif args.command == "reconstruct":
             report = single_run_report(config, threads=args.threads)
             paths = write_sweep_outputs(report, json_name="reconstruction.json")
-            rep = report.points[0].report
-            print(f"a0={rep.coeff_mean['a0']:.6g}±{rep.coeff_std['a0']:.2g}  "
-                  f"a1={rep.coeff_mean['a1']:.6g}±{rep.coeff_std['a1']:.2g}  "
-                  f"a2={rep.coeff_mean['a2']:.6g}±{rep.coeff_std['a2']:.2g}")
+            stats = {name: _mean_std(values)
+                     for name, values in report.points[0].report.coeff_values.items()}
+            print("  ".join(f"{name}={s['mean']:.6g}±{s['std']:.2g}" for name, s in stats.items()))
         elif args.command == "certify":
             cert = certify(config, threads=args.threads)
             path = _write_json(Path(config.out_dir) / "certificate.json", cert)

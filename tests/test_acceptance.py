@@ -121,7 +121,7 @@ def test_criterion_05_round_trip_inversion():
         for m in moments:
             exact = m[phi]
             ys = forward_output_moments(exact, coeffs, params.n_bar)
-            rec, _ = invert_hierarchy(ys, np.zeros(4), coeffs, params.n_bar)
+            rec, _ = invert_hierarchy(ys, np.zeros((4, 4)), coeffs, params.n_bar)
             worst = max(worst, float(np.max(np.abs(rec - exact))))
     dt = time.perf_counter() - t0
     conclude("05 moment hierarchy inverts exactly",

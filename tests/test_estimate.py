@@ -27,7 +27,7 @@ from nlsqueeze.nlsq import (
     mixed_moment_recovery,
 )
 from nlsqueeze.readout import (SAMPLE_BLOCK, ChannelParams, channel_coefficients,
-                               forward_output_moments, sampling_tables)
+                               forward_output_moments, hierarchy_matrix, sampling_tables)
 from nlsqueeze.states import StateSpec, make_state
 
 STANDARD = ChannelParams(G=0.1, Gamma_m=1e-9, n_bar=1e4, tau=1e3)
@@ -41,18 +41,18 @@ def cubic_state(gamma=0.1, N=128):
 
 def test_empirical_moments_basic():
     x = np.full(200, 2.0)
-    means, errs = empirical_moments(x, 3)
+    means, cov = empirical_moments(x, 3)
     assert means[0] == pytest.approx(2.0, rel=1e-14)
     assert means[2] == pytest.approx(8.0, rel=1e-14)
-    assert errs[1] == pytest.approx(0.0, abs=1e-12)
+    assert cov[1, 1] == pytest.approx(0.0, abs=1e-24)
 
 
 def test_empirical_moments_standard_normal():
     rng = np.random.default_rng(9)
     x = rng.standard_normal(1_000_000)
-    means, errs = empirical_moments(x, 2)
+    means, cov = empirical_moments(x, 2)
     assert means[1] == pytest.approx(1.0, abs=5.0 * math.sqrt(2.0) / 1e3)
-    assert errs[1] == pytest.approx(math.sqrt(2.0) / 1e3, rel=0.05)
+    assert math.sqrt(cov[1, 1]) == pytest.approx(math.sqrt(2.0) / 1e3, rel=0.05)
 
 
 def test_empirical_moments_survives_huge_values():
@@ -67,12 +67,16 @@ def test_empirical_moments_survives_huge_values():
                                    7 * SAMPLE_BLOCK // 2])
 def test_empirical_moments_blockwise_matches_fsum(count):
     x = 1.5 + np.random.default_rng(count).standard_normal(count)
-    means, errs = empirical_moments(x, 4)
+    means, cov = empirical_moments(x, 4)
     for n in range(1, 5):
         mean = math.fsum(x ** n) / count
         var = (math.fsum(x ** (2 * n)) / count - mean * mean) * count / (count - 1.0)
         assert means[n - 1] == pytest.approx(mean, rel=1e-12, abs=0.0)
-        assert errs[n - 1] == pytest.approx(math.sqrt(var / count), rel=1e-12, abs=0.0)
+        assert math.sqrt(cov[n - 1, n - 1]) == pytest.approx(math.sqrt(var / count),
+                                                             rel=1e-12, abs=0.0)
+    # the covariance of the means of the power columns
+    columns = np.array([x ** n for n in range(1, 5)])
+    np.testing.assert_allclose(cov, np.cov(columns) / count, rtol=1e-11, atol=0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -106,21 +110,28 @@ def test_empirical_moments_input_validation():
 
 def test_invert_first_order_division():
     co = channel_coefficients(STANDARD)
-    q, _ = invert_hierarchy([co.c_Q * 0.15], [0.0], co, STANDARD.n_bar)
+    q, _ = invert_hierarchy([co.c_Q * 0.15], np.zeros((1, 1)), co, STANDARD.n_bar)
     assert q[0] == pytest.approx(0.15, rel=1e-12)
 
 
 def test_invert_rejects_weak_channel():
     co = dataclasses.replace(channel_coefficients(STANDARD), c_Q=-1e-8)
     with pytest.raises(ChannelConditionError):
-        invert_hierarchy([0.0, 1.0], [0.0, 0.0], co, STANDARD.n_bar)
+        invert_hierarchy([0.0, 1.0], np.zeros((2, 2)), co, STANDARD.n_bar)
 
 
 def test_invert_error_scaling():
     co = channel_coefficients(STANDARD)
-    _, errs = invert_hierarchy([0.0, 41.0], [0.01, 0.5], co, STANDARD.n_bar)
+    _, q_cov = invert_hierarchy([0.0, 41.0], np.diag([0.01, 0.5]) ** 2, co, STANDARD.n_bar)
+    errs = np.sqrt(np.diag(q_cov))
     assert errs[0] == pytest.approx(0.01 / abs(co.c_Q), rel=1e-12)
     assert errs[1] == pytest.approx(0.5 / co.c_Q ** 2, rel=1e-12)
+    # a full covariance goes through the inverse of the hierarchy block
+    a = np.random.default_rng(4).normal(size=(4, 4))
+    cov = a @ a.T
+    _, q_cov = invert_hierarchy([0.1, 41.0, 0.3, 5e3], cov, co, STANDARD.n_bar)
+    hinv = np.linalg.inv(hierarchy_matrix(co, STANDARD.n_bar, 4)[1:, 1:])
+    np.testing.assert_allclose(q_cov, hinv @ cov @ hinv.T, rtol=1e-10, atol=0.0)
 
 
 @pytest.mark.parametrize("state_spec", [
@@ -135,7 +146,7 @@ def test_round_trip_through_channel(state_spec):
     for phi in (0.0, HALF_PI):
         mech = [quadrature_moment(st, phi, n) for n in range(1, 5)]
         y = forward_output_moments(mech, co, STANDARD.n_bar)
-        back, _ = invert_hierarchy(y, np.zeros(4), co, STANDARD.n_bar)
+        back, _ = invert_hierarchy(y, np.zeros((4, 4)), co, STANDARD.n_bar)
         np.testing.assert_allclose(back, mech, rtol=0, atol=1e-10)
 
 
@@ -146,12 +157,7 @@ def test_mixed_recovery_from_exact_rotations():
     m = MomentSet()
     for k in (PLUS, MINUS, P):
         m.values[k, 3] = quadrature_moment(st, PHASE_ORDERS[k][0], 3)
-        m.errors[k, 3] = 0.01
-    value, err = mixed_moment_recovery(m)
-    assert value == pytest.approx(0.45, abs=1e-6)
-    c = 2.0 * math.sqrt(2.0) / 3.0
-    expected = math.sqrt(2.0 * (c * 0.01) ** 2 + (2.0 / 3.0 * 0.01) ** 2)
-    assert err == pytest.approx(expected, rel=1e-12)
+    assert mixed_moment_recovery(m) == pytest.approx(0.45, abs=1e-6)
 
 
 # ------------------------------------------------------------- reconstruction
@@ -163,9 +169,9 @@ def test_noiseless_inversion_reproduces_exact_curve():
     for k, (phi, order) in enumerate(PHASE_ORDERS):
         mech = [quadrature_moment(st, phi, n) for n in range(1, order + 1)]
         y = forward_output_moments(mech, co, STANDARD.n_bar)
-        ms.values[k, 1:order + 1], ms.errors[k, 1:order + 1] = invert_hierarchy(
-            y, np.zeros(order), co, STANDARD.n_bar)
-    ms.mixed, ms.mixed_error = mixed_moment_recovery(ms)
+        ms.values[k, 1:order + 1], ms.cov[k, :order, :order] = invert_hierarchy(
+            y, np.zeros((order, order)), co, STANDARD.n_bar)
+    ms.mixed = mixed_moment_recovery(ms)
     est = assemble_curve(ms)
     ref = assemble_curve(exact_moment_set(st))
     lam = np.linspace(-0.2, 0.4, 101)
@@ -178,7 +184,7 @@ def test_run_reconstruction_recovers_curve():
     for k, n in ((Q, 1), (Q, 4), (P, 3), (PLUS, 3)):
         assert math.isfinite(ms.values[k, n])
     # estimates land within a few propagated errors of the closed forms
-    assert abs(curve.a0 - 0.545) < 4.0 * curve.a0_err
+    assert abs(curve.a0 - 0.545) < 4.0 * math.sqrt(curve.cov[0, 0])
     assert abs(curve(0.1) - 0.5) < 4.0 * curve.error(0.1)
 
 
@@ -189,10 +195,12 @@ def test_run_reconstruction_deterministic():
     assert (c1.a0, c1.a1, c1.a2) == (c2.a0, c2.a1, c2.a2)
 
 
-def test_estimator_error_calibration():
-    # propagated sigma should match the scatter of independent runs to
-    # within a modest factor, and the 1-sigma interval should cover the
-    # truth at a plausible rate
+@pytest.mark.parametrize("params", [STANDARD, dataclasses.replace(STANDARD, Gamma_m=1e-7)],
+                         ids=["clean", "hot"])
+def test_estimator_error_calibration(params):
+    # propagated sigma should match the scatter of independent runs within
+    # the two-sided 99.9% chi-square band of a 50-replicate deviation, and
+    # the 1-sigma interval should cover the truth at a plausible rate
     st = cubic_state()
     true_v = assemble_curve(exact_moment_set(st))(0.1)
     tables = sampling_tables(st)
@@ -200,7 +208,7 @@ def test_estimator_error_calibration():
     values = []
     errors = []
     for r in range(50):
-        _, curve = run_reconstruction(tables, STANDARD, 100_000, derive_seed(303, r))
+        _, curve = run_reconstruction(tables, params, 100_000, derive_seed(303, r))
         values.append(curve(0.1))
         errors.append(curve.error(0.1))
         if abs(curve(0.1) - true_v) <= curve.error(0.1):
@@ -208,7 +216,7 @@ def test_estimator_error_calibration():
     coverage = hits / 50.0
     assert 0.55 <= coverage <= 0.95
     scatter = float(np.std(values, ddof=1))
-    assert 0.4 < float(np.mean(errors)) / scatter < 2.5
+    assert 0.74 < float(np.mean(errors)) / scatter < 1.47
 
 
 # ------------------------------------------------------------- ensemble

@@ -139,6 +139,7 @@ def test_moment_matches_oracle_on_random_mixed_states(N):
     support = N // 2
     rho = random_mixed_state(N, support, seed=N)
     st_ = QuantumState.from_rho(rho)
+    assert st_.vectors.shape == (N, 3)  # the eigenpairs of weight 0 are dropped
     phases = [phi for phi, _ in PHASE_ORDERS] + [0.3, 2.9, -3.1]
     for n in range(1, MAX_MOMENT_ORDER + 1):
         for phi in phases:
@@ -378,6 +379,8 @@ def test_validate_state_rejects_bad_trace():
     rho = np.eye(4, dtype=complex)  # trace 4
     with pytest.raises(StateError, match="trace"):
         validate_state(QuantumState.from_rho(rho))
+    with pytest.raises(StateError, match="trace"):  # no weight is kept
+        validate_state(QuantumState.from_rho(np.zeros((4, 4))))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])

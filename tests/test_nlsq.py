@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -28,15 +29,15 @@ import oracles
 
 
 def analytic_set(moments: dict) -> MomentSet:
-    """MomentSet of a {(phase, n): value, "mixed": value} dict, errors 0."""
+    """MomentSet of a {(phase, n): value, "mixed": value} dict, covariance 0."""
     row = {phase: k for k, (phase, _) in enumerate(PHASE_ORDERS)}
     m = MomentSet()
     for key, value in moments.items():
         if key == "mixed":
-            m.mixed, m.mixed_error = value, 0.0
+            m.mixed = value
         else:
             phase, n = key
-            m.values[row[phase], n], m.errors[row[phase], n] = value, 0.0
+            m.values[row[phase], n] = value
     return m
 
 
@@ -62,8 +63,10 @@ def test_exact_moment_set_fills_the_schedule(build):
     m = build(make_state(StateSpec(kind="vacuum", N=16)))
     filled = [[1 <= n <= order for n in range(MAX_ORDER + 1)] for _, order in PHASE_ORDERS]
     np.testing.assert_array_equal(np.isfinite(m.values), filled)
-    np.testing.assert_array_equal(np.isfinite(m.errors), filled)
-    assert math.isfinite(m.mixed) and math.isfinite(m.mixed_error)
+    assert np.isfinite(m.cov).all() and math.isfinite(m.mixed)
+    # no covariance outside a row's orders
+    inside = np.array([np.outer(row[1:], row[1:]) for row in filled])
+    np.testing.assert_array_equal(m.cov[~inside], 0.0)
 
 
 # ------------------------------------------------------------- curve
@@ -110,10 +113,48 @@ def test_variance_against_dense_oracle():
 
 
 def test_curve_error_propagation():
-    c = NlsCurve(a0=0.5, a1=-0.9, a2=4.5, a0_err=0.01, a1_err=0.1, a2_err=0.5)
+    c = NlsCurve(a0=0.5, a1=-0.9, a2=4.5, cov=np.diag([0.01, 0.1, 0.5]) ** 2)
     lam = 0.2
     expected = math.sqrt(0.01 ** 2 + (lam * 0.1) ** 2 + (lam * lam * 0.5) ** 2)
     assert c.error(lam) == pytest.approx(expected, rel=1e-12)
+    # coupled coefficients: the variance expanded in powers of lambda
+    cov = 1e-4 * np.array([[4.0, 1.0, -0.5], [1.0, 9.0, 2.0], [-0.5, 2.0, 25.0]])
+    c = NlsCurve(a0=0.5, a1=-0.9, a2=4.5, cov=cov)
+    lams = np.array([-0.3, 0.0, 0.2])
+    var = (cov[0, 0] + 2.0 * lams * cov[0, 1] + lams ** 2 * (cov[1, 1] + 2.0 * cov[0, 2])
+           + 2.0 * lams ** 3 * cov[1, 2] + lams ** 4 * cov[2, 2])
+    np.testing.assert_allclose(c.error(lams), np.sqrt(var), rtol=1e-12, atol=0.0)
+    assert c.error(0.2) == pytest.approx(math.sqrt(var[2]), rel=1e-12)
+
+
+def _coefficients(m: MomentSet) -> np.ndarray:
+    m.mixed = mixed_moment_recovery(m)
+    c = assemble_curve(m)
+    return np.array([c.a0, c.a1, c.a2])
+
+
+def test_curve_covariance_matches_central_differences():
+    # the coefficients are quadratic in the moments, so central differences
+    # give their gradient to rounding; a displaced state makes every term count
+    inner = StateSpec(kind="cubic_phase", gamma=0.1, N=96)
+    m = exact_moment_set(make_state(StateSpec(kind="displaced", alpha=0.3 + 0.4j, N=96,
+                                              inner=inner)))
+    rng = np.random.default_rng(12)
+    h = 1e-4
+    expected = np.zeros((3, 3))
+    for k, (_, order) in enumerate(PHASE_ORDERS):
+        a = rng.normal(size=(order, order))
+        m.cov[k, :order, :order] = a @ a.T  # a random PSD covariance per row
+        grad = np.empty((3, order))
+        for n in range(1, order + 1):
+            ends = []
+            for step in (h, -h):
+                shifted = copy.deepcopy(m)
+                shifted.values[k, n] += step
+                ends.append(_coefficients(shifted))
+            grad[:, n - 1] = (ends[0] - ends[1]) / (2.0 * h)
+        expected += grad @ m.cov[k, :order, :order] @ grad.T
+    np.testing.assert_allclose(assemble_curve(m).cov, expected, rtol=1e-8, atol=0.0)
 
 
 # ------------------------------------------------------------- second moment
@@ -213,7 +254,7 @@ def test_mixed_moment_identity(spec):
     # moments, as a reconstruction does; the dense operator is the oracle
     st_ = make_state(spec)
     m = exact_moment_set(st_)
-    assert m.mixed == mixed_moment_recovery(m)[0]
+    assert m.mixed == mixed_moment_recovery(m)
     assert m.mixed == pytest.approx(oracles.oracle_mixed(st_.rho), abs=1e-12)
 
 
