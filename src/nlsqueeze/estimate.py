@@ -20,16 +20,8 @@ import numpy as np
 
 from .errors import ChannelConditionError, DataError
 from .nlsq import PHASE_ORDERS, MomentSet, assemble_curve, mixed_moment_recovery
-from .readout import (
-    SAMPLE_BLOCK,
-    ChannelCoefficients,
-    ChannelParams,
-    InverseCDF,
-    channel_coefficients,
-    hierarchy_matrix,
-    noise_variance,
-    sample_homodyne,
-)
+from .readout import (SAMPLE_BLOCK, ChannelCoefficients, InverseCDF, hierarchy_matrix,
+                      sample_homodyne)
 
 CQ_FLOOR = 1e-6
 MIN_SAMPLES = 100   # per record, for moments with meaningful errors
@@ -86,10 +78,11 @@ def empirical_moments(samples, max_n: int):
     mu = raw[:max_n]
     i = np.arange(max_n)  # i + 1 = n
     cov = (raw[i[:, None] + i + 1] - np.outer(mu, mu)) / (count - 1.0)
-    return powers * mu, cov * np.outer(powers, powers)
+    with np.errstate(over="ignore"):  # an entry past the float range is inf
+        return powers * mu, cov * np.outer(powers, powers)
 
 
-def invert_hierarchy(means, cov, coeffs: ChannelCoefficients, n_bar: float):
+def invert_hierarchy(means, cov, coeffs: ChannelCoefficients):
     """Forward substitution through readout.hierarchy_matrix at one phase.
 
     Takes the output moments <Y^n> for n = 1..len(means) and their
@@ -105,7 +98,7 @@ def invert_hierarchy(means, cov, coeffs: ChannelCoefficients, n_bar: float):
             f"|c_Q| = {abs(cq):.2e} below {CQ_FLOOR:g}; channel too weak to invert"
         )
     max_n = len(means)
-    H = hierarchy_matrix(coeffs, n_bar, max_n)
+    H = hierarchy_matrix(coeffs, max_n)
     q = np.ones(max_n + 1)   # q[0] = <Q^0> = 1 exactly
     J = np.eye(max_n + 1)    # J[n, k] = d<Q^n>/d<Y^k>, filled row by row
     for n in range(1, max_n + 1):
@@ -115,22 +108,21 @@ def invert_hierarchy(means, cov, coeffs: ChannelCoefficients, n_bar: float):
     return q[1:], J @ cov @ J.T
 
 
-def run_reconstruction(tables: tuple[InverseCDF, ...], params: ChannelParams,
+def run_reconstruction(tables: tuple[InverseCDF, ...], coeffs: ChannelCoefficients,
                        count: int, seed: int):
-    """One full reconstruction: 4 phases, count samples each, drawn from
-    tables (readout.sampling_tables, one per PHASE_ORDERS row, in row
-    order).
+    """One full reconstruction through the channel coeffs: 4 phases, count
+    samples each, drawn from tables (readout.sampling_tables, one per
+    PHASE_ORDERS row, in row order).
 
     Returns (MomentSet, NlsCurve).
     """
-    coeffs = channel_coefficients(params, "exact")
-    noise_std = math.sqrt(noise_variance(coeffs, params.n_bar))
+    noise_std = math.sqrt(coeffs.noise_var)
     ms = MomentSet()
     for k, (table, (_, order)) in enumerate(zip(tables, PHASE_ORDERS, strict=True)):
         samples = sample_homodyne(table, coeffs.c_Q, count, derive_seed(seed, k), noise_std)
         means, cov = empirical_moments(samples, order)
         ms.values[k, 1:order + 1], ms.cov[k, :order, :order] = invert_hierarchy(
-            means, cov, coeffs, params.n_bar)
+            means, cov, coeffs)
     ms.mixed = mixed_moment_recovery(ms)
     return ms, assemble_curve(ms)
 
@@ -159,7 +151,7 @@ class EnsembleReport:
         return vmat.mean(axis=0), vmat.std(axis=0, ddof=1)
 
 
-def ensemble_run(tables: tuple[InverseCDF, ...], params: ChannelParams, count: int,
+def ensemble_run(tables: tuple[InverseCDF, ...], coeffs: ChannelCoefficients, count: int,
                  R: int, base_seed: int, threads: int = 1) -> EnsembleReport:
     """R independent reconstructions with seeds derived from
     (base_seed, replicate index), all sampling the same tables.
@@ -173,7 +165,7 @@ def ensemble_run(tables: tuple[InverseCDF, ...], params: ChannelParams, count: i
     seeds = [derive_seed(base_seed, r) for r in range(R)]
 
     def one(seed):
-        return run_reconstruction(tables, params, count, seed)
+        return run_reconstruction(tables, coeffs, count, seed)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -5,10 +5,12 @@ Var(q) = Var(p) = 1/2.  The rotated quadrature is
 Q_φ = (b e^{-iφ} + b† e^{iφ})/√2, with Q_0 = q and Q_{π/2} = p.
 
 States live in the Fock basis as a factor and its weights,
-rho = sum_k w_k a_k a_k†: one vector for a pure state, the identity for
-a thermal one, and D(alpha) maps the factor.  QuantumState.from_rho
-factors a dense density matrix; validation checks the factor and the
-weights and never factors rho.  A uniform, symmetric position grid
+rho = sum_k w_k a_k a_k†: one vector for a pure state, a multiple of the
+identity for a thermal one, and D(alpha) maps the factor.  Every built
+state passes through truncated_state, which records the population the
+truncation drops as leakage.  QuantumState.from_rho factors a dense
+density matrix; validation checks the factor and the weights and never
+factors rho.  A uniform, symmetric position grid
 carries the orthonormal oscillator eigenfunctions h_n(x) used to build
 wavefunctions, marginal densities along any phase, and the sampling CDF.
 """
@@ -137,10 +139,10 @@ class QuantumState:
     (N x r, real or complex) in the truncated Fock basis, plus the
     accumulated leakage.
 
-    A pure state has r = 1 and a thermal state is the identity with its
-    populations as weights, so rho is Hermitian by construction and
-    positive when every weight is.  Treated as immutable once built: the
-    diagonals of rho are cached as the moments read them.
+    A pure state has r = 1 and a thermal state is a multiple of the
+    identity with its populations as weights, so rho is Hermitian by
+    construction and positive when every weight is.  Treated as immutable
+    once built: the diagonals of rho are cached as the moments read them.
     """
 
     vectors: np.ndarray
@@ -149,7 +151,7 @@ class QuantumState:
     _bands: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
-    def from_rho(cls, rho: np.ndarray, leakage: float = 0.0) -> "QuantumState":
+    def from_rho(cls, rho: np.ndarray) -> "QuantumState":
         """Factor a dense density matrix by eigh.  Eigenpairs whose weight
         is at rounding level, |w| <= N eps max|w|, far below PSD_TOL, are
         dropped, so a low-rank rho keeps a low-rank factor; negative
@@ -171,7 +173,7 @@ class QuantumState:
             raise HermiticityError(f"density matrix asymmetry {herm:.2e} > {HERMITICITY_TOL:g}")
         weights, vectors = np.linalg.eigh(rho)
         keep = np.abs(weights) > len(rho) * np.finfo(float).eps * np.abs(weights).max()
-        return cls(vectors=vectors[:, keep], weights=weights[keep], leakage=leakage)
+        return cls(vectors=vectors[:, keep], weights=weights[keep])
 
     @property
     def dim(self) -> int:
@@ -192,8 +194,10 @@ class QuantumState:
 
 
 def _trace(vectors: np.ndarray, weights: np.ndarray) -> float:
-    """tr rho = sum_k w_k |a_k|^2."""
-    return float(weights @ (vectors * vectors.conj()).real.sum(axis=0))
+    """tr rho = sum_k w_k |a_k|^2, through one real buffer of |a|."""
+    mod2 = np.abs(vectors)
+    mod2 *= mod2
+    return float(weights @ mod2.sum(axis=0))
 
 
 def validate_state(state: QuantumState) -> QuantumState:
@@ -220,6 +224,30 @@ def validate_state(state: QuantumState) -> QuantumState:
             "increase the Fock dimension or grid extent"
         )
     return state
+
+
+def truncated_state(vectors: np.ndarray, weights: np.ndarray, what: str, fix: str,
+                    leakage: float = 0.0) -> QuantumState:
+    """Validated unit-trace state from a fresh factor whose kept trace
+    sum_k w_k |a_k|^2 falls short of 1 by the population the truncation
+    dropped: the shortfall is added to leakage, and the factor is rescaled
+    in place (the weights are kept as given).
+
+    Raises
+    ------
+    TruncationError
+        "<what> has a non-finite norm ..." for a non-finite kept trace
+        (max(0, 1 - nan) would read as no leakage), or "<what> leaks <x>
+        <fix>" when the leakage exceeds LEAK_TOL.
+    """
+    tr = _trace(vectors, weights)
+    if not math.isfinite(tr):
+        raise TruncationError(f"{what} has a non-finite norm {tr} {fix}")
+    leakage += max(0.0, 1.0 - tr)
+    if leakage > LEAK_TOL:
+        raise TruncationError(f"{what} leaks {leakage:.2e} {fix}")
+    vectors /= math.sqrt(tr)
+    return validate_state(QuantumState(vectors=vectors, weights=weights, leakage=leakage))
 
 
 @lru_cache(maxsize=32)
@@ -368,6 +396,10 @@ def _displacement_block(N: int, r: float) -> np.ndarray:
             h, h_prev, s = h / f, h_prev / f, s + np.log(f)
             w = np.exp(s)
         G[k, k:] = h[:N - k] * w[:N - k]
+    # below 1e-150 an entry times an amplitude <= 1 is lost under the last
+    # bit of a unit-scale sum, and zeroing it keeps every product of the
+    # kept entries a normal number
+    G[np.abs(G) < 1e-150] = 0.0
     sign = (-1.0) ** a
     return G.T + np.triu(sign[:, None] * G * sign, 1)
 
@@ -378,7 +410,7 @@ def displace(state: QuantumState, alpha: complex) -> QuantumState:
     The kept block is D_N rho D_N†, where D_N is the first N x N block
     of the exact D(alpha) (see _displacement_block), so the population
     the displacement carries past level N is lost, never reflected back:
-    the lost trace is recorded as leakage and the weights renormalised.
+    truncated_state records the lost trace as leakage and renormalises.
     D_N = U S U† with S real, so the factor maps to U S (U† A), taken as
     two real products for the real and imaginary parts of U† A.
 
@@ -397,16 +429,5 @@ def displace(state: QuantumState, alpha: complex) -> QuantumState:
     U = np.exp(1j * math.atan2(alpha.imag, alpha.real) * np.arange(N))[:, None]
     a = U.conj() * state.vectors
     a = U * (S @ a.real + 1j * (S @ a.imag))
-    captured = _trace(a, state.weights)
-    if not math.isfinite(captured):
-        raise TruncationError(
-            f"displacement by {alpha} keeps a non-finite trace {captured} "
-            f"at dimension {N}"
-        )
-    leak = state.leakage + max(0.0, 1.0 - captured)
-    if leak > LEAK_TOL:
-        raise TruncationError(
-            f"displacement by {alpha} leaks {leak:.2e} > {LEAK_TOL:g} "
-            f"at dimension {N}"
-        )
-    return validate_state(QuantumState(vectors=a, weights=state.weights / captured, leakage=leak))
+    return truncated_state(a, state.weights, f"displacement by {alpha}",
+                           f"at dimension {N}", state.leakage)

@@ -78,11 +78,15 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class ChannelCoefficients:
-    """Gains multiplying Q_phi(0) and the thermal quadrature E; both are
-    <= 0, carrying the overall minus sign of the interaction."""
+    """The linear-Gaussian channel Y_out = c_Q Q_phi(0) + W: the gains
+    multiplying Q_phi(0) and the thermal quadrature E, both <= 0 and
+    carrying the overall minus sign of the interaction, and the variance
+    noise_var = 1/2 + c_E^2 (n_bar + 1/2) of the channel noise
+    W = Y_in + c_E E, a sum of two independent zero-mean Gaussians."""
 
     c_Q: float
     c_E: float
+    noise_var: float
 
 
 def _radicand(x: float) -> float:
@@ -116,29 +120,23 @@ def channel_coefficients(p: ChannelParams, order: str = "exact") -> ChannelCoeff
     if order == "first_order":
         c_Q = cq0 * (1.0 - 0.25 * x)
         c_E = -2.0 * G * tau * math.sqrt(2.0 * Gm / (3.0 * kappa))
-        return ChannelCoefficients(c_Q=c_Q, c_E=c_E)
-    if x == 0.0:
-        return ChannelCoefficients(c_Q=cq0, c_E=0.0)
-    c_Q = cq0 * (-2.0 * math.expm1(-0.5 * x) / x)
-    f = _radicand(x)
-    if f < 0:  # impossible for x >= 0; kept as an internal consistency guard
-        raise ArithmeticError(f"negative radicand {f} at Gamma_m tau = {x}")
-    c_E = -4.0 * G * math.sqrt(2.0 * f / (kappa * tau)) / Gm
-    return ChannelCoefficients(c_Q=c_Q, c_E=c_E)
+    elif x == 0.0:
+        c_Q, c_E = cq0, 0.0
+    else:
+        c_Q = cq0 * (-2.0 * math.expm1(-0.5 * x) / x)
+        f = _radicand(x)
+        if f < 0:  # impossible for x >= 0; kept as an internal consistency guard
+            raise ArithmeticError(f"negative radicand {f} at Gamma_m tau = {x}")
+        c_E = -4.0 * G * math.sqrt(2.0 * f / (kappa * tau)) / Gm
+    return ChannelCoefficients(c_Q=c_Q, c_E=c_E, noise_var=0.5 + c_E ** 2 * (p.n_bar + 0.5))
 
 
-def noise_variance(coeffs: ChannelCoefficients, n_bar: float) -> float:
-    """Variance of the channel noise W = Y_in + c_E E, a sum of two
-    independent zero-mean Gaussians: 1/2 + c_E^2 (n_bar + 1/2)."""
-    return 0.5 + coeffs.c_E ** 2 * (n_bar + 0.5)
-
-
-def hierarchy_matrix(coeffs: ChannelCoefficients, n_bar: float, max_n: int) -> np.ndarray:
+def hierarchy_matrix(coeffs: ChannelCoefficients, max_n: int) -> np.ndarray:
     """Lower-triangular map H with <Y_out^n> = sum_k H[n, k] <Q^k>, n, k = 0..max_n.
 
     Y_out = c_Q Q + W with the channel noise W = Y_in + c_E E independent
     of Q, so H[n, k] = C(n, k) c_Q^k <W^{n-k}>.  W is Gaussian with
-    variance noise2 = noise_variance(coeffs, n_bar), so
+    variance noise2 = coeffs.noise_var, so
     <W^m> = noise2^{m/2} (m-1)!! for even m and 0 for odd m, and the rows
     up to n = 4 read
 
@@ -147,7 +145,7 @@ def hierarchy_matrix(coeffs: ChannelCoefficients, n_bar: float, max_n: int) -> n
         <Y^3> = 3 c_Q <Q> noise2 + c_Q^3 <Q^3>
         <Y^4> = 3 noise2^2 + 6 c_Q^2 <Q^2> noise2 + c_Q^4 <Q^4>
     """
-    noise2 = noise_variance(coeffs, n_bar)
+    noise2 = coeffs.noise_var
     noise = [0.0 if m % 2 else noise2 ** (m // 2) * math.prod(range(m - 1, 0, -2))
              for m in range(max_n + 1)]
     H = np.zeros((max_n + 1, max_n + 1))
@@ -157,12 +155,12 @@ def hierarchy_matrix(coeffs: ChannelCoefficients, n_bar: float, max_n: int) -> n
     return H
 
 
-def forward_output_moments(q, coeffs: ChannelCoefficients, n_bar: float) -> np.ndarray:
+def forward_output_moments(q, coeffs: ChannelCoefficients) -> np.ndarray:
     """Predicted <Y_out^n> for n = 1..len(q) from the mechanical moments
     q = (<Q>, ..., <Q^max_n>) at one phase, the product of hierarchy_matrix
     with (1, <Q>, ..., <Q^max_n>)."""
     qmom = np.concatenate(([1.0], np.asarray(q, dtype=float)))
-    return (hierarchy_matrix(coeffs, n_bar, qmom.size - 1) @ qmom)[1:]
+    return (hierarchy_matrix(coeffs, qmom.size - 1) @ qmom)[1:]
 
 
 @dataclass(frozen=True, eq=False)
@@ -241,7 +239,7 @@ def sample_homodyne(table: InverseCDF, c_Q: float, count: int, seed: int,
     only in the buckets that straddle a cell edge, and Q_phi(0) is the
     cell's grid node, so c_Q Q_phi(0) is one gather from c_Q * table.x.
     The channel noise W = Y_in + c_E E is one Gaussian of standard
-    deviation noise_std = sqrt(noise_variance(coeffs, n_bar)); it smooths
+    deviation noise_std = sqrt(ChannelCoefficients.noise_var); it smooths
     the node lattice, whose spacing the runner holds to |c_Q| dx <=
     noise_std / 2 before a run.  The stream is partitioned into fixed-size
     blocks, each seeded from (seed, block index), so the result depends

@@ -33,7 +33,7 @@ from .estimate import MIN_REPLICATES, MIN_SAMPLES, EnsembleReport, derive_seed, 
 from .hilbert import PositionGrid, default_grid
 from .nlsq import (MINUS, P, PHASE_ORDERS, PLUS, Q, assemble_curve, classical_threshold,
                    exact_moment_set, resource_condition)
-from .readout import ChannelParams, channel_coefficients, noise_variance, sampling_tables
+from .readout import ChannelParams, channel_coefficients, sampling_tables
 from .states import StateSpec, make_state
 
 AXES = ("thermalisation_rate", "interaction_time", "cooperativity")
@@ -321,28 +321,29 @@ def analytic_overlay(spec: StateSpec, state, lambdas: np.ndarray) -> np.ndarray:
     return assemble_curve(exact_moment_set(state))(lambdas)
 
 
-def _check_lattice(config: ExperimentConfig, points):
+def _check_lattice(config: ExperimentConfig, points, coeffs):
     """Reject a point whose gain spreads the grid nodes wider than the
     channel noise can smooth: |c_Q| dx <= sigma_W / 2, where sigma_W is
     the noise deviation, keeps the lattice ripple in the density of
     Y_out below about e^{-79} (Poisson summation)."""
     dx = (config.grid or default_grid(config.state_spec.dim)).spacing
-    for sv, channel, _ in points:
-        coeffs = channel_coefficients(channel)
-        sigma_w = math.sqrt(noise_variance(coeffs, channel.n_bar))
-        if abs(coeffs.c_Q) * dx > 0.5 * sigma_w:
+    for (sv, _, _), co in zip(points, coeffs):
+        sigma_w = math.sqrt(co.noise_var)
+        if abs(co.c_Q) * dx > 0.5 * sigma_w:
             raise ConfigError(
-                f"sweep value {sv:g}: |c_Q| dx = {abs(coeffs.c_Q) * dx:.3g} exceeds half "
+                f"sweep value {sv:g}: |c_Q| dx = {abs(co.c_Q) * dx:.3g} exceeds half "
                 f"the noise deviation {sigma_w:.3g}; raise grid.points")
 
 
 def _run_points(config: ExperimentConfig, points, threads: int = 1,
                 overlay: bool = True) -> SweepReport:
-    """Check every point's lattice ratio, then build the state, its
-    sampling tables and the lambda grid once, and run one ensemble per
-    (sweep_value, channel, seed) in points.  With overlay=False the
-    analytic curve is not computed and v_analytic stays None."""
-    _check_lattice(config, points)
+    """Derive every point's channel coefficients and check its lattice
+    ratio, then build the state, its sampling tables and the lambda grid
+    once, and run one ensemble per (sweep_value, channel, seed) in points.
+    With overlay=False the analytic curve is not computed and v_analytic
+    stays None."""
+    coeffs = [channel_coefficients(channel) for _, channel, _ in points]
+    _check_lattice(config, points, coeffs)
     t0 = perf_counter()
     state = make_state(config.state_spec, grid=config.grid)
     tables = sampling_tables(state, config.grid)
@@ -353,10 +354,9 @@ def _run_points(config: ExperimentConfig, points, threads: int = 1,
         v_analytic=analytic_overlay(config.state_spec, state, lam) if overlay else None,
         threshold=np.asarray(classical_threshold(lam)),
     )
-    for sv, channel, seed in points:
+    for (sv, channel, seed), co in zip(points, coeffs):
         t1 = perf_counter()
-        rep = ensemble_run(tables, channel, config.count, config.R, seed,
-                           threads=threads)
+        rep = ensemble_run(tables, co, config.count, config.R, seed, threads=threads)
         report.points.append(SweepPoint(sweep_value=sv, channel=channel, seed=seed,
                                         report=rep, wall_clock_s=perf_counter() - t1))
     report.wall_clock_s = perf_counter() - t0

@@ -13,16 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TruncationError
 from .hilbert import (
-    LEAK_TOL,
     PositionGrid,
     QuantumState,
     build_basis,
     coherent_log_moduli,
     default_grid,
     displace,
-    validate_state,
+    truncated_state,
 )
 
 KINDS = ("vacuum", "coherent", "thermal", "cubic_phase", "displaced")
@@ -84,20 +82,6 @@ def _coherent_amplitudes(beta: complex, N: int) -> np.ndarray:
     return np.exp(coherent_log_moduli(abs(beta), N) + 1j * theta * np.arange(N))
 
 
-def _pure_state(c: np.ndarray, what: str, fix: str) -> QuantumState:
-    """Pure state of the normalised Fock amplitudes c; the norm lost to the
-    truncation is recorded as leakage, and a non-finite norm is rejected
-    (max(0, 1 - nan) would read as no leakage)."""
-    norm2 = float(np.sum(np.abs(c) ** 2))
-    if not math.isfinite(norm2):
-        raise TruncationError(f"{what} has a non-finite norm {norm2} {fix}")
-    leak = max(0.0, 1.0 - norm2)
-    if leak > LEAK_TOL:
-        raise TruncationError(f"{what} leaks {leak:.2e} {fix}")
-    return QuantumState(vectors=(c / math.sqrt(norm2))[:, None], weights=np.ones(1),
-                        leakage=leak)
-
-
 def make_state(spec: StateSpec, grid: PositionGrid | None = None) -> QuantumState:
     """Construct the state described by spec, as a factor and its weights.
 
@@ -117,38 +101,21 @@ def make_state(spec: StateSpec, grid: PositionGrid | None = None) -> QuantumStat
     N = spec.N
     if grid is None:
         grid = default_grid(spec.dim)
-
-    if spec.kind == "vacuum":
-        state = _pure_state(_coherent_amplitudes(0j, N), "vacuum", f"at N={N}")
-
-    elif spec.kind == "coherent":
-        state = _pure_state(_coherent_amplitudes(spec.beta, N),
-                            f"coherent beta={spec.beta}", f"at N={N}; increase N")
-
-    elif spec.kind == "thermal":
+    if spec.kind == "displaced":
+        return displace(make_state(spec.inner, grid=grid), spec.alpha)
+    if spec.kind == "thermal":
         ratio = spec.n_bar / (spec.n_bar + 1.0)
-        pops = (1.0 - ratio) * ratio ** np.arange(N)
-        total = float(pops.sum())
-        leak = max(0.0, 1.0 - total)
-        if leak > LEAK_TOL:
-            raise TruncationError(
-                f"thermal n_bar={spec.n_bar} leaks {leak:.2e} at N={N}; increase N"
-            )
-        state = QuantumState(vectors=np.eye(N), weights=pops / total, leakage=leak)
-
-    elif spec.kind == "cubic_phase":
+        return truncated_state(np.eye(N), (1.0 - ratio) * ratio ** np.arange(N),
+                               f"thermal n_bar={spec.n_bar}", f"at N={N}; increase N")
+    if spec.kind == "cubic_phase":
         basis = build_basis(N, grid)
         psi = basis[0] * np.exp(1j * spec.gamma * grid.points ** 3)
         # basis is real: two real products, no complex copy of it
         c = grid.spacing * (basis @ psi.real + 1j * (basis @ psi.imag))
-        state = _pure_state(c, f"cubic gamma={spec.gamma}",
-                            f"at N={N} on extent {grid.extent:g}; increase N or the grid")
-
-    elif spec.kind == "displaced":
-        inner = make_state(spec.inner, grid=grid)
-        return displace(inner, spec.alpha)
-
-    else:  # pragma: no cover - guarded by StateSpec
-        raise ValueError(f"unhandled kind {spec.kind!r}")
-
-    return validate_state(state)
+        what = f"cubic gamma={spec.gamma}"
+        fix = f"at N={N} on extent {grid.extent:g}; increase N or the grid"
+    else:
+        beta = spec.beta if spec.kind == "coherent" else 0j  # the vacuum is beta = 0
+        c = _coherent_amplitudes(beta, N)
+        what, fix = f"{spec.kind} beta={beta}", f"at N={N}; increase N"
+    return truncated_state(c[:, None], np.ones(1), what, fix)

@@ -120,8 +120,8 @@ def test_criterion_05_round_trip_inversion():
         coeffs = channel_coefficients(params)
         for m in moments:
             exact = m[phi]
-            ys = forward_output_moments(exact, coeffs, params.n_bar)
-            rec, _ = invert_hierarchy(ys, np.zeros((4, 4)), coeffs, params.n_bar)
+            ys = forward_output_moments(exact, coeffs)
+            rec, _ = invert_hierarchy(ys, np.zeros((4, 4)), coeffs)
             worst = max(worst, float(np.max(np.abs(rec - exact))))
     dt = time.perf_counter() - t0
     conclude("05 moment hierarchy inverts exactly",
@@ -133,10 +133,10 @@ def test_criterion_06_clean_point_monte_carlo():
     t0 = time.perf_counter()
     state = make_state(StateSpec(kind="cubic_phase", gamma=0.1, N=128))
     tables = sampling_tables(state)
-    rep = ensemble_run(tables, CLEAN, 10 ** 6, 20, derive_seed(6, 0),
+    rep = ensemble_run(tables, channel_coefficients(CLEAN), 10 ** 6, 20, derive_seed(6, 0),
                        threads=4)
     ok_full, mean, sigma = detection_passes(rep, slack=3.0)
-    quick = ensemble_run(tables, CLEAN, 10 ** 5, 5, derive_seed(6, 1),
+    quick = ensemble_run(tables, channel_coefficients(CLEAN), 10 ** 5, 5, derive_seed(6, 1),
                          threads=4)
     ok_quick, mean_q, sigma_q = detection_passes(quick, slack=4.0)
     dt = time.perf_counter() - t0
@@ -152,7 +152,7 @@ def test_criterion_07_thermalisation_degrades_errors():
     R = 20
     for i, prod in enumerate((1e-4, 1e-2, 1.0, 1e2)):
         params = replace(CLEAN, Gamma_m=prod / (CLEAN.n_bar * CLEAN.tau))
-        rep = ensemble_run(tables, params, 10 ** 5, R, derive_seed(7, i),
+        rep = ensemble_run(tables, channel_coefficients(params), 10 ** 5, R, derive_seed(7, i),
                            threads=4)
         sigmas.append(float(np.std(rep.v_at(0.3), ddof=1)))
     # sample std of R gaussian draws has relative error ~1/sqrt(2(R-1))
@@ -174,7 +174,7 @@ def test_criterion_08_cooperativity_regimes():
     stats = {}
     for i, C in enumerate((1e-3, 0.1, 10.0)):
         G = math.sqrt(C * base.n_bar * base.Gamma_m * base.kappa)
-        rep = ensemble_run(tables, replace(base, G=G), 10 ** 6, 20,
+        rep = ensemble_run(tables, channel_coefficients(replace(base, G=G)), 10 ** 6, 20,
                            derive_seed(8, i), threads=4)
         ok, mean, sigma = detection_passes(rep)
         verdicts[C] = ok

@@ -31,6 +31,7 @@ from nlsqueeze.readout import (SAMPLE_BLOCK, ChannelParams, channel_coefficients
 from nlsqueeze.states import StateSpec, make_state
 
 STANDARD = ChannelParams(G=0.1, Gamma_m=1e-9, n_bar=1e4, tau=1e3)
+STANDARD_CO = channel_coefficients(STANDARD)
 
 
 def cubic_state(gamma=0.1, N=128):
@@ -56,11 +57,15 @@ def test_empirical_moments_standard_normal():
 
 
 def test_empirical_moments_survives_huge_values():
-    # the accumulators are rescaled, so eighth powers of 1e60 still work
+    # the accumulators are rescaled, so eighth powers of 1e60 still work;
+    # the covariance of the fourth power, about 1e480, is inf without a warning
     x = np.linspace(-1e60, 1e60, 500)
-    means, _ = empirical_moments(x, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        means, cov = empirical_moments(x, 4)
     assert np.all(np.isfinite(means))
     assert means[3] > 0
+    assert cov[3, 3] == math.inf
 
 
 @pytest.mark.parametrize("count", [100, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1,
@@ -110,27 +115,27 @@ def test_empirical_moments_input_validation():
 
 def test_invert_first_order_division():
     co = channel_coefficients(STANDARD)
-    q, _ = invert_hierarchy([co.c_Q * 0.15], np.zeros((1, 1)), co, STANDARD.n_bar)
+    q, _ = invert_hierarchy([co.c_Q * 0.15], np.zeros((1, 1)), co)
     assert q[0] == pytest.approx(0.15, rel=1e-12)
 
 
 def test_invert_rejects_weak_channel():
     co = dataclasses.replace(channel_coefficients(STANDARD), c_Q=-1e-8)
     with pytest.raises(ChannelConditionError):
-        invert_hierarchy([0.0, 1.0], np.zeros((2, 2)), co, STANDARD.n_bar)
+        invert_hierarchy([0.0, 1.0], np.zeros((2, 2)), co)
 
 
 def test_invert_error_scaling():
     co = channel_coefficients(STANDARD)
-    _, q_cov = invert_hierarchy([0.0, 41.0], np.diag([0.01, 0.5]) ** 2, co, STANDARD.n_bar)
+    _, q_cov = invert_hierarchy([0.0, 41.0], np.diag([0.01, 0.5]) ** 2, co)
     errs = np.sqrt(np.diag(q_cov))
     assert errs[0] == pytest.approx(0.01 / abs(co.c_Q), rel=1e-12)
     assert errs[1] == pytest.approx(0.5 / co.c_Q ** 2, rel=1e-12)
     # a full covariance goes through the inverse of the hierarchy block
     a = np.random.default_rng(4).normal(size=(4, 4))
     cov = a @ a.T
-    _, q_cov = invert_hierarchy([0.1, 41.0, 0.3, 5e3], cov, co, STANDARD.n_bar)
-    hinv = np.linalg.inv(hierarchy_matrix(co, STANDARD.n_bar, 4)[1:, 1:])
+    _, q_cov = invert_hierarchy([0.1, 41.0, 0.3, 5e3], cov, co)
+    hinv = np.linalg.inv(hierarchy_matrix(co, 4)[1:, 1:])
     np.testing.assert_allclose(q_cov, hinv @ cov @ hinv.T, rtol=1e-10, atol=0.0)
 
 
@@ -145,8 +150,8 @@ def test_round_trip_through_channel(state_spec):
     co = channel_coefficients(STANDARD)
     for phi in (0.0, HALF_PI):
         mech = [quadrature_moment(st, phi, n) for n in range(1, 5)]
-        y = forward_output_moments(mech, co, STANDARD.n_bar)
-        back, _ = invert_hierarchy(y, np.zeros((4, 4)), co, STANDARD.n_bar)
+        y = forward_output_moments(mech, co)
+        back, _ = invert_hierarchy(y, np.zeros((4, 4)), co)
         np.testing.assert_allclose(back, mech, rtol=0, atol=1e-10)
 
 
@@ -168,9 +173,9 @@ def test_noiseless_inversion_reproduces_exact_curve():
     ms = MomentSet()
     for k, (phi, order) in enumerate(PHASE_ORDERS):
         mech = [quadrature_moment(st, phi, n) for n in range(1, order + 1)]
-        y = forward_output_moments(mech, co, STANDARD.n_bar)
+        y = forward_output_moments(mech, co)
         ms.values[k, 1:order + 1], ms.cov[k, :order, :order] = invert_hierarchy(
-            y, np.zeros((order, order)), co, STANDARD.n_bar)
+            y, np.zeros((order, order)), co)
     ms.mixed = mixed_moment_recovery(ms)
     est = assemble_curve(ms)
     ref = assemble_curve(exact_moment_set(st))
@@ -180,7 +185,7 @@ def test_noiseless_inversion_reproduces_exact_curve():
 
 def test_run_reconstruction_recovers_curve():
     st = cubic_state()
-    ms, curve = run_reconstruction(sampling_tables(st), STANDARD, 200_000, seed=7)
+    ms, curve = run_reconstruction(sampling_tables(st), STANDARD_CO, 200_000, seed=7)
     for k, n in ((Q, 1), (Q, 4), (P, 3), (PLUS, 3)):
         assert math.isfinite(ms.values[k, n])
     # estimates land within a few propagated errors of the closed forms
@@ -190,8 +195,8 @@ def test_run_reconstruction_recovers_curve():
 
 def test_run_reconstruction_deterministic():
     tables = sampling_tables(cubic_state(N=64))
-    _, c1 = run_reconstruction(tables, STANDARD, 5000, seed=13)
-    _, c2 = run_reconstruction(tables, STANDARD, 5000, seed=13)
+    _, c1 = run_reconstruction(tables, STANDARD_CO, 5000, seed=13)
+    _, c2 = run_reconstruction(tables, STANDARD_CO, 5000, seed=13)
     assert (c1.a0, c1.a1, c1.a2) == (c2.a0, c2.a1, c2.a2)
 
 
@@ -208,7 +213,8 @@ def test_estimator_error_calibration(params):
     values = []
     errors = []
     for r in range(50):
-        _, curve = run_reconstruction(tables, params, 100_000, derive_seed(303, r))
+        _, curve = run_reconstruction(tables, channel_coefficients(params), 100_000,
+                                      derive_seed(303, r))
         values.append(curve(0.1))
         errors.append(curve.error(0.1))
         if abs(curve(0.1) - true_v) <= curve.error(0.1):
@@ -223,13 +229,13 @@ def test_estimator_error_calibration(params):
 
 def test_ensemble_requires_replicates():
     with pytest.raises(ValueError):
-        ensemble_run(sampling_tables(cubic_state(N=64)), STANDARD, 1000, 1, 5)
+        ensemble_run(sampling_tables(cubic_state(N=64)), STANDARD_CO, 1000, 1, 5)
 
 
 def test_ensemble_statistics_shapes():
     tables = sampling_tables(cubic_state(N=64))
     lam = np.linspace(-0.1, 0.3, 21)
-    rep = ensemble_run(tables, STANDARD, 2000, 3, 17)
+    rep = ensemble_run(tables, STANDARD_CO, 2000, 3, 17)
     v_mean, v_std = rep.v_stats(lam)
     assert v_mean.shape == (21,)
     assert v_std.shape == (21,)
@@ -246,9 +252,9 @@ def test_ensemble_statistics_shapes():
 def test_ensemble_deterministic_and_thread_invariant():
     tables = sampling_tables(cubic_state(N=64))
     lam = np.linspace(0.0, 0.2, 5)
-    a = ensemble_run(tables, STANDARD, 3000, 4, 23).v_stats(lam)
-    b = ensemble_run(tables, STANDARD, 3000, 4, 23).v_stats(lam)
-    c = ensemble_run(tables, STANDARD, 3000, 4, 23, threads=4).v_stats(lam)
+    a = ensemble_run(tables, STANDARD_CO, 3000, 4, 23).v_stats(lam)
+    b = ensemble_run(tables, STANDARD_CO, 3000, 4, 23).v_stats(lam)
+    c = ensemble_run(tables, STANDARD_CO, 3000, 4, 23, threads=4).v_stats(lam)
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[0], c[0])
     np.testing.assert_array_equal(a[1], c[1])
@@ -260,7 +266,7 @@ def test_adiabatic_warning_only_when_the_channel_is_built():
         warnings.simplefilter("always")
         params = ChannelParams(G=0.1, Gamma_m=1e-9, n_bar=1e4, tau=5.0)
         assert len(caught) == 1 and "adiabatic" in str(caught[0].message)
-        ensemble_run(tables, params, 1000, 3, 29)
+        ensemble_run(tables, channel_coefficients(params), 1000, 3, 29)
     assert len(caught) == 1
 
 

@@ -325,6 +325,15 @@ def test_displacement_block_matches_the_closed_form(N, alpha):
                 oracles.oracle_displacement_element(m, n, alpha), rel=0, abs=1e-14)
 
 
+def test_displaced_factor_holds_no_tiny_entry():
+    # the displacement block flushes its entries below 1e-150, so no product
+    # of the displaced factor runs through subnormal numbers (unflushed, the
+    # smallest nonzero modulus here is about 2e-235)
+    inner = make_state(StateSpec(kind="thermal", n_bar=0.7, N=192))
+    mod = np.abs(displace(inner, 0.3 + 0.4j).vectors)
+    assert mod[mod > 0].min() >= 1e-150
+
+
 def test_displace_preserves_covariance():
     st_ = displace(vacuum_state(48), 1.1 + 0.2j)
     q1 = quadrature_moment(st_, 0.0, 1)

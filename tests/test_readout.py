@@ -16,7 +16,6 @@ from nlsqueeze.readout import (
     channel_coefficients,
     forward_output_moments,
     inverse_cdf_table,
-    noise_variance,
     sample_homodyne,
     sampling_tables,
 )
@@ -140,7 +139,7 @@ def mech_moments(state, phi, up_to=4):
 def test_forward_second_moment_frozen():
     st_ = cubic_state()
     co = channel_coefficients(STANDARD)
-    y = forward_output_moments(mech_moments(st_, 0.0, up_to=2), co, STANDARD.n_bar)
+    y = forward_output_moments(mech_moments(st_, 0.0, up_to=2), co)
     # 1/2 + c_Q^2 <q^2> + c_E^2 (n_bar + 1/2) at the standard channel
     composed = 0.5 + co.c_Q ** 2 * 0.5 + co.c_E ** 2 * (STANDARD.n_bar + 0.5)
     assert y[1] == pytest.approx(composed, rel=1e-10)
@@ -152,7 +151,7 @@ def test_forward_matches_collapsed_gaussian_oracle():
     co = channel_coefficients(STANDARD)
     for phi in (0.0, HALF_PI, math.pi / 4):
         mech = mech_moments(st_, phi)
-        y = forward_output_moments(mech, co, STANDARD.n_bar)
+        y = forward_output_moments(mech, co)
         qm = [1.0] + mech
         for n in range(1, 5):
             ref = oracles.oracle_output_moment(qm, co.c_Q, co.c_E, STANDARD.n_bar, n)
@@ -163,7 +162,7 @@ def test_forward_odd_moments_from_coherent():
     st_ = make_state(StateSpec(kind="coherent", beta=0.4 + 0.3j, N=48))
     mech = mech_moments(st_, 0.0, up_to=3)
     co = channel_coefficients(STANDARD)
-    y = forward_output_moments(mech, co, STANDARD.n_bar)
+    y = forward_output_moments(mech, co)
     qm = [1.0] + mech
     for n in range(1, 4):
         assert y[n - 1] == pytest.approx(
@@ -176,7 +175,7 @@ def test_forward_odd_moments_from_coherent():
 def sample(state, p, count, seed, phi=0.0):
     co = channel_coefficients(p)
     return sample_homodyne(inverse_cdf_table(state, phi), co.c_Q, count, seed,
-                           math.sqrt(noise_variance(co, p.n_bar)))
+                           math.sqrt(co.noise_var))
 
 
 def test_sampler_deterministic():
@@ -208,7 +207,7 @@ def test_sampler_follows_the_documented_stream(n):
     st_ = cubic_state()
     table = inverse_cdf_table(st_, 0.0)
     co = channel_coefficients(STANDARD)
-    noise_std = math.sqrt(noise_variance(co, STANDARD.n_bar))
+    noise_std = math.sqrt(co.noise_var)
     seed = 77
     ref = []
     for b in range(-(-n // SAMPLE_BLOCK)):
@@ -315,7 +314,7 @@ def test_sample_moments_match_forward_model():
     n = 1_000_000
     co = channel_coefficients(STANDARD)
     for phi in (0.0, HALF_PI):
-        ref = forward_output_moments(mech_moments(st_, phi, up_to=3), co, STANDARD.n_bar)
+        ref = forward_output_moments(mech_moments(st_, phi, up_to=3), co)
         y = sample(st_, STANDARD, n, seed=41, phi=phi)
         for order in (1, 2, 3):
             sample_moment = float(np.mean(y ** order))
@@ -332,7 +331,7 @@ def test_sample_moments_match_forward_model_noise_dominated():
     st_ = cubic_state()
     n = 1_000_000
     for phi in (0.0, HALF_PI):
-        ref = forward_output_moments(mech_moments(st_, phi), co, p.n_bar)
+        ref = forward_output_moments(mech_moments(st_, phi), co)
         y = sample(st_, p, n, seed=43, phi=phi)
         for order in (1, 2, 3, 4):
             yn = y ** order

@@ -129,6 +129,18 @@ def test_thermal_zero_is_vacuum():
     assert st.rho[0, 0] == pytest.approx(1.0, abs=1e-15)
 
 
+def test_thermal_leakage_is_the_dropped_tail():
+    # n_bar = 1 puts 2^-(n+1) on level n, so levels n >= 30 hold 2^-30
+    st = make_state(StateSpec(kind="thermal", n_bar=1.0, N=30))
+    assert st.leakage == pytest.approx(0.5 ** 30, rel=0, abs=1e-15)
+
+
+def test_thermal_leakage_guard():
+    # (9/10)^64 = 1.2e-3 of the population lies above N = 64
+    with pytest.raises(TruncationError, match="thermal n_bar=9.0 leaks"):
+        make_state(StateSpec(kind="thermal", n_bar=9.0, N=64))
+
+
 # ------------------------------------------------------------- cubic phase
 
 def test_cubic_closed_form_moments():
