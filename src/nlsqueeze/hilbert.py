@@ -142,13 +142,15 @@ class QuantumState:
     A pure state has r = 1 and a thermal state is a multiple of the
     identity with its populations as weights, so rho is Hermitian by
     construction and positive when every weight is.  Treated as immutable
-    once built: the diagonals of rho are cached as the moments read them.
+    once built: the diagonals of rho, and the phase-independent terms of
+    each moment order, are cached as the moments read them.
     """
 
     vectors: np.ndarray
     weights: np.ndarray
     leakage: float = 0.0
     _bands: dict = field(default_factory=dict, init=False, repr=False)
+    _moment_terms: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def from_rho(cls, rho: np.ndarray) -> "QuantumState":
@@ -271,7 +273,9 @@ def quadrature_moment(state: QuantumState, phi: float, n: int) -> float:
     of the diagonals of rho, taken from its factor (QuantumState.band),
     with the fixed diagonals of the real banded Q_0^n.  rho and Q_0^n
     are Hermitian, so diagonal d and -d together give twice the real part
-    of one of them.
+    of one of them.  The coefficients and the top-n tail depend on the
+    state and n only and are cached on the state, so a further phase
+    costs only the cos/sin sum; the tail guard runs on every call.
 
     Parameters
     ----------
@@ -291,17 +295,21 @@ def quadrature_moment(state: QuantumState, phi: float, n: int) -> float:
         raise ValueError(f"moment order {n} outside [0, {MAX_MOMENT_ORDER}]")
     if n == 0:
         return 1.0
-    N = state.dim
-    tail = float(np.sum(state.band(0).real[max(0, N - n):]))
+    if n not in state._moment_terms:
+        N = state.dim
+        tail = float(np.sum(state.band(0).real[max(0, N - n):]))
+        # sum_m rho[m + d, m] (Q_0^n)[m, m + d] for d = n mod 2, ..., n
+        terms = [(d, complex(np.dot(state.band(d), band))) for d, band in _power_bands(N, n)]
+        state._moment_terms[n] = tail, terms
+    tail, terms = state._moment_terms[n]
     if tail > LEAK_TOL:
         raise TruncationError(
             f"top-{n} Fock tail holds population {tail:.2e} > {LEAK_TOL:g}; "
             "the moment is not trustworthy at this dimension"
         )
-    # sum_d e^{-i phi d} sum_m rho[m + d, m] (Q_0^n)[m, m + d] over d = -n..n
+    # sum_d e^{-i phi d} (term d) over d = -n..n
     val = 0.0
-    for d, band in _power_bands(N, n):
-        term = complex(np.dot(state.band(d), band))
+    for d, term in terms:
         val += term.real if d == 0 else 2.0 * (math.cos(phi * d) * term.real
                                                + math.sin(phi * d) * term.imag)
     return val
@@ -369,39 +377,61 @@ def _displacement_block(N: int, r: float) -> np.ndarray:
     from g_0^a = exp(-x/2 + (a/2) log x - log(a!)/2) taken in log space.
     (The recurrence in m that follows from b D = D (b + alpha) is
     unstable.)  Each column runs scaled, g_n^a = h_n^a e^{s_a}, with
-    s_a < 0 only where the start lies below 1/limit, and is renormalised
-    whenever |h| passes `limit`: a start below the float range loses no
-    precision, a large r underflows to 0 rather than giving inf * 0, and
-    one step, which grows |h| at most x + N + 2 fold, cannot overflow.
+    s_a < 0 only where the start lies below 1/check, and is renormalised
+    when |h| passes check = 1e300 / (x + N + 2)^9, tested every 8 rows:
+    a start below the float range loses no precision, a large r
+    underflows to 0 rather than giving inf * 0, and the 8 steps between
+    tests, each growing |h| at most x + N + 2 fold, cannot overflow.  A
+    segment of rows between renormalisations takes its column scale
+    e^{s} once, at its end.
     """
     x = r * r
-    if not x < 1e300:  # |g_n^a| <= e^{-x/2} (4x)^N underflows
+    if not x < 1e32:  # |g_n^a| <= e^{-x/2} (4x)^N is below 1e-150 for any N < 1e29
         return np.zeros((N, N))
-    a = np.arange(N)
+    a = np.arange(float(N))  # float: no integer-to-float cast per entry
     n = a[:, None]
     den = np.sqrt((n + 1.0) * (n + 1.0 + a))
     c_now = (2.0 * n + 1.0 + a - x) / den
-    c_prev = np.sqrt(n * (n + a)) / den
-    limit = 1e300 / (x + N + 2.0)
+    # c_prev = sqrt(n (n + a)) / den, in place of den: sqrt(n (n + a)) is den[n - 1]
+    den[1:] = den[:-1] / den[1:]
+    den[0] = 0.0
+    c_prev = den
+    check = 1e300 / (x + N + 2.0) ** 9
     log_g0 = coherent_log_moduli(r, N)
-    s = np.minimum(log_g0 + math.log(limit), 0.0)
-    h, h_prev, w = np.exp(log_g0 - s), np.zeros(N), np.exp(s)
-    # row n of G holds g_n^a at column n + a, so G.T is the lower triangle
-    G = np.zeros((N, N))
-    G[0] = h * w
-    for k in range(1, N):
-        h, h_prev = c_now[k - 1] * h - c_prev[k - 1] * h_prev, h
-        if np.abs(h).max() > limit:
-            f = np.maximum(np.abs(h), 1.0)
-            h, h_prev, s = h / f, h_prev / f, s + np.log(f)
+    s = np.minimum(log_g0 + math.log(check), 0.0)
+    w = np.exp(s)
+    # Row n of the recurrence, g_n^a over a, fills row n of buf.  Read as
+    # a flat N x N block, buf holds g_n^a at [n, n + a], on and above the
+    # diagonal, and the entries past level N (a >= N - n) below it.
+    buf = np.zeros((N, N + 1))
+    rows = buf[:, :N]
+    h, h_prev, tmp = rows[0], np.zeros(N), np.empty(N)
+    np.exp(log_g0 - s, out=h)
+    start = 0
+    for k, (cn, cp, row) in enumerate(zip(c_now, c_prev, rows[1:]), 1):
+        np.multiply(cn, h, out=row)
+        np.multiply(cp, h_prev, out=tmp)
+        np.subtract(row, tmp, out=row)
+        h, h_prev = row, h
+        if k % 8 == 0 and max(np.abs(h).max(), np.abs(h_prev).max()) > check:
+            f = np.maximum(np.maximum(np.abs(h), np.abs(h_prev)), 1.0)
+            h, h_prev = h / f, h_prev / f
+            rows[start:k + 1] *= w
+            start, s = k + 1, s + np.log(f)
             w = np.exp(s)
-        G[k, k:] = h[:N - k] * w[:N - k]
+    rows[start:] *= w
+    G = buf.reshape(-1)[:N * N].reshape(N, N)
+    # S[n, n + a] = (-1)^a g_n^a above the diagonal, S[n + a, n] = g_n^a on
+    # and below it: one strided copy of the transpose into the triangle
+    sign = (-1.0) ** a
+    S = G * sign[:, None]
+    S *= sign
+    np.copyto(S, G.T, where=np.tri(N, dtype=bool))
     # below 1e-150 an entry times an amplitude <= 1 is lost under the last
     # bit of a unit-scale sum, and zeroing it keeps every product of the
     # kept entries a normal number
-    G[np.abs(G) < 1e-150] = 0.0
-    sign = (-1.0) ** a
-    return G.T + np.triu(sign[:, None] * G * sign, 1)
+    S[np.abs(S) < 1e-150] = 0.0
+    return S
 
 
 def displace(state: QuantumState, alpha: complex) -> QuantumState:

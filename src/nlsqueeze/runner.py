@@ -3,10 +3,11 @@
 Configuration is a flat key = value file with dotted section prefixes
 ('#' starts a comment, blank lines ignored).  The state.* keys are the
 StateSpec fields in STATE_KEYS (state.inner.* holds the inner spec of a
-displaced state), the channel.* keys are the ChannelParams fields
-(channel.G and channel.tau required, Gamma_m and n_bar default to 0),
-and CONFIG_KEYS lists every other key with its ExperimentConfig field
-and converter.  Defaults live in those three dataclasses.
+displaced state, and a key of KIND_KEYS is rejected on any kind but its
+own), the channel.* keys are the ChannelParams fields (channel.G and
+channel.tau required, Gamma_m and n_bar default to 0), and CONFIG_KEYS
+lists every other key with its ExperimentConfig field and converter.
+Defaults live in those three dataclasses.
 
 Sweep axes move one channel parameter to hit the requested value in
 kappa units: thermalisation_rate sets Gamma_m = value*kappa/n_bar at
@@ -93,6 +94,9 @@ def _sweep_values(text: str) -> tuple:
 
 STATE_KEYS = {"kind": str, "beta": _complex, "n_bar": _finite, "gamma": _finite,
               "alpha": _complex, "N": int}
+# the one kind each kind-specific state key applies to; N applies to all
+KIND_KEYS = {"beta": "coherent", "n_bar": "thermal", "gamma": "cubic_phase",
+             "alpha": "displaced"}
 CHANNEL_KEYS = dict.fromkeys(("G", "Gamma_m", "n_bar", "tau", "kappa"), _finite)
 
 # Every config key outside state.* and channel.*: the ExperimentConfig
@@ -228,6 +232,10 @@ def _pop_state(raw: dict, prefix: str) -> StateSpec:
         if kwargs["kind"] != "displaced":
             raise ConfigError(f"{prefix}inner.* only applies to kind=displaced")
         kwargs["inner"] = _pop_state(raw, prefix + "inner.")
+    for key, kind in KIND_KEYS.items():
+        if key in kwargs and kwargs["kind"] != kind:
+            raise ConfigError(f"{prefix}{key} only applies to kind={kind}, "
+                              f"not kind={kwargs['kind']}")
     try:
         return StateSpec(**kwargs)
     except ValueError as exc:

@@ -166,8 +166,18 @@ def test_moment_tail_guard():
     rho = np.zeros((N, N), dtype=complex)
     rho[N - 1, N - 1] = 1.0  # all mass on the last level
     st_ = QuantumState.from_rho(rho)
-    with pytest.raises(TruncationError):
-        quadrature_moment(st_, 0.0, 2)
+    for phi in (0.0, 0.0, 0.3):  # the cached tail still raises on every call
+        with pytest.raises(TruncationError):
+            quadrature_moment(st_, phi, 2)
+
+
+def test_cached_moment_terms_match_a_fresh_state():
+    rho = random_mixed_state(48, 24, seed=7)
+    st_ = QuantumState.from_rho(rho)
+    cases = [(phi, n) for phi in (0.0, 0.3, math.pi / 2, -math.pi / 4) for n in range(1, 5)]
+    fresh = [quadrature_moment(QuantumState.from_rho(rho), phi, n) for phi, n in cases]
+    for _ in range(2):
+        assert [quadrature_moment(st_, phi, n) for phi, n in cases] == fresh
 
 
 def test_moment_hermiticity_guard():

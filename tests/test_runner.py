@@ -183,6 +183,20 @@ def test_parse_grid_is_checked_at_the_inner_dimension():
     assert cfg.grid == default_grid(192)
 
 
+@pytest.mark.parametrize("key, value, kind", [
+    ("beta", "1.5", "coherent"), ("n_bar", "0.5", "thermal"),
+    ("gamma", "0.1", "cubic_phase"), ("alpha", "0.3j", "displaced")])
+def test_parse_rejects_a_key_of_another_kind(tmp_path, key, value, kind):
+    # a vacuum owns none of the four keys
+    inner = "state.kind = displaced\nstate.alpha = 0.1\nstate.inner.kind = vacuum\n"
+    for text, prefix in (("state.kind = vacuum\n", "state."), (inner, "state.inner.")):
+        message = re.escape(f"{prefix}{key} only applies to kind={kind}, not kind=vacuum")
+        with pytest.raises(ConfigError, match=message):
+            parse_config(text + f"{prefix}{key} = {value}\n")
+    cfg = write_cfg(tmp_path, f"state.kind = vacuum\nstate.{key} = {value}\n")
+    assert main(["state-info", "--config", cfg]) == 2
+
+
 def test_parse_rejects_invalid_state():
     with pytest.raises(ConfigError):
         parse_config("state.kind = cubic_phase\nstate.gamma = 0.9\n")

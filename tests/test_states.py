@@ -175,11 +175,13 @@ def test_cubic_moments_converged_in_dimension(gamma, tol):
         assert drift < tol, (gamma, phi, n, drift)
 
 
-@pytest.mark.parametrize("N", [128, 192])
-def test_cubic_projection_matches_the_complex_route(N):
+@pytest.mark.parametrize(
+    "N, gamma", [(N, gamma) for gamma in (0.1, 0.3, -0.2) for N in (128, 192)],
+    ids=["128", "192", "128-g0.3", "192-g0.3", "128-g-0.2", "192-g-0.2"])
+def test_cubic_projection_matches_the_complex_route(N, gamma):
     # reference: the projection as one complex product with a complex copy
-    # of the basis, normalised like the package does
-    gamma = 0.1
+    # of the basis on the whole grid, normalised like the package does;
+    # the package sums only where h_0 >= 1e-20
     grid = default_grid(N)
     basis = build_basis(N, grid)
     psi = basis[0] * np.exp(1j * gamma * grid.points ** 3)

@@ -5,9 +5,9 @@
 Runs every preset in configs/ in quick mode through sweep, reconstruct
 and certify, with seed 31 and once each at --threads 1, 2 and 4, and
 runs state-info on a fixed state family (vacuum, coherent at 1.2-0.8j
-and at 3-2j, thermal, cubic, cubic displaced by 0.3+0.4j and by
-2-1.5j, and thermal displaced by 0.3+0.4j, each at N = 64, 128 and
-192), with the package imported from
+and at 3-2j, thermal, cubic at gamma 0.1 and 0.2, cubic displaced by
+0.3+0.4j and by 2-1.5j, and thermal displaced by 0.3+0.4j, each at
+N = 64, 128 and 192), with the package imported from
 DIR/src (default: the checkout this script sits in).
 Every file a run writes and its stdout are hashed after masking what
 legitimately differs between runs: the value of each "wall_clock_s"
@@ -50,6 +50,9 @@ STATES = {
     "coherent_far": {"kind": "coherent", "beta": "3-2j"},
     "thermal": {"kind": "thermal", "n_bar": "0.7"},
     "cubic": CUBIC,
+    # a phase gamma x^3 that winds many times over the support; at N = 64
+    # it leaks 3.9e-9, under LEAK_TOL
+    "cubic_strong": {"kind": "cubic_phase", "gamma": "0.2"},
     "displaced": {"kind": "displaced", "alpha": "0.3+0.4j",
                   **{f"inner.{k}": v for k, v in CUBIC.items()}},
     # a larger displacement, so more of the displacement block enters the output
