@@ -31,10 +31,6 @@ class ChannelConditionError(NumericsError):
     """|c_Q| too small for a stable inversion of the moment hierarchy."""
 
 
-class SamplingError(NumericsError):
-    """Degenerate marginal or invalid CDF during homodyne synthesis."""
-
-
 class DataError(NumericsError):
     """Sample data unusable (non-finite entries)."""
 

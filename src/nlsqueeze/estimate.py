@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChannelConditionError, DataError
-from .nlsq import PHASE_ORDERS, MomentSet, assemble_curve, mixed_moment_recovery
+from .nlsq import MAX_ORDER, PHASE_ORDERS, MomentSet, assemble_curve, mixed_moment_recovery
 from .readout import (SAMPLE_BLOCK, ChannelCoefficients, InverseCDF, hierarchy_matrix,
                       sample_homodyne)
 
@@ -46,8 +46,8 @@ def empirical_moments(samples, max_n: int):
     The sums run over SAMPLE_BLOCK-sized slices through buffers that stay
     in cache, and the slice sums are added in slice order.
     """
-    if max_n < 1 or max_n > 4:
-        raise ValueError(f"max_n must be in 1..4 (cubic protocol ceiling), got {max_n}")
+    if max_n < 1 or max_n > MAX_ORDER:
+        raise ValueError(f"max_n must be in 1..{MAX_ORDER} (cubic protocol ceiling), got {max_n}")
     x = np.asarray(samples, dtype=float)
     if x.ndim != 1 or x.size < MIN_SAMPLES:
         raise ValueError(f"need a 1-d array of at least {MIN_SAMPLES} samples, "

@@ -54,9 +54,9 @@ class PositionGrid:
             raise GridError(f"grid extent must be positive, got {self.extent}")
         if self.n_points < 2:
             raise GridError(f"grid needs at least 2 points, got {self.n_points}")
-        object.__setattr__(
-            self, "points", np.linspace(-self.extent, self.extent, self.n_points)
-        )
+        points = np.linspace(-self.extent, self.extent, self.n_points)
+        points.flags.writeable = False  # default_grid shares one grid per N
+        object.__setattr__(self, "points", points)
 
     @property
     def spacing(self) -> float:
@@ -77,11 +77,13 @@ class PositionGrid:
             )
 
 
+@lru_cache(maxsize=8)
 def default_grid(N: int = 128) -> PositionGrid:
     """Default grid for dimension N: extent 18 for N <= 128, grown with N.
 
     Point density is kept near 57 points per unit so trapezoid moments and
-    the sampling CDF retain their accuracy as the extent grows.
+    the sampling CDF retain their accuracy as the extent grows.  Cached:
+    callers share one grid per N.
     """
     extent = max(18.0, math.ceil(PositionGrid.min_extent(N)))
     n_points = int(round(2048 * extent / 18.0))
@@ -330,7 +332,8 @@ def marginal_density(state: QuantumState, phi: float, grid: PositionGrid) -> np.
     ------
     TruncationError
         If the density dips below -1e-8 or its trapezoid norm deviates
-        from 1 by more than 1e-4.
+        from 1 by more than 1e-4; both tests fail on NaN, so a returned
+        density is finite, nonnegative and of positive total.
     """
     basis = build_basis(state.dim, grid)
     phase = np.exp(-1j * phi * np.arange(state.dim))
@@ -345,11 +348,11 @@ def marginal_density(state: QuantumState, phi: float, grid: PositionGrid) -> np.
     low = float(dens.min())
     # PSD tolerance 1e-10 on rho can push the marginal a few times lower,
     # so the clamp threshold sits at -1e-8 rather than the matrix tolerance.
-    if low < -1e-8:
+    if not low >= -1e-8:
         raise TruncationError(f"marginal density reaches {low:.2e} < -1e-8")
     dens = np.maximum(dens, 0.0)
     norm = float(_trapz(dens, dx=grid.spacing))
-    if abs(norm - 1.0) > 1e-4:
+    if not abs(norm - 1.0) <= 1e-4:
         raise TruncationError(
             f"marginal norm {norm:.6f} off by more than 1e-4; "
             "grid or dimension insufficient"

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SamplingError
 from .hilbert import PositionGrid, QuantumState, default_grid, marginal_density
 from .nlsq import PHASE_ORDERS
 
@@ -90,7 +89,8 @@ class ChannelCoefficients:
 
 
 def _radicand(x: float) -> float:
-    # f(x) = x + 4 exp(-x/2) - exp(-x) - 3 >= 0 for x >= 0
+    # f(x) = x + 4 exp(-x/2) - exp(-x) - 3 >= 0 for x = Gamma_m tau >= 0,
+    # which ChannelParams guarantees
     if x < _SERIES_CROSSOVER:
         return x ** 3 / 12.0 - x ** 4 / 32.0 + 7.0 * x ** 5 / 960.0
     return x + 4.0 * math.expm1(-0.5 * x) - math.expm1(-x)
@@ -124,10 +124,7 @@ def channel_coefficients(p: ChannelParams, order: str = "exact") -> ChannelCoeff
         c_Q, c_E = cq0, 0.0
     else:
         c_Q = cq0 * (-2.0 * math.expm1(-0.5 * x) / x)
-        f = _radicand(x)
-        if f < 0:  # impossible for x >= 0; kept as an internal consistency guard
-            raise ArithmeticError(f"negative radicand {f} at Gamma_m tau = {x}")
-        c_E = -4.0 * G * math.sqrt(2.0 * f / (kappa * tau)) / Gm
+        c_E = -4.0 * G * math.sqrt(2.0 * _radicand(x) / (kappa * tau)) / Gm
     return ChannelCoefficients(c_Q=c_Q, c_E=c_E, noise_var=0.5 + c_E ** 2 * (p.n_bar + 0.5))
 
 
@@ -208,11 +205,9 @@ def inverse_cdf_table(state: QuantumState, phi: float,
     """
     if grid is None:
         grid = default_grid(state.dim)
+    # marginal_density's density is finite, >= 0 and of positive total
     F = np.concatenate(([0.0], np.cumsum(marginal_density(state, phi, grid))))
-    total = F[-1]
-    if not np.isfinite(total) or total <= 0:
-        raise SamplingError(f"degenerate marginal: cumulative mass {total}")
-    F = np.maximum.accumulate(F / total)
+    F /= F[-1]
     # b / K is exact in binary and cell(u) is nondecreasing, so
     # edges[b] <= cell(u) <= edges[b + 1] holds exactly for u in bucket b,
     # and equal edges pin the bucket to one cell.

@@ -178,14 +178,11 @@ class ExperimentConfig:
 
 def _spec_echo(spec: StateSpec) -> dict:
     d = {"kind": spec.kind, "N": spec.N}
-    if spec.kind == "coherent":
-        d["beta"] = str(spec.beta)
-    elif spec.kind == "thermal":
-        d["n_bar"] = spec.n_bar
-    elif spec.kind == "cubic_phase":
-        d["gamma"] = spec.gamma
-    elif spec.kind == "displaced":
-        d["alpha"] = str(spec.alpha)
+    for key, kind in KIND_KEYS.items():
+        if spec.kind == kind:
+            value = getattr(spec, key)
+            d[key] = str(value) if STATE_KEYS[key] is _complex else value
+    if spec.inner is not None:
         d["inner"] = _spec_echo(spec.inner)
     return d
 
@@ -493,9 +490,8 @@ def certify(config: ExperimentConfig, threads: int = 1) -> dict:
     report = _run_points(config, [(0.0, config.channel, config.base_seed)],
                          threads, overlay=False)
     rep = report.points[0].report
-    margins = classical_threshold(lam_star) - rep.v_at(lam_star)
-    margin_mean = float(margins.mean())
-    margin_std = float(margins.std(ddof=1))
+    v_star = _mean_std(rep.v_at(lam_star))
+    margin = _mean_std(classical_threshold(lam_star) - rep.v_at(lam_star))
     v_mean, v_std = rep.v_stats(report.lambdas)
     nonclassical_anywhere = bool(np.any(report.threshold - v_mean > config.k_sigma * v_std))
     resource = None
@@ -504,13 +500,13 @@ def certify(config: ExperimentConfig, threads: int = 1) -> dict:
                     "satisfied": resource_condition(spec.gamma, config.gamma_G)}
     return {
         "lambda_star": lam_star,
-        "v_mean": float(np.mean(rep.v_at(lam_star))),
-        "v_std": float(np.std(rep.v_at(lam_star), ddof=1)),
+        "v_mean": v_star["mean"],
+        "v_std": v_star["std"],
         "threshold": float(classical_threshold(lam_star)),
-        "margin_mean": margin_mean,
-        "margin_std": margin_std,
+        "margin_mean": margin["mean"],
+        "margin_std": margin["std"],
         "k_sigma": config.k_sigma,
-        "nonclassical": bool(margin_mean > config.k_sigma * margin_std),
+        "nonclassical": bool(margin["mean"] > config.k_sigma * margin["std"]),
         "nonclassical_anywhere": nonclassical_anywhere,
         "resource": resource,
         "replicate_seeds": list(rep.seeds),
@@ -617,7 +613,3 @@ def main(argv=None) -> int:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

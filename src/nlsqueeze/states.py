@@ -99,8 +99,6 @@ def make_state(spec: StateSpec, grid: PositionGrid | None = None) -> QuantumStat
         is a larger N or a larger grid.
     """
     N = spec.N
-    if grid is None:
-        grid = default_grid(spec.dim)
     if spec.kind == "displaced":
         return displace(make_state(spec.inner, grid=grid), spec.alpha)
     if spec.kind == "thermal":
@@ -108,6 +106,7 @@ def make_state(spec: StateSpec, grid: PositionGrid | None = None) -> QuantumStat
         return truncated_state(np.eye(N), (1.0 - ratio) * ratio ** np.arange(N),
                                f"thermal n_bar={spec.n_bar}", f"at N={N}; increase N")
     if spec.kind == "cubic_phase":
+        grid = grid or default_grid(N)
         basis = build_basis(N, grid)
         # Only the nodes where h_0 >= 1e-20 (contiguous, |x| < 9.6) enter: |h_n| < 1,
         # so the dropped terms of c_n sum to at most dx M 1e-20 ~ 4e-19 over M

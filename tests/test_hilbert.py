@@ -42,6 +42,13 @@ def test_default_grid_covers_turning_points():
     g.validate_for(128)
 
 
+def test_default_grid_is_shared_and_read_only():
+    g = default_grid(128)
+    assert default_grid(128) is g
+    with pytest.raises(ValueError):
+        g.points[0] = 0.0
+
+
 def test_too_small_grid_rejected():
     # classical turning point of |127> sits at sqrt(2*127+1) ~ 15.97, so an
     # extent-16 grid leaves no decay room and the basis is not orthonormal
@@ -269,6 +276,14 @@ def test_marginal_negative_dip_guard():
     st_ = QuantumState.from_rho(rho)
     with pytest.raises(TruncationError):
         marginal_density(st_, 0.0, PositionGrid(8.0, 401))
+
+
+@pytest.mark.parametrize("rank", [1, 16], ids=["factor-route", "dense-route"])
+def test_marginal_rejects_a_nan_factor(rank):
+    # NaN fails no `x > tol` test, so each guard must be one that NaN fails
+    st_ = QuantumState(vectors=np.full((16, rank), np.nan), weights=np.full(rank, 1.0 / rank))
+    with pytest.raises(TruncationError, match="nan"):
+        marginal_density(st_, 0.3, default_grid(16))
 
 
 # ------------------------------------------------------------- displacement

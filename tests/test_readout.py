@@ -229,8 +229,10 @@ def test_sampler_rejects_bad_count():
 @pytest.mark.parametrize("spec", [StateSpec(kind="vacuum", N=32),
                                   StateSpec(kind="thermal", n_bar=1.0, N=96),
                                   StateSpec(kind="coherent", beta=1.2 - 0.8j, N=64),
-                                  StateSpec(kind="cubic_phase", gamma=0.1, N=128)],
-                         ids=["vacuum", "thermal", "coherent", "cubic"])
+                                  StateSpec(kind="cubic_phase", gamma=0.1, N=128),
+                                  StateSpec(kind="displaced", alpha=0.3 + 0.4j,
+                                            inner=StateSpec(kind="thermal", n_bar=0.7, N=64))],
+                         ids=["vacuum", "thermal", "coherent", "cubic", "displaced-thermal"])
 def test_guided_lookup_equals_binary_search(spec):
     # the reference is the binary search the guide table replaces
     rng = np.random.default_rng(61)
@@ -240,6 +242,7 @@ def test_guided_lookup_equals_binary_search(spec):
         # the tables come in schedule-row order
         np.testing.assert_array_equal(F, inverse_cdf_table(state, phi).cdf)
         assert F.shape == (table.x.size + 1,) and F[0] == 0.0 and F[-1] == 1.0
+        assert np.all(np.diff(F) >= 0)
         assert table.guide.shape == (GUIDE_BUCKETS,)
         if spec.kind == "cubic_phase":
             # each bucket carries probability 1 / GUIDE_BUCKETS, and the

@@ -633,6 +633,48 @@ def test_cli_rejects_bad_numbers(tmp_path, capsys, command, edits, argv, key):
     assert not out.exists()  # rejected before any sampling or output
 
 
+NO_CHANNEL = {"channel.G = 0.1\nchannel.kappa = 1.0\nchannel.n_bar = 1.0e4\n"
+              "channel.Gamma_m = 1.0e-9\nchannel.tau = 1.0e3\n": ""}
+
+
+@pytest.mark.parametrize("command, edits, message", [
+    ("state-info", {"state.kind = cubic_phase\n": ""}, "missing state.kind"),
+    ("state-info", {"state.N = 64": "state.N = 64\nstate.inner.kind = vacuum"},
+     "state.inner.* only applies to kind=displaced"),
+    ("sweep", {"channel.tau = 1.0e3\n": ""},
+     "channel section needs at least channel.G and channel.tau"),
+    ("sweep", {"channel.tau = 1.0e3": "channel.tau = 0"},
+     "invalid channel parameters: tau must be > 0, got 0.0"),
+    ("sweep", NO_CHANNEL, "sweep needs a channel section"),
+    ("sweep", {"sweep.axis = thermalisation_rate\n": ""}, "sweep needs sweep.axis"),
+    ("reconstruct", NO_CHANNEL, "reconstruction needs a channel section"),
+    ("certify", NO_CHANNEL, "certify needs a channel section"),
+], ids=["missing-kind", "inner-on-cubic", "channel-without-tau", "channel-tau-zero",
+        "sweep-without-channel", "sweep-without-axis", "reconstruct-without-channel",
+        "certify-without-channel"])
+def test_cli_rejects_incomplete_sections(tmp_path, capsys, command, edits, message):
+    text = FULL_TEXT
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    out = tmp_path / "out"
+    rc = main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("gamma_G, verdict", [("0.1", "sufficient"), ("0.04", "insufficient")])
+def test_cli_certify_prints_the_resource_verdict(tmp_path, capsys, gamma_G, verdict):
+    # state.gamma = 0.1 is a resource against gamma_G exactly when 0.1 < 2 gamma_G
+    text = FULL_TEXT.replace("certify.gamma_G = 0.1", f"certify.gamma_G = {gamma_G}")
+    rc = main(["certify", "--config", write_cfg(tmp_path, text), "--out", str(tmp_path / "c")])
+    assert rc == 0
+    assert f"resource versus gamma_G={gamma_G}: {verdict}\n" in capsys.readouterr().out
+    cert = json.loads((tmp_path / "c" / "certificate.json").read_text())
+    assert cert["resource"]["satisfied"] == (verdict == "sufficient")
+
+
 @pytest.mark.parametrize("command, value", [("sweep", "1e-07"), ("reconstruct", "0"),
                                             ("certify", "0")])
 def test_cli_rejects_a_coarse_lattice_before_building_the_state(tmp_path, capsys,
