@@ -7,7 +7,8 @@ displaced state, and a key of KIND_KEYS is rejected on any kind but its
 own), the channel.* keys are the ChannelParams fields (channel.G and
 channel.tau required, Gamma_m and n_bar default to 0), and CONFIG_KEYS
 lists every other key with its ExperimentConfig field and converter.
-Defaults live in those three dataclasses.
+Defaults live in those three dataclasses; the config also owns the
+grid, default_grid(state dimension) unless grid.* is given.
 
 Sweep axes move one channel parameter to hit the requested value in
 kappa units: thermalisation_rate sets Gamma_m = value*kappa/n_bar at
@@ -30,11 +31,12 @@ from time import perf_counter
 import numpy as np
 
 from .errors import ConfigError, GridError, NumericsError
-from .estimate import MIN_REPLICATES, MIN_SAMPLES, EnsembleReport, derive_seed, ensemble_run
+from .estimate import (CQ_FLOOR, MIN_REPLICATES, MIN_SAMPLES, EnsembleReport, derive_seed,
+                       ensemble_run)
 from .hilbert import PositionGrid, default_grid
 from .nlsq import (MINUS, P, PHASE_ORDERS, PLUS, Q, assemble_curve, classical_threshold,
                    exact_moment_set, resource_condition)
-from .readout import ChannelParams, channel_coefficients, sampling_tables
+from .readout import ChannelCoefficients, ChannelParams, channel_coefficients, sampling_tables
 from .states import StateSpec, make_state
 
 AXES = ("thermalisation_rate", "interaction_time", "cooperativity")
@@ -60,6 +62,13 @@ def _positive(text) -> float:
     if value <= 0:
         raise ValueError("must be > 0")
     return value
+
+
+def _whole(text) -> int:
+    value = _finite(text)
+    if not value.is_integer():
+        raise ValueError("not a whole number")
+    return int(value)
 
 
 def _at_least(low: int, convert=int):
@@ -106,7 +115,7 @@ CONFIG_KEYS = {
     "sweep.axis": ("sweep_axis", _one_of(AXES)),
     "sweep.values": ("sweep_values", _sweep_values),
     "ensemble.R": ("R", _at_least(MIN_REPLICATES)),
-    "ensemble.count": ("count", _at_least(MIN_SAMPLES, lambda text: int(_finite(text)))),
+    "ensemble.count": ("count", _at_least(MIN_SAMPLES, _whole)),
     "ensemble.base_seed": ("base_seed", _at_least(0)),
     "lambda.min": ("lambda_min", _finite),
     "lambda.max": ("lambda_max", _finite),
@@ -140,12 +149,14 @@ class ExperimentConfig:
     grid_points: int | None = None      # the state's dimension, StateSpec.dim
     out_dir: str = "."
     mode: str = "full"                  # quick caps count and R
-    grid: PositionGrid | None = field(init=False, default=None, repr=False, compare=False)
+    grid: PositionGrid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.grid_extent is None) != (self.grid_points is None):
             raise ValueError("grid.extent and grid.points must be given together")
-        if self.grid_extent is not None:
+        if self.grid_extent is None:
+            self.grid = default_grid(self.state_spec.dim)
+        else:
             try:
                 self.grid = PositionGrid(self.grid_extent, self.grid_points)
                 self.grid.validate_for(self.state_spec.dim)
@@ -171,7 +182,7 @@ class ExperimentConfig:
                 out.setdefault(section, {})[entry] = getattr(self, name)
             else:
                 out[key] = getattr(self, name)
-        if self.grid is None:
+        if self.grid_extent is None:
             out["grid"] = None
         return out
 
@@ -301,11 +312,13 @@ def apply_axis(channel: ChannelParams, axis: str, value: float) -> ChannelParams
 
 @dataclass
 class SweepPoint:
+    """One channel setting: built and checked by _point, run by _run_points."""
     sweep_value: float
     channel: ChannelParams
+    coeffs: ChannelCoefficients
     seed: int
-    report: EnsembleReport
-    wall_clock_s: float
+    report: EnsembleReport | None = None
+    wall_clock_s: float = 0.0
 
 
 @dataclass
@@ -314,7 +327,7 @@ class SweepReport:
     lambdas: np.ndarray
     v_analytic: np.ndarray | None   # None for certify, which never emits it
     threshold: np.ndarray
-    points: list = field(default_factory=list)
+    points: list                    # SweepPoint records, in sweep order
     wall_clock_s: float = 0.0
 
 
@@ -326,29 +339,36 @@ def analytic_overlay(spec: StateSpec, state, lambdas: np.ndarray) -> np.ndarray:
     return assemble_curve(exact_moment_set(state))(lambdas)
 
 
-def _check_lattice(config: ExperimentConfig, points, coeffs):
-    """Reject a point whose gain spreads the grid nodes wider than the
-    channel noise can smooth: |c_Q| dx <= sigma_W / 2, where sigma_W is
-    the noise deviation, keeps the lattice ripple in the density of
-    Y_out below about e^{-79} (Poisson summation)."""
-    dx = (config.grid or default_grid(config.state_spec.dim)).spacing
-    for (sv, _, _), co in zip(points, coeffs):
-        sigma_w = math.sqrt(co.noise_var)
-        if abs(co.c_Q) * dx > 0.5 * sigma_w:
-            raise ConfigError(
-                f"sweep value {sv:g}: |c_Q| dx = {abs(co.c_Q) * dx:.3g} exceeds half "
-                f"the noise deviation {sigma_w:.3g}; raise grid.points")
+def _point(config: ExperimentConfig, sweep_value: float, channel: ChannelParams,
+           seed: int) -> SweepPoint:
+    """The record of one channel setting, checked before any state is built:
+    |c_Q| >= CQ_FLOOR keeps the moment hierarchy invertible, and
+    |c_Q| dx <= sigma_W / 2 (sigma_W the noise deviation) keeps the lattice
+    ripple of the grid nodes in the density of Y_out below about e^{-79}
+    (Poisson summation)."""
+    co = channel_coefficients(channel)
+    if abs(co.c_Q) < CQ_FLOOR:
+        raise ConfigError(f"sweep value {sweep_value:g}: |c_Q| = {abs(co.c_Q):.2e} below "
+                          f"{CQ_FLOOR:g}; channel too weak to invert")
+    sigma_w, dx = math.sqrt(co.noise_var), config.grid.spacing
+    if abs(co.c_Q) * dx > 0.5 * sigma_w:
+        raise ConfigError(
+            f"sweep value {sweep_value:g}: |c_Q| dx = {abs(co.c_Q) * dx:.3g} exceeds half "
+            f"the noise deviation {sigma_w:.3g}; raise grid.points")
+    return SweepPoint(sweep_value, channel, co, seed)
 
 
-def _run_points(config: ExperimentConfig, points, threads: int = 1,
+def _template_point(config: ExperimentConfig, what: str) -> SweepPoint:
+    """The one point of reconstruct and certify: the template channel, seed base_seed."""
+    if config.channel is None:
+        raise ConfigError(f"{what} needs a channel section")
+    return _point(config, 0.0, config.channel, config.base_seed)
+
+
+def _run_points(config: ExperimentConfig, points: list, threads: int = 1,
                 overlay: bool = True) -> SweepReport:
-    """Derive every point's channel coefficients and check its lattice
-    ratio, then build the state, its sampling tables and the lambda grid
-    once, and run one ensemble per (sweep_value, channel, seed) in points.
-    With overlay=False the analytic curve is not computed and v_analytic
-    stays None."""
-    coeffs = [channel_coefficients(channel) for _, channel, _ in points]
-    _check_lattice(config, points, coeffs)
+    """Build the state, its sampling tables and the lambda grid once and run
+    one ensemble per point; overlay=False leaves v_analytic None."""
     t0 = perf_counter()
     state = make_state(config.state_spec, grid=config.grid)
     tables = sampling_tables(state, config.grid)
@@ -358,36 +378,33 @@ def _run_points(config: ExperimentConfig, points, threads: int = 1,
         lambdas=lam,
         v_analytic=analytic_overlay(config.state_spec, state, lam) if overlay else None,
         threshold=np.asarray(classical_threshold(lam)),
+        points=points,
     )
-    for (sv, channel, seed), co in zip(points, coeffs):
+    for pt in points:
         t1 = perf_counter()
-        rep = ensemble_run(tables, co, config.count, config.R, seed, threads=threads)
-        report.points.append(SweepPoint(sweep_value=sv, channel=channel, seed=seed,
-                                        report=rep, wall_clock_s=perf_counter() - t1))
+        pt.report = ensemble_run(tables, pt.coeffs, config.count, config.R, pt.seed, threads)
+        pt.wall_clock_s = perf_counter() - t1
     report.wall_clock_s = perf_counter() - t0
     return report
 
 
 def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepReport:
     """Ensemble per sweep value; seeds derive from (base_seed, point index).
-    Every point's channel is derived, and its axis checked, before the
-    state is built."""
+    Every point is built, and its axis checked, before the state is built."""
     if config.channel is None:
         raise ConfigError("sweep needs a channel section")
     if config.sweep_axis is None:
         raise ConfigError("sweep needs sweep.axis")
-    points = [(sv, apply_axis(config.channel, config.sweep_axis, sv),
+    return _run_points(config, [
+        _point(config, sv, apply_axis(config.channel, config.sweep_axis, sv),
                derive_seed(config.base_seed, i))
-              for i, sv in enumerate(config.sweep_values)]
-    return _run_points(config, points, threads)
+        for i, sv in enumerate(config.sweep_values)], threads)
 
 
 def single_run_report(config: ExperimentConfig, threads: int = 1) -> SweepReport:
     """One ensemble at the template channel, packaged as a single-point
     sweep with sweep_value 0.0 so the emitters apply unchanged."""
-    if config.channel is None:
-        raise ConfigError("reconstruction needs a channel section")
-    return _run_points(config, [(0.0, config.channel, config.base_seed)], threads)
+    return _run_points(config, [_template_point(config, "reconstruction")], threads)
 
 
 # ---------------------------------------------------------------- emission
@@ -481,17 +498,16 @@ def certify(config: ExperimentConfig, threads: int = 1) -> dict:
     with a configured gamma_G the resource verdict (gamma below 2
     gamma_G) is attached as well.
     """
-    if config.channel is None:
-        raise ConfigError("certify needs a channel section")
+    point = _template_point(config, "certify")
     spec = config.state_spec
     lam_star = config.lambda_star
     if lam_star is None:
         lam_star = spec.gamma if spec.kind == "cubic_phase" else 0.0
-    report = _run_points(config, [(0.0, config.channel, config.base_seed)],
-                         threads, overlay=False)
-    rep = report.points[0].report
-    v_star = _mean_std(rep.v_at(lam_star))
-    margin = _mean_std(classical_threshold(lam_star) - rep.v_at(lam_star))
+    report = _run_points(config, [point], threads, overlay=False)
+    rep = point.report
+    v_values = rep.v_at(lam_star)
+    v_star = _mean_std(v_values)
+    margin = _mean_std(classical_threshold(lam_star) - v_values)
     v_mean, v_std = rep.v_stats(report.lambdas)
     nonclassical_anywhere = bool(np.any(report.threshold - v_mean > config.k_sigma * v_std))
     resource = None
@@ -577,19 +593,18 @@ def main(argv=None) -> int:
             raise ConfigError(f"--threads must be >= 1, got {args.threads}")
         config = load_config(args.config, out_dir=args.out,
                              base_seed=args.seed, mode=args.mode)
-        if args.command == "sweep":
-            report = run_sweep(config, threads=args.threads)
-            paths = write_sweep_outputs(report)
-            for pt in report.points:
-                a0 = _mean_std(pt.report.coeff_values["a0"])
-                print(f"sweep_value={pt.sweep_value:g}  a0={a0['mean']:.6g}±{a0['std']:.2g}  "
-                      f"[{pt.wall_clock_s:.2f} s]")
-        elif args.command == "reconstruct":
-            report = single_run_report(config, threads=args.threads)
-            paths = write_sweep_outputs(report, json_name="reconstruction.json")
-            stats = {name: _mean_std(values)
-                     for name, values in report.points[0].report.coeff_values.items()}
-            print("  ".join(f"{name}={s['mean']:.6g}±{s['std']:.2g}" for name, s in stats.items()))
+        if args.command in ("sweep", "reconstruct"):
+            sweep = args.command == "sweep"
+            report = (run_sweep if sweep else single_run_report)(config, threads=args.threads)
+            paths = write_sweep_outputs(report, "report.json" if sweep else "reconstruction.json")
+            for pt in report.points:  # a sweep prints a0 per point, reconstruct every coefficient
+                stats = {name: _mean_std(v) for name, v in pt.report.coeff_values.items()}
+                text = "  ".join(f"{name}={s['mean']:.6g}±{s['std']:.2g}"
+                                 for name, s in stats.items() if not sweep or name == "a0")
+                print(f"sweep_value={pt.sweep_value:g}  {text}  [{pt.wall_clock_s:.2f} s]"
+                      if sweep else text)
+            print(f"wrote {', '.join(map(str, paths.values()))} "
+                  f"in {report.wall_clock_s:.2f} s")
         elif args.command == "certify":
             cert = certify(config, threads=args.threads)
             path = _write_json(Path(config.out_dir) / "certificate.json", cert)
@@ -603,9 +618,6 @@ def main(argv=None) -> int:
             print(f"wrote {path}")
         else:
             print(json.dumps(state_info(config), indent=2))
-        if args.command in ("sweep", "reconstruct"):
-            print(f"wrote {', '.join(map(str, paths.values()))} "
-                  f"in {report.wall_clock_s:.2f} s")
     except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

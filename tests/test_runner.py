@@ -12,6 +12,7 @@ import pytest
 
 from nlsqueeze import readout, runner
 from nlsqueeze.errors import ConfigError
+from nlsqueeze.estimate import derive_seed
 from nlsqueeze.hilbert import default_grid
 from nlsqueeze.runner import (
     PLOT_HEADER,
@@ -183,6 +184,23 @@ def test_parse_grid_is_checked_at_the_inner_dimension():
     assert cfg.grid == default_grid(192)
 
 
+def test_config_owns_the_default_grid():
+    # without grid.* the config holds the shared default grid of the built
+    # state's dimension, which for a displaced state is its inner N
+    cubic = parse_config("state.kind = cubic_phase\nstate.gamma = 0.1\nstate.N = 96\n")
+    displaced = parse_config("state.kind = displaced\nstate.alpha = 0.1\nstate.N = 256\n"
+                             "state.inner.kind = cubic_phase\nstate.inner.gamma = 0.1\n"
+                             "state.inner.N = 192\n")
+    for cfg, dim in ((cubic, 96), (displaced, 192)):
+        assert cfg.state_spec.dim == dim
+        assert cfg.grid is default_grid(cfg.state_spec.dim)
+        assert cfg.echo()["grid"] is None
+    assert displaced.grid != default_grid(256)
+    given = parse_config("state.kind = vacuum\ngrid.extent = 20\ngrid.points = 2048\n")
+    assert (given.grid.extent, given.grid.n_points) == (20.0, 2048)
+    assert given.echo()["grid"] == {"extent": 20.0, "points": 2048}
+
+
 @pytest.mark.parametrize("key, value, kind", [
     ("beta", "1.5", "coherent"), ("n_bar", "0.5", "thermal"),
     ("gamma", "0.1", "cubic_phase"), ("alpha", "0.3j", "displaced")])
@@ -332,6 +350,14 @@ def test_sweep_csv_is_plot_csv_without_band(tmp_path):
         assert sweep_row == plot_row[:4] + plot_row[6:]
 
 
+def test_sweep_points_carry_their_channel_coefficients(tmp_path):
+    report = run_sweep(small_config(tmp_path))
+    assert [pt.sweep_value for pt in report.points] == [1e-7, 1e-5]
+    for i, pt in enumerate(report.points):
+        assert pt.coeffs == readout.channel_coefficients(pt.channel)
+        assert pt.seed == derive_seed(99, i)
+
+
 def test_sweep_cooperativity_derives_G(tmp_path):
     text = FULL_TEXT.replace("sweep.axis = thermalisation_rate",
                              "sweep.axis = cooperativity")
@@ -396,6 +422,9 @@ def test_single_run_report_uses_zero_sweep_value(tmp_path):
     report = single_run_report(cfg)
     assert len(report.points) == 1
     assert report.points[0].sweep_value == 0.0
+    pt = report.points[0]
+    assert pt.channel == cfg.channel and pt.seed == cfg.base_seed == 99
+    assert pt.coeffs == readout.channel_coefficients(cfg.channel)
     first_row = emit_plot_data(report).split("\n")[1]
     assert first_row.startswith("0,")
 
@@ -606,6 +635,7 @@ def test_cli_bad_config(tmp_path):
      "ensemble.base_seed"),
     ("certify", {"ensemble.R = 3": "ensemble.R = 1"}, [], "ensemble.R"),
     ("certify", {"ensemble.count = 4000": "ensemble.count = 50"}, [], "ensemble.count"),
+    ("sweep", {"ensemble.count = 4000": "ensemble.count = 2500.7"}, [], "ensemble.count"),
     ("certify", {"mode = full": "mode = full\ngrid.extent = 6\ngrid.points = 400"}, [],
      "grid.extent"),
     ("certify", {"state.kind = cubic_phase\nstate.gamma = 0.1\nstate.N = 64":
@@ -618,8 +648,8 @@ def test_cli_bad_config(tmp_path):
     ("certify", {"state.gamma = 0.1": "state.gamma = -0.1"}, [], "certify.gamma_G"),
 ], ids=["G-nan", "tau-inf", "sweep-inf", "count-inf", "k_sigma-nan", "k_sigma-negative",
         "threads-zero", "threads-negative", "seed-negative", "base_seed-negative",
-        "R-one", "count-below-100", "grid-too-small", "grid-too-small-for-inner",
-        "gamma_G-zero", "gamma_G-with-negative-gamma"])
+        "R-one", "count-below-100", "count-fractional", "grid-too-small",
+        "grid-too-small-for-inner", "gamma_G-zero", "gamma_G-with-negative-gamma"])
 def test_cli_rejects_bad_numbers(tmp_path, capsys, command, edits, argv, key):
     text = FULL_TEXT
     for old, new in edits.items():
@@ -706,6 +736,38 @@ def test_lattice_guard_sits_at_half_the_noise_deviation(monkeypatch, points, rej
     config = parse_config(FULL_TEXT.replace(
         "mode = full", f"mode = full\ngrid.extent = 18\ngrid.points = {points}"))
     with pytest.raises(ConfigError if rejected else Built, match="1e-07" if rejected else None):
+        run_sweep(config)
+
+
+@pytest.mark.parametrize("command, value", [("sweep", "1e-07"), ("reconstruct", "0"),
+                                            ("certify", "0")])
+def test_cli_rejects_a_weak_channel_before_building_the_state(tmp_path, capsys,
+                                                              monkeypatch, command, value):
+    # G = 0 gives c_Q = 0 at every point, so the hierarchy cannot be inverted
+    calls = []
+    monkeypatch.setattr(runner, "make_state", lambda *a, **k: calls.append(a))
+    text = FULL_TEXT.replace("channel.G = 0.1", "channel.G = 0")
+    out = tmp_path / "out"
+    rc = main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)])
+    assert rc == 2 and calls == []
+    assert capsys.readouterr().err == (f"config error: sweep value {value}: |c_Q| = 0.00e+00 "
+                                       "below 1e-06; channel too weak to invert\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("G, rejected", [("1.1e-8", True), ("1.12e-8", False)])
+def test_weak_channel_guard_sits_at_the_cq_floor(monkeypatch, G, rejected):
+    # |c_Q| is 9.84e-7 at G = 1.1e-8 and 1.0018e-6 at G = 1.12e-8 at both points
+    class Built(Exception):
+        pass
+
+    def built(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(runner, "make_state", built)
+    config = parse_config(FULL_TEXT.replace("channel.G = 0.1", f"channel.G = {G}"))
+    with pytest.raises(ConfigError if rejected else Built,
+                       match="1e-07: [|]c_Q[|] = 9.84e-07" if rejected else None):
         run_sweep(config)
 
 

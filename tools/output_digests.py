@@ -3,16 +3,23 @@
     python3 tools/output_digests.py [--repo DIR]
 
 Runs every preset in configs/ in quick mode through sweep, reconstruct
-and certify, with seed 31 and once each at --threads 1, 2 and 4, and
-runs state-info on a fixed state family (vacuum, coherent at 1.2-0.8j
-and at 3-2j, thermal, cubic at gamma 0.1 and 0.2, cubic displaced by
-0.3+0.4j and by 2-1.5j, and thermal displaced by 0.3+0.4j, each at
-N = 64, 128 and 192), with the package imported from
+and certify, with seed 31 and once each at --threads 1, 2 and 4.  The
+presets all sample a pure cubic state, so one more config, written to
+the temporary directory, samples a full-rank state: the thermalisation
+preset's channel, sweep and ensemble lines with the state set to the
+thermal state displaced by 0.3+0.4j at N = 128, run through the same
+three commands at --threads 1 and 2.  It covers the exact-moment
+overlay, certify's default lambda_star = 0 and the dense marginal.
+The script also runs state-info on a fixed state family (vacuum,
+coherent at 1.2-0.8j and at 3-2j, thermal, cubic at gamma 0.1 and 0.2,
+cubic displaced by 0.3+0.4j and by 2-1.5j, and thermal displaced by
+0.3+0.4j, each at N = 64, 128 and 192).  The package is imported from
 DIR/src (default: the checkout this script sits in).
 Every file a run writes and its stdout are hashed after masking what
 legitimately differs between runs: the value of each "wall_clock_s"
 key, the timings printed to stdout, and the output directory.  The
-lines read "<sha256>  <preset>/<command>/t<threads>/<file>" and
+lines read "<sha256>  <preset>/<command>/t<threads>/<file>" (the
+full-rank config's preset name is displaced_thermal128) and
 "<sha256>  state-info/<state>/stdout", so two checkouts are compared
 with diff:
 
@@ -64,6 +71,11 @@ STATES = {
 }
 # 192 is the first N whose default grid grows past extent 18
 STATE_N = (64, 128, 192)
+# The sampled full-rank state (state, N); its config takes the lines of
+# these sections from the thermalisation preset.
+FULL_RANK = ("displaced_thermal", 128)
+FULL_RANK_SECTIONS = ("channel.", "sweep.", "ensemble.")
+FULL_RANK_RUNS = [(command, threads) for command, threads in RUNS if threads <= 2]
 WALL_CLOCK = re.compile(rb'("wall_clock_s": )[-+0-9.eE]+')
 PRINTED_SECONDS = re.compile(rb"(\[| in )\d+\.\d+ s")
 
@@ -74,9 +86,10 @@ def masked(data: bytes, out_dir: str) -> bytes:
     return PRINTED_SECONDS.sub(rb"\1<seconds>", data)
 
 
-def state_config(path: Path, keys: dict, N: int) -> Path:
+def state_config(path: Path, keys: dict, N: int, extra: str = "") -> Path:
     keys = dict(keys, N=N, **({"inner.N": N} if "inner.kind" in keys else {}))
-    path.write_text("".join(f"state.{k} = {v}\n" for k, v in keys.items()), encoding="utf-8")
+    text = "".join(f"state.{k} = {v}\n" for k, v in keys.items())
+    path.write_text(text + extra, encoding="utf-8")
     return path
 
 
@@ -92,6 +105,18 @@ def run(repo: Path, config: Path, command: str, threads: int, out_dir: Path) -> 
     return proc.stdout
 
 
+def hash_runs(repo: Path, config: Path, name: str, runs: list, tmp: str):
+    """Print the digest of every file and stdout of each (command, threads) run."""
+    for command, threads in runs:
+        out_dir = Path(tmp) / f"{name}-{command}-t{threads}"
+        label = f"{name}/{command}/t{threads}"
+        files = {"stdout": run(repo, config, command, threads, out_dir)}
+        files.update((p.name, p.read_bytes()) for p in sorted(out_dir.glob("*")))
+        for file_name, data in files.items():
+            digest = hashlib.sha256(masked(data, str(out_dir))).hexdigest()
+            print(f"{digest}  {label}/{file_name}", flush=True)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repo", type=Path, default=Path(__file__).resolve().parent.parent,
@@ -100,14 +125,13 @@ def main(argv=None) -> int:
     repo = args.repo.resolve()
     with tempfile.TemporaryDirectory() as tmp:
         for preset in sorted((repo / "configs").glob("*.cfg")):
-            for command, threads in RUNS:
-                out_dir = Path(tmp) / f"{preset.stem}-{command}-t{threads}"
-                label = f"{preset.stem}/{command}/t{threads}"
-                files = {"stdout": run(repo, preset, command, threads, out_dir)}
-                files.update((p.name, p.read_bytes()) for p in sorted(out_dir.glob("*")))
-                for name, data in files.items():
-                    digest = hashlib.sha256(masked(data, str(out_dir))).hexdigest()
-                    print(f"{digest}  {label}/{name}", flush=True)
+            hash_runs(repo, preset, preset.stem, RUNS, tmp)
+        state, N = FULL_RANK
+        preset = (repo / "configs" / "thermalisation.cfg").read_text(encoding="utf-8")
+        sampled = "".join(f"{line}\n" for line in preset.splitlines()
+                          if line.startswith(FULL_RANK_SECTIONS))
+        config = state_config(Path(tmp) / f"{state}{N}-sampled.cfg", STATES[state], N, sampled)
+        hash_runs(repo, config, f"{state}{N}", FULL_RANK_RUNS, tmp)
         for N in STATE_N:
             for state, keys in STATES.items():
                 label = f"{state}{N}"
