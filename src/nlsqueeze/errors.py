@@ -3,7 +3,8 @@
 Two families matter to callers: ConfigError (bad user input, CLI exit
 code 2) and NumericsError (a numerical-validity guard tripped, CLI exit
 code 3).  Everything raised by the core modules that indicates a broken
-numerical precondition derives from NumericsError.
+numerical precondition derives from NumericsError.  A state is a factor,
+Hermitian by construction, so StateError covers its factor and weights.
 """
 
 
@@ -19,12 +20,8 @@ class TruncationError(NumericsError):
     """Fock-space truncation leaks more population than tolerated."""
 
 
-class HermiticityError(NumericsError):
-    """A density matrix is not Hermitian within tolerance."""
-
-
 class StateError(NumericsError):
-    """Density matrix violates trace or positivity tolerances."""
+    """A state's factor or weights fail the finite, trace or positivity check."""
 
 
 class ChannelConditionError(NumericsError):

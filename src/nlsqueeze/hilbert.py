@@ -8,10 +8,10 @@ States live in the Fock basis as a factor and its weights,
 rho = sum_k w_k a_k a_k†: one vector for a pure state, a multiple of the
 identity for a thermal one, and D(alpha) maps the factor.  Every built
 state passes through truncated_state, which records the population the
-truncation drops as leakage.  QuantumState.from_rho factors a dense
-density matrix; validation checks the factor and the weights and never
-factors rho.  A uniform, symmetric position grid
-carries the orthonormal oscillator eigenfunctions h_n(x) used to build
+truncation drops as leakage; no state is made from a dense rho, and
+validation checks the factor and the weights and never factors rho.
+A uniform, symmetric position grid carries the orthonormal oscillator
+eigenfunctions h_n(x) used to build
 wavefunctions, marginal densities along any phase, and the sampling CDF.
 """
 
@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import GridError, HermiticityError, StateError, TruncationError
+from .errors import GridError, StateError, TruncationError
 
 # Half-width margin (beyond the classical turning point sqrt(2N+1)) needed
 # for the discrete Gram matrix of the first N Hermite functions to be the
@@ -32,13 +32,10 @@ from .errors import GridError, HermiticityError, StateError, TruncationError
 GRID_MARGIN = 1.75
 
 ORTHONORMALITY_TOL = 1e-8
-HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 LEAK_TOL = 1e-8
 MAX_MOMENT_ORDER = 8
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
 @dataclass(frozen=True)
@@ -154,31 +151,6 @@ class QuantumState:
     _bands: dict = field(default_factory=dict, init=False, repr=False)
     _moment_terms: dict = field(default_factory=dict, init=False, repr=False)
 
-    @classmethod
-    def from_rho(cls, rho: np.ndarray) -> "QuantumState":
-        """Factor a dense density matrix by eigh.  Eigenpairs whose weight
-        is at rounding level, |w| <= N eps max|w|, far below PSD_TOL, are
-        dropped, so a low-rank rho keeps a low-rank factor; negative
-        eigenvalues beyond that stay as weights, so validate_state still
-        rejects them.
-
-        Raises
-        ------
-        StateError
-            If rho has a non-finite entry.
-        HermiticityError
-            If rho is not Hermitian within HERMITICITY_TOL.
-        """
-        rho = np.asarray(rho, dtype=complex)
-        if not np.isfinite(rho).all():
-            raise StateError("density matrix has a non-finite entry")
-        herm = float(np.max(np.abs(rho - rho.conj().T)))
-        if herm > HERMITICITY_TOL:
-            raise HermiticityError(f"density matrix asymmetry {herm:.2e} > {HERMITICITY_TOL:g}")
-        weights, vectors = np.linalg.eigh(rho)
-        keep = np.abs(weights) > len(rho) * np.finfo(float).eps * np.abs(weights).max()
-        return cls(vectors=vectors[:, keep], weights=weights[keep])
-
     @property
     def dim(self) -> int:
         return self.vectors.shape[0]
@@ -210,13 +182,13 @@ def validate_state(state: QuantumState) -> QuantumState:
 
     Finite entries come first: every later test compares against a
     tolerance, which NaN would pass.  rho is Hermitian by construction,
-    and positive when no weight is negative, so nothing is factored: the
-    smallest weight is the smallest eigenvalue for an orthonormal factor
-    (QuantumState.from_rho), and every built state has nonnegative weights.
+    and positive when no weight is negative, so nothing is factored: every
+    built state has nonnegative weights, and the weight bound guards a
+    factor built by hand with the QuantumState constructor.
     """
     if not (np.isfinite(state.vectors).all() and np.isfinite(state.weights).all()):
         raise StateError("state factor or weights have a non-finite entry")
-    lam_min = float(np.min(state.weights, initial=0.0))  # from_rho(0) has no weights
+    lam_min = float(np.min(state.weights, initial=0.0))  # an empty factor has no weights
     if lam_min < -PSD_TOL:
         raise StateError(f"smallest eigenvalue {lam_min:.2e} below -{PSD_TOL:g}")
     tr = _trace(state.vectors, state.weights)
@@ -331,9 +303,10 @@ def marginal_density(state: QuantumState, phi: float, grid: PositionGrid) -> np.
     Raises
     ------
     TruncationError
-        If the density dips below -1e-8 or its trapezoid norm deviates
-        from 1 by more than 1e-4; both tests fail on NaN, so a returned
-        density is finite, nonnegative and of positive total.
+        If the density dips below -1e-8 or its norm, the node sum times
+        the spacing (the trapezoid rule, as the density vanishes at both
+        ends), is more than 1e-4 from 1; both tests fail on NaN, so a
+        returned density is finite, nonnegative and of positive total.
     """
     basis = build_basis(state.dim, grid)
     phase = np.exp(-1j * phi * np.arange(state.dim))
@@ -351,7 +324,7 @@ def marginal_density(state: QuantumState, phi: float, grid: PositionGrid) -> np.
     if not low >= -1e-8:
         raise TruncationError(f"marginal density reaches {low:.2e} < -1e-8")
     dens = np.maximum(dens, 0.0)
-    norm = float(_trapz(dens, dx=grid.spacing))
+    norm = float(dens.sum()) * grid.spacing
     if not abs(norm - 1.0) <= 1e-4:
         raise TruncationError(
             f"marginal norm {norm:.6f} off by more than 1e-4; "

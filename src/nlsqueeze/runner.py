@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache
@@ -289,7 +290,7 @@ def load_config(path, out_dir=None, base_seed=None, mode=None) -> ExperimentConf
         overrides["base_seed"] = _convert("--seed", base_seed, _at_least(0))
     if mode is not None:
         overrides["mode"] = _convert("--mode", mode, _one_of(MODES))
-    return parse_config(Path(path).read_text(encoding="utf-8"), **overrides)
+    return parse_config(Path(path).read_text(encoding="utf-8-sig"), **overrides)  # -sig drops a BOM
 
 
 def apply_axis(channel: ChannelParams, axis: str, value: float) -> ChannelParams:
@@ -618,6 +619,10 @@ def main(argv=None) -> int:
             print(f"wrote {path}")
         else:
             print(json.dumps(state_info(config), indent=2))
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+    except BrokenPipeError:  # the reader left (`| head`): devnull quiets the final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ConfigError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nlsqueeze import hilbert
-from nlsqueeze.errors import GridError, HermiticityError, StateError, TruncationError
+from nlsqueeze.errors import GridError, StateError, TruncationError
 from nlsqueeze.hilbert import (
     MAX_MOMENT_ORDER,
     PSD_TOL,
@@ -132,21 +132,20 @@ def test_moment_against_oracle():
 
 
 def random_mixed_state(N, support, rank=3, seed=0):
-    """Rank-`rank` Hermitian PSD rho with complex off-diagonals on the
-    first `support` Fock levels of an N-level space."""
+    """Rank-`rank` state rho = G G† / tr(G G†) with complex off-diagonals
+    on the first `support` Fock levels of an N-level space, as its
+    factor G, padded to N rows, with unit weights."""
     rng = np.random.default_rng(seed)
     G = rng.normal(size=(support, rank)) + 1j * rng.normal(size=(support, rank))
-    rho = np.zeros((N, N), dtype=complex)
-    rho[:support, :support] = G @ G.conj().T
-    return rho / np.trace(rho).real
+    vectors = np.zeros((N, rank), dtype=complex)
+    vectors[:support] = G / np.linalg.norm(G)  # Frobenius norm: sqrt(tr(G G†))
+    return QuantumState(vectors=vectors, weights=np.ones(rank))
 
 
 @pytest.mark.parametrize("N", [8, 33, 128])
 def test_moment_matches_oracle_on_random_mixed_states(N):
     support = N // 2
-    rho = random_mixed_state(N, support, seed=N)
-    st_ = QuantumState.from_rho(rho)
-    assert st_.vectors.shape == (N, 3)  # the eigenpairs of weight 0 are dropped
+    st_ = random_mixed_state(N, support, seed=N)
     phases = [phi for phi, _ in PHASE_ORDERS] + [0.3, 2.9, -3.1]
     for n in range(1, MAX_MOMENT_ORDER + 1):
         for phi in phases:
@@ -155,7 +154,7 @@ def test_moment_matches_oracle_on_random_mixed_states(N):
                     quadrature_moment(st_, phi, n)
                 continue
             assert quadrature_moment(st_, phi, n) == pytest.approx(
-                oracles.oracle_moment(rho, phi, n), rel=1e-12, abs=1e-13)
+                oracles.oracle_moment(st_.rho, phi, n), rel=1e-12, abs=1e-13)
 
 
 def test_moment_order_limits():
@@ -170,32 +169,19 @@ def test_moment_order_limits():
 
 def test_moment_tail_guard():
     N = 32
-    rho = np.zeros((N, N), dtype=complex)
-    rho[N - 1, N - 1] = 1.0  # all mass on the last level
-    st_ = QuantumState.from_rho(rho)
+    # all mass on the last level
+    st_ = QuantumState(vectors=np.eye(N)[:, N - 1:], weights=np.ones(1))
     for phi in (0.0, 0.0, 0.3):  # the cached tail still raises on every call
         with pytest.raises(TruncationError):
             quadrature_moment(st_, phi, 2)
 
 
 def test_cached_moment_terms_match_a_fresh_state():
-    rho = random_mixed_state(48, 24, seed=7)
-    st_ = QuantumState.from_rho(rho)
+    st_ = random_mixed_state(48, 24, seed=7)
     cases = [(phi, n) for phi in (0.0, 0.3, math.pi / 2, -math.pi / 4) for n in range(1, 5)]
-    fresh = [quadrature_moment(QuantumState.from_rho(rho), phi, n) for phi, n in cases]
+    fresh = [quadrature_moment(random_mixed_state(48, 24, seed=7), phi, n) for phi, n in cases]
     for _ in range(2):
         assert [quadrature_moment(st_, phi, n) for phi, n in cases] == fresh
-
-
-def test_moment_hermiticity_guard():
-    N = 8
-    rho = np.zeros((N, N), dtype=complex)
-    rho[0, 0] = 1.0
-    rho[0, 1] = 0.4  # deliberately not matched by rho[1, 0]
-    # a factored state is Hermitian by construction, so the dense entry
-    # point rejects the unmatched element before any moment is taken
-    with pytest.raises(HermiticityError):
-        quadrature_moment(QuantumState.from_rho(rho), math.pi / 2, 1)
 
 
 # ------------------------------------------------------------- marginals
@@ -268,12 +254,10 @@ def test_marginal_rejects_undersized_grid():
 
 
 def test_marginal_negative_dip_guard():
-    # an indefinite matrix slipping past validation must still be caught
-    # once its marginal goes visibly negative
-    rho = np.zeros((8, 8), dtype=complex)
-    rho[0, 0] = 1.0 + 1e-5
-    rho[7, 7] = -1e-5  # negative weight out at the |7> turning point
-    st_ = QuantumState.from_rho(rho)
+    # an indefinite factor slipping past validation must still be caught
+    # once its marginal goes visibly negative: a negative weight on |7>,
+    # out at its turning point
+    st_ = QuantumState(vectors=np.eye(8)[:, [0, 7]], weights=np.array([1.0 + 1e-5, -1e-5]))
     with pytest.raises(TruncationError):
         marginal_density(st_, 0.0, PositionGrid(8.0, 401))
 
@@ -410,20 +394,18 @@ def test_displace_rejects_a_huge_displacement_without_overflow(N, alpha):
 # ------------------------------------------------------------- validation
 
 def test_validate_state_rejects_bad_trace():
-    rho = np.eye(4, dtype=complex)  # trace 4
-    with pytest.raises(StateError, match="trace"):
-        validate_state(QuantumState.from_rho(rho))
-    with pytest.raises(StateError, match="trace"):  # no weight is kept
-        validate_state(QuantumState.from_rho(np.zeros((4, 4))))
+    with pytest.raises(StateError, match="trace"):  # trace 4
+        validate_state(QuantumState(vectors=np.eye(4), weights=np.ones(4)))
+    with pytest.raises(StateError, match="trace"):  # an empty factor
+        validate_state(QuantumState(vectors=np.zeros((4, 0)), weights=np.zeros(0)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
 def test_validate_state_rejects_a_non_finite_entry(bad):
     # every tolerance test compares with > or <, which NaN passes
-    rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
-    rho[2, 2] = bad
+    weights = np.array([1.0, 0.0, bad, 0.0])
     with pytest.raises(StateError, match="non-finite"):
-        validate_state(QuantumState.from_rho(rho))
+        validate_state(QuantumState(vectors=np.eye(4), weights=weights))
 
 
 def _bad_factor(flaw):
@@ -453,20 +435,19 @@ def test_validate_state_rejects_a_bad_factor(flaw):
 
 
 def test_validate_state_rejects_negative():
-    rho = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
+    weights = np.array([1.5, -0.5, 0.0, 0.0])
     with pytest.raises(StateError, match="smallest eigenvalue"):
-        validate_state(QuantumState.from_rho(rho))
+        validate_state(QuantumState(vectors=np.eye(4), weights=weights))
 
 
 def _with_smallest_eigenvalue(lam, N=6, seed=3):
-    """Unit-trace Hermitian rho with eigenvalues (1 - lam, lam, 0, ...) in
-    a random complex eigenbasis."""
+    """Unit-trace state with eigenvalues (1 - lam, lam, 0, ...) in a
+    random complex eigenbasis V, as the factor V and those weights."""
     rng = np.random.default_rng(seed)
     V, _ = np.linalg.qr(rng.normal(size=(N, N)) + 1j * rng.normal(size=(N, N)))
     w = np.zeros(N)
     w[0], w[1] = 1.0 - lam, lam
-    rho = (V * w) @ V.conj().T
-    return QuantumState.from_rho(0.5 * (rho + rho.conj().T))
+    return QuantumState(vectors=V, weights=w)
 
 
 @pytest.fixture

@@ -609,6 +609,17 @@ def test_cli_help_lists_every_command(capsys):
         assert option in out
 
 
+def test_cli_accepts_a_config_with_a_byte_order_mark(tmp_path, capsys):
+    # Notepad starts a UTF-8 file with U+FEFF, which must not join the first key
+    text = "state.kind = cubic_phase\nstate.gamma = 0.1\nstate.N = 64\n"
+    outputs = []
+    for name, data in (("plain.cfg", text.encode()), ("bom.cfg", b"\xef\xbb\xbf" + text.encode())):
+        (tmp_path / name).write_bytes(data)
+        assert main(["state-info", "--config", str(tmp_path / name)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_missing_config_file(tmp_path):
     rc = main(["sweep", "--config", str(tmp_path / "none.cfg")])
     assert rc == 2
@@ -816,27 +827,44 @@ def test_cli_certify_writes_certificate(tmp_path, capsys):
     assert "nonclassical" in cert
 
 
+def child_env():
+    """Environment in which a child imports the same package as this
+    process, installed or not."""
+    src = str(Path(runner.__file__).resolve().parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def test_module_entry_point(tmp_path):
     cfg = write_cfg(tmp_path, "state.kind = vacuum\nstate.N = 16\n")
-    # the child imports the same package as this process, installed or not
-    src = str(Path(runner.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run([sys.executable, "-m", "nlsqueeze", "state-info",
-                           "--config", cfg], capture_output=True, text=True, env=env)
+                           "--config", cfg], capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["curve"]["a0"] == pytest.approx(0.5, abs=1e-10)
 
 
+def test_cli_closed_stdout_exits_1_quietly(tmp_path):
+    # `state-info | head -1`: a pipe whose read end is already closed makes
+    # the first write fail with EPIPE, deterministically
+    cfg = write_cfg(tmp_path, "state.kind = vacuum\nstate.N = 16\n")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "nlsqueeze", "state-info",
+                               "--config", cfg], stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env=child_env())
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""  # no config error, and the final flush stays quiet
+
+
 def test_runtime_imports_no_scipy():
     # scipy is a test-only dependency; the package itself needs only numpy
-    src = str(Path(runner.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     code = ("import sys, nlsqueeze.runner; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env)
+                          env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
