@@ -20,12 +20,13 @@ import numpy as np
 
 from .errors import ChannelConditionError, DataError
 from .nlsq import MAX_ORDER, PHASE_ORDERS, MomentSet, assemble_curve, mixed_moment_recovery
-from .readout import (SAMPLE_BLOCK, ChannelCoefficients, InverseCDF, hierarchy_matrix,
-                      sample_homodyne)
+from .readout import (SAMPLE_BLOCK, BlockBuffers, ChannelCoefficients, InverseCDF,
+                      hierarchy_matrix, sample_homodyne)
 
 CQ_FLOOR = 1e-6
 MIN_SAMPLES = 100   # per record, for moments with meaningful errors
 MIN_REPLICATES = 2  # for a sample deviation over replicates
+_EXP_FLOOR = -1022  # PowerSums' least scale 2^exp, so that 2^-exp is finite
 
 
 def derive_seed(*parts) -> int:
@@ -34,52 +35,84 @@ def derive_seed(*parts) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def empirical_moments(samples, max_n: int):
-    """Power sums of Y^n up to 2*max_n for means and their covariance.
+class PowerSums:
+    """Running power sums of one homodyne record, fed block by block
+    through empirical_moments, with buf's power terms as scratch.
 
-    Returns (means, cov): means[n-1] is the mean of Y^n for n = 1..max_n,
-    and cov[n-1, m-1] = (<Y^(n+m)> - <Y^n><Y^m>)/(count - 1) the
-    covariance of the means of Y^n and Y^m.  Samples are scaled by their
-    max magnitude before powering, so the accumulators stay in range; a
-    record whose max_n-th power leaves the float range raises DataError,
-    and a covariance entry past it is inf.
-    The sums run over SAMPLE_BLOCK-sized slices through buffers that stay
-    in cache, and the slice sums are added in slice order.
+    A sample x is summed as w = x 2^-exp, 2^exp the power of two above
+    the largest |x| so far (2^-1022 at least), so every w^k lies in
+    [-1, 1].  A block that needs a larger exp first multiplies raw[k - 1]
+    by 2^(-k delta), which is exact barring subnormal sums, so the sums
+    equal those of the record summed at its final exp from the start.
     """
-    if max_n < 1 or max_n > MAX_ORDER:
-        raise ValueError(f"max_n must be in 1..{MAX_ORDER} (cubic protocol ceiling), got {max_n}")
+
+    def __init__(self, max_n: int, buf: BlockBuffers):
+        if max_n < 1 or max_n > MAX_ORDER:
+            raise ValueError(f"max_n must be in 1..{MAX_ORDER} (cubic protocol ceiling), "
+                             f"got {max_n}")
+        self.max_n = max_n
+        self.buf = buf
+        self.count = 0
+        self.exp = _EXP_FLOOR
+        self.raw = np.zeros(2 * max_n)  # raw[k] sums w^(k + 1)
+
+    def moments(self):
+        """(means, cov) of the record so far: means[n-1] is the mean of Y^n
+        for n = 1..max_n, and cov[n-1, m-1] = (<Y^(n+m)> - <Y^n><Y^m>)/(count - 1)
+        the covariance of the means of Y^n and Y^m; an entry of cov past
+        the float range is inf."""
+        if self.count < MIN_SAMPLES:
+            raise ValueError(f"need a record of at least {MIN_SAMPLES} samples, "
+                             f"got {self.count}")
+        raw = self.raw / self.count
+        n = np.arange(1, self.max_n + 1)
+        mu = raw[:self.max_n]
+        cov = (raw[n[:, None] + n - 1] - np.outer(mu, mu)) / (self.count - 1.0)
+        with np.errstate(over="ignore"):
+            return np.ldexp(mu, self.exp * n), np.ldexp(cov, self.exp * (n[:, None] + n))
+
+
+def empirical_moments(samples, max_n: int, sums: PowerSums | None = None) -> PowerSums:
+    """Add samples to the power sums of Y^k, k <= 2 max_n, of one record
+    and return them; sums.moments() gives the means and their covariance.
+
+    sums holds the record's earlier blocks (fresh ones when omitted, so
+    a whole record is one call).  The samples are summed in SAMPLE_BLOCK
+    slices through the power-term buffers, in slice order.  A non-finite
+    sample, or one whose max_n-th power leaves the float range, raises
+    DataError.
+    """
     x = np.asarray(samples, dtype=float)
-    if x.ndim != 1 or x.size < MIN_SAMPLES:
-        raise ValueError(f"need a 1-d array of at least {MIN_SAMPLES} samples, "
-                         f"got shape {x.shape}")
-    count = x.size
-    scale = max(float(x.max()), -float(x.min()))  # NaN propagates through both
-    if not math.isfinite(scale):
-        raise DataError("non-finite sample in homodyne record")
-    if scale == 0.0:
-        scale = 1.0
-    try:
-        powers = np.array([scale ** n for n in range(1, max_n + 1)])
-    except OverflowError:
-        raise DataError(f"sample magnitude {scale:.3g} overflows the order-{max_n} "
-                        f"moment") from None
-    raw = np.zeros(2 * max_n)  # raw[k] holds the power k + 1
-    w = np.empty(min(count, SAMPLE_BLOCK))
-    cur = np.empty_like(w)
-    for lo in range(0, count, SAMPLE_BLOCK):
-        ws = np.divide(x[lo:lo + SAMPLE_BLOCK], scale, out=w[:count - lo])
-        cs = np.multiply(ws, ws, out=cur[:ws.size])
-        raw[0] += ws.sum()
-        raw[1] += cs.sum()
+    if x.ndim != 1:
+        raise ValueError(f"need a 1-d array of samples, got shape {x.shape}")
+    if sums is None:
+        sums = PowerSums(max_n, BlockBuffers())
+    elif sums.max_n != max_n:
+        raise ValueError(f"max_n {max_n} differs from the sums' {sums.max_n}")
+    for lo in range(0, x.size, SAMPLE_BLOCK):
+        xs = x[lo:lo + SAMPLE_BLOCK]
+        peak = max(float(xs.max()), -float(xs.min()))  # NaN propagates through both
+        if not math.isfinite(peak):
+            raise DataError("non-finite sample in homodyne record")
+        try:
+            peak ** max_n
+        except OverflowError:
+            raise DataError(f"sample magnitude {peak:.3g} overflows the order-{max_n} "
+                            f"moment") from None
+        exp = math.frexp(peak)[1]  # 2^(exp - 1) <= peak < 2^exp
+        if exp > sums.exp:
+            sums.raw = np.ldexp(sums.raw, (sums.exp - exp) * np.arange(1, 2 * max_n + 1))
+            sums.exp = exp
+        raw = sums.raw
+        w = np.multiply(xs, math.ldexp(1.0, -sums.exp), out=sums.buf.w[:xs.size])
+        cur = np.multiply(w, w, out=sums.buf.cur[:xs.size])
+        raw[0] += w.sum()
+        raw[1] += cur.sum()
         for k in range(2, 2 * max_n):
-            np.multiply(cs, ws, out=cs)
-            raw[k] += cs.sum()
-    raw /= count
-    mu = raw[:max_n]
-    i = np.arange(max_n)  # i + 1 = n
-    cov = (raw[i[:, None] + i + 1] - np.outer(mu, mu)) / (count - 1.0)
-    with np.errstate(over="ignore"):  # an entry past the float range is inf
-        return powers * mu, cov * np.outer(powers, powers)
+            np.multiply(cur, w, out=cur)
+            raw[k] += cur.sum()
+        sums.count += xs.size
+    return sums
 
 
 def invert_hierarchy(means, cov, coeffs: ChannelCoefficients):
@@ -114,15 +147,23 @@ def run_reconstruction(tables: tuple[InverseCDF, ...], coeffs: ChannelCoefficien
     samples each, drawn from tables (readout.sampling_tables, one per
     PHASE_ORDERS row, in row order).
 
+    Each phase is drawn and summed one block at a time through buffers
+    made once per reconstruction, so no record is ever kept.
+
     Returns (MomentSet, NlsCurve).
     """
     noise_std = math.sqrt(coeffs.noise_var)
+    buf = BlockBuffers()
     ms = MomentSet()
     for k, (table, (_, order)) in enumerate(zip(tables, PHASE_ORDERS, strict=True)):
-        samples = sample_homodyne(table, coeffs.c_Q, count, derive_seed(seed, k), noise_std)
-        means, cov = empirical_moments(samples, order)
+        phase_seed = derive_seed(seed, k)
+        sums = PowerSums(order, buf)
+        for lo in range(0, count, SAMPLE_BLOCK):
+            block = sample_homodyne(table, coeffs.c_Q, min(SAMPLE_BLOCK, count - lo),
+                                    phase_seed, noise_std, lo // SAMPLE_BLOCK, buf)
+            empirical_moments(block, order, sums)
         ms.values[k, 1:order + 1], ms.cov[k, :order, :order] = invert_hierarchy(
-            means, cov, coeffs)
+            *sums.moments(), coeffs)
     ms.mixed = mixed_moment_recovery(ms)
     return ms, assemble_curve(ms)
 

@@ -29,9 +29,10 @@ from .nlsq import PHASE_ORDERS
 _SERIES_CROSSOVER = 1e-4
 
 SAMPLE_BLOCK = 1 << 16
-# Guide-table buckets per inverse-CDF table.  A power of two, so u * K and
-# b / K are exact and the guided lookup equals a binary search bit for bit.
-GUIDE_BUCKETS = 1 << 14
+# Guide-table buckets per inverse-CDF table.  A power of two, so u * K,
+# F * K and b / K are exact and the guided lookup equals a binary search
+# bit for bit.
+GUIDE_BUCKETS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -160,6 +161,30 @@ def forward_output_moments(q, coeffs: ChannelCoefficients) -> np.ndarray:
     return (hierarchy_matrix(coeffs, qmom.size - 1) @ qmom)[1:]
 
 
+class BlockBuffers:
+    """Work arrays for one block of at most SAMPLE_BLOCK samples, made once
+    and reused for every block a caller draws and sums, so that no block
+    allocates a sample-sized array: the samples y, the uniforms u, the
+    normals z, the power terms w and cur of estimate.empirical_moments,
+    and the lookup cells with their guide entries and straddle flags.
+    """
+
+    def __init__(self):
+        self.y, self.u, self.z, self.w, self.cur = np.empty((5, SAMPLE_BLOCK))
+        self.cells = np.empty(SAMPLE_BLOCK, np.intp)
+        self.guide = np.empty(SAMPLE_BLOCK, np.int32)  # viewed as the guide's dtype
+        self.straddle = np.empty(SAMPLE_BLOCK, bool)
+        self._nodes = (None, None, None)
+
+    def nodes(self, table: InverseCDF, c_Q: float) -> np.ndarray:
+        """c_Q * table.x, computed once for consecutive blocks of one table."""
+        last, last_c_Q, nodes = self._nodes
+        if last is not table or last_c_Q != c_Q:
+            nodes = table.x * c_Q
+            self._nodes = (table, c_Q, nodes)
+        return nodes
+
+
 @dataclass(frozen=True, eq=False)
 class InverseCDF:
     """Inverse-CDF sampling table of the Q_phi marginal of one state.
@@ -170,26 +195,42 @@ class InverseCDF:
     cell [cdf[j], cdf[j + 1]) of [0, 1).  The guide table splits [0, 1)
     into K = GUIDE_BUCKETS equal buckets [b / K, (b + 1) / K): guide[b] is
     the one cell holding the whole bucket, or -1 when the bucket straddles
-    a cell edge.
+    a cell edge.  It is stored in the narrowest signed integer dtype that
+    holds -1 and every cell index: int16 for every default grid (128 KB),
+    int32 above 32,768 points.
     """
 
     x: np.ndarray
     cdf: np.ndarray
     guide: np.ndarray
 
-    def cell(self, u: np.ndarray) -> np.ndarray:
+    def cell(self, u: np.ndarray, buf: BlockBuffers | None = None) -> np.ndarray:
         """Cell j with cdf[j] <= u < cdf[j + 1] for each u in [0, 1).
 
         Equal to searchsorted(cdf, u, side="right") - 1 bit for bit: one
         gather gives the cell of every uniform in a single-cell bucket, and
-        only the uniforms in straddling buckets are searched.
+        only the uniforms in straddling buckets are searched.  With buf (u
+        at most SAMPLE_BLOCK long) the cells are written into buf.cells and
+        nothing of u's size is allocated.
         """
-        b = np.multiply(u, GUIDE_BUCKETS, out=np.empty(u.size, np.intp), casting="unsafe")
-        j = np.take(self.guide, b)
-        tail = np.flatnonzero(j < 0)
+        m = u.size
+        if buf is None:
+            cells, g, straddle = (np.empty(m, np.intp), np.empty(m, self.guide.dtype),
+                                  np.empty(m, bool))
+        else:
+            cells, g, straddle = (buf.cells[:m], buf.guide.view(self.guide.dtype)[:m],
+                                  buf.straddle[:m])
+        # u * K lands as floats in the cells' own memory and is cast in
+        # place, element by element, so numpy needs no cast buffer
+        np.copyto(cells, np.multiply(u, GUIDE_BUCKETS, out=cells.view(np.float64)),
+                  casting="unsafe")
+        # u * K < K, so no index is clipped; mode="raise" would buffer out
+        np.take(self.guide, cells, out=g, mode="clip")
+        np.copyto(cells, g)
+        tail = np.flatnonzero(np.less(g, 0, out=straddle))
         if tail.size:
-            j[tail] = np.searchsorted(self.cdf, u[tail], side="right") - 1
-        return j
+            cells[tail] = np.searchsorted(self.cdf, u[tail], side="right") - 1
+        return cells
 
 
 def inverse_cdf_table(state: QuantumState, phi: float,
@@ -208,12 +249,17 @@ def inverse_cdf_table(state: QuantumState, phi: float,
     # marginal_density's density is finite, >= 0 and of positive total
     F = np.concatenate(([0.0], np.cumsum(marginal_density(state, phi, grid))))
     F /= F[-1]
-    # b / K is exact in binary and cell(u) is nondecreasing, so
-    # edges[b] <= cell(u) <= edges[b + 1] holds exactly for u in bucket b,
-    # and equal edges pin the bucket to one cell.
-    edges = np.searchsorted(F, np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS,
-                            side="right") - 1
-    guide = np.where(edges[1:] == edges[:-1], edges[:-1], -1)
+    # F * K is exact and K is a power of two, so ceil(F_j K) <= b exactly
+    # when F_j <= b / K, and edges[b] = searchsorted(F, b / K, side="right")
+    # - 1 is the last j with c_j = ceil(F_j K) <= b: cell j owns the buckets
+    # c_j .. c_{j+1} - 1, built in O(n_points + K).  cell(u) is
+    # nondecreasing, so edges[b] <= cell(u) <= edges[b + 1] for u in bucket
+    # b, and the bucket straddles a cell edge exactly when some c_j = b + 1.
+    c = np.ceil(F * GUIDE_BUCKETS).astype(np.intp)
+    # -n_points fits exactly when every cell index 0..n_points - 1 does
+    guide = np.repeat(np.arange(grid.n_points, dtype=np.min_scalar_type(-grid.n_points)),
+                      np.diff(c))
+    guide[c[c > 0] - 1] = -1
     return InverseCDF(x=grid.points, cdf=F, guide=guide)
 
 
@@ -224,8 +270,10 @@ def sampling_tables(state: QuantumState,
 
 
 def sample_homodyne(table: InverseCDF, c_Q: float, count: int, seed: int,
-                    noise_std: float) -> np.ndarray:
-    """Synthesize count homodyne records Y_out = c_Q Q_phi(0) + W.
+                    noise_std: float, block: int = 0,
+                    buf: BlockBuffers | None = None) -> np.ndarray:
+    """Synthesize count homodyne records Y_out = c_Q Q_phi(0) + W, starting
+    at block `block` of the stream.
 
     Q_phi(0) is drawn by inverse-CDF lookup in table, so the record is
     taken at the table's phase; the channel gains do not depend on it.  A
@@ -238,28 +286,38 @@ def sample_homodyne(table: InverseCDF, c_Q: float, count: int, seed: int,
     the node lattice, whose spacing the runner holds to |c_Q| dx <=
     noise_std / 2 before a run.  The stream is partitioned into fixed-size
     blocks, each seeded from (seed, block index), so the result depends
-    only on (seed, count) and any concurrent schedule producing the same
-    blocks yields identical samples.  Per
+    only on (seed, block, count) and any concurrent schedule producing the
+    same blocks yields identical samples.  Per
     block the stream layout is fixed: SAMPLE_BLOCK uniforms for Q, then
     standard normals for W, one per sample.  A block that holds m samples
     draws m uniforms, advances the generator past the other
     SAMPLE_BLOCK - m uniforms (PCG64 spends one 64-bit output per double),
     and draws m normals, so a longer record extends a shorter one.
+
+    With buf, the count <= SAMPLE_BLOCK samples of the one block `block`
+    are written into buf.y and a view of them is returned: the block
+    allocates no sample-sized array, and c_Q * table.x is computed once
+    per table.  Without buf, the whole record is returned, drawn block by
+    block the same way.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    out = np.empty(count)
-    nodes = table.x * c_Q
-    u = np.empty(min(count, SAMPLE_BLOCK))
-    z = np.empty_like(u)
-    for lo in range(0, count, SAMPLE_BLOCK):
-        rng = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence((seed, lo // SAMPLE_BLOCK))))
-        dst = out[lo:lo + SAMPLE_BLOCK]
-        m = dst.size
-        rng.random(out=u[:m])
-        rng.bit_generator.advance(SAMPLE_BLOCK - m)
-        rng.standard_normal(out=z[:m])
-        np.take(nodes, table.cell(u[:m]), out=dst)
-        dst += np.multiply(z[:m], noise_std, out=z[:m])
-    return out
+    if buf is None:
+        buf = BlockBuffers()
+        out = np.empty(count)
+        for lo in range(0, count, SAMPLE_BLOCK):
+            m = min(SAMPLE_BLOCK, count - lo)
+            out[lo:lo + m] = sample_homodyne(table, c_Q, m, seed, noise_std,
+                                             block + lo // SAMPLE_BLOCK, buf)
+        return out
+    if count > SAMPLE_BLOCK:
+        raise ValueError(f"a buffered call draws one block of at most {SAMPLE_BLOCK} "
+                         f"samples, got {count}")
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))
+    u, z, y = buf.u[:count], buf.z[:count], buf.y[:count]
+    rng.random(out=u)
+    rng.bit_generator.advance(SAMPLE_BLOCK - count)
+    rng.standard_normal(out=z)
+    np.take(buf.nodes(table, c_Q), table.cell(u, buf), out=y, mode="clip")
+    y += np.multiply(z, noise_std, out=z)
+    return y

@@ -1,12 +1,15 @@
 import dataclasses
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from nlsqueeze import estimate
 from nlsqueeze.errors import ChannelConditionError, DataError
 from nlsqueeze.estimate import (
+    PowerSums,
     derive_seed,
     empirical_moments,
     ensemble_run,
@@ -26,8 +29,9 @@ from nlsqueeze.nlsq import (
     exact_moment_set,
     mixed_moment_recovery,
 )
-from nlsqueeze.readout import (SAMPLE_BLOCK, ChannelParams, channel_coefficients,
-                               forward_output_moments, hierarchy_matrix, sampling_tables)
+from nlsqueeze.readout import (SAMPLE_BLOCK, BlockBuffers, ChannelParams, channel_coefficients,
+                               forward_output_moments, hierarchy_matrix, sample_homodyne,
+                               sampling_tables)
 from nlsqueeze.states import StateSpec, make_state
 
 STANDARD = ChannelParams(G=0.1, Gamma_m=1e-9, n_bar=1e4, tau=1e3)
@@ -42,7 +46,7 @@ def cubic_state(gamma=0.1, N=128):
 
 def test_empirical_moments_basic():
     x = np.full(200, 2.0)
-    means, cov = empirical_moments(x, 3)
+    means, cov = empirical_moments(x, 3).moments()
     assert means[0] == pytest.approx(2.0, rel=1e-14)
     assert means[2] == pytest.approx(8.0, rel=1e-14)
     assert cov[1, 1] == pytest.approx(0.0, abs=1e-24)
@@ -51,7 +55,7 @@ def test_empirical_moments_basic():
 def test_empirical_moments_standard_normal():
     rng = np.random.default_rng(9)
     x = rng.standard_normal(1_000_000)
-    means, cov = empirical_moments(x, 2)
+    means, cov = empirical_moments(x, 2).moments()
     assert means[1] == pytest.approx(1.0, abs=5.0 * math.sqrt(2.0) / 1e3)
     assert math.sqrt(cov[1, 1]) == pytest.approx(math.sqrt(2.0) / 1e3, rel=0.05)
 
@@ -62,7 +66,7 @@ def test_empirical_moments_survives_huge_values():
     x = np.linspace(-1e60, 1e60, 500)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        means, cov = empirical_moments(x, 4)
+        means, cov = empirical_moments(x, 4).moments()
     assert np.all(np.isfinite(means))
     assert means[3] > 0
     assert cov[3, 3] == math.inf
@@ -72,7 +76,7 @@ def test_empirical_moments_survives_huge_values():
                                    7 * SAMPLE_BLOCK // 2])
 def test_empirical_moments_blockwise_matches_fsum(count):
     x = 1.5 + np.random.default_rng(count).standard_normal(count)
-    means, cov = empirical_moments(x, 4)
+    means, cov = empirical_moments(x, 4).moments()
     for n in range(1, 5):
         mean = math.fsum(x ** n) / count
         var = (math.fsum(x ** (2 * n)) / count - mean * mean) * count / (count - 1.0)
@@ -92,9 +96,27 @@ def test_empirical_moments_non_finite_in_last_partial_slice(bad):
         empirical_moments(x, 2)
 
 
+def test_rising_exponent_equals_one_exponent_accumulation():
+    # the second block holds the record's largest sample, so the scale 2^exp
+    # rises mid-record; the rescaled sums equal those of an accumulator that
+    # sums the whole record at its final exponent from the start
+    x = np.random.default_rng(5).standard_normal(5 * SAMPLE_BLOCK // 2)
+    x[SAMPLE_BLOCK + 7] = 3e3
+    final_exp = math.frexp(3e3)[1]
+    assert math.frexp(np.abs(x[:SAMPLE_BLOCK]).max())[1] < final_exp
+    rising = empirical_moments(x, 4)
+    fixed = PowerSums(4, BlockBuffers())
+    fixed.exp = final_exp
+    empirical_moments(x, 4, fixed)
+    assert rising.exp == fixed.exp == final_exp
+    np.testing.assert_array_equal(rising.raw, fixed.raw)
+    for a, b in zip(rising.moments(), fixed.moments(), strict=True):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_empirical_moments_input_validation():
     with pytest.raises(ValueError):
-        empirical_moments(np.zeros(99), 2)
+        empirical_moments(np.zeros(99), 2).moments()
     with pytest.raises(ValueError):
         empirical_moments(np.zeros(500), 5)
     with pytest.raises(ValueError):
@@ -109,6 +131,13 @@ def test_empirical_moments_input_validation():
     # finite samples whose fourth power is not a float
     with pytest.raises(DataError, match="overflows"):
         empirical_moments(np.array([1e100, -3e99] * 100), 4)
+    # the guard tests the true max, not its power-of-two scale: 1.8 * 2^255
+    # has a finite fourth power although 2^256 has none, and 2^341.5 has no
+    # finite cube although 2^341 has one
+    means, _ = empirical_moments(np.full(200, 1.8 * 2.0 ** 255), 4).moments()
+    assert np.isfinite(means).all()
+    with pytest.raises(DataError, match="overflows"):
+        empirical_moments(np.full(200, 2.0 ** 341.5), 3)
 
 
 # ------------------------------------------------------------- inversion
@@ -198,6 +227,58 @@ def test_run_reconstruction_deterministic():
     _, c1 = run_reconstruction(tables, STANDARD_CO, 5000, seed=13)
     _, c2 = run_reconstruction(tables, STANDARD_CO, 5000, seed=13)
     assert (c1.a0, c1.a1, c1.a2) == (c2.a0, c2.a1, c2.a2)
+
+
+@pytest.mark.parametrize("count", [100, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1,
+                                   7 * SAMPLE_BLOCK // 2],
+                         ids=["100", "B-1", "B", "B+1", "7B/2"])
+def test_one_pass_reconstruction_equals_the_record_path(count):
+    # run_reconstruction draws and sums each block in one pass; the whole
+    # record drawn by sample_homodyne and summed by one empirical_moments
+    # call gives every row's moments and covariance bit for bit
+    tables = sampling_tables(cubic_state(N=64))
+    seed = 41
+    ms, _ = run_reconstruction(tables, STANDARD_CO, count, seed)
+    for k, (table, (_, order)) in enumerate(zip(tables, PHASE_ORDERS, strict=True)):
+        record = sample_homodyne(table, STANDARD_CO.c_Q, count, derive_seed(seed, k),
+                                 math.sqrt(STANDARD_CO.noise_var))
+        q, q_cov = invert_hierarchy(*empirical_moments(record, order).moments(), STANDARD_CO)
+        np.testing.assert_array_equal(ms.values[k, 1:order + 1], q)
+        np.testing.assert_array_equal(ms.cov[k, :order, :order], q_cov)
+
+
+def test_one_pass_rejects_non_finite_in_last_partial_block(monkeypatch):
+    count = 7 * SAMPLE_BLOCK // 2
+    last = count // SAMPLE_BLOCK
+    draw = estimate.sample_homodyne
+
+    def spoiled(table, c_Q, m, seed, noise_std, block, buf):
+        y = draw(table, c_Q, m, seed, noise_std, block, buf)
+        if block == last:
+            y[-1] = np.nan
+        return y
+
+    monkeypatch.setattr(estimate, "sample_homodyne", spoiled)
+    with pytest.raises(DataError, match="non-finite"):
+        run_reconstruction(sampling_tables(cubic_state(N=64)), STANDARD_CO, count, 3)
+
+
+def test_one_pass_allocates_no_per_block_array():
+    # beyond the buffers made once per reconstruction, the node array c_Q x
+    # (16 KB) and the small arrays of the straddle search stay below
+    # SAMPLE_BLOCK bytes; a per-block array of even one byte per sample
+    # would push the peak past it
+    tables = sampling_tables(cubic_state(N=64))
+    run_reconstruction(tables, STANDARD_CO, SAMPLE_BLOCK, 1)  # fill the caches
+    buffers = sum(a.nbytes for a in vars(BlockBuffers()).values()
+                  if isinstance(a, np.ndarray))
+    tracemalloc.start()
+    try:
+        run_reconstruction(tables, STANDARD_CO, 4 * SAMPLE_BLOCK, 2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - buffers < SAMPLE_BLOCK
 
 
 @pytest.mark.parametrize("params", [STANDARD, dataclasses.replace(STANDARD, Gamma_m=1e-7)],

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlsqueeze.hilbert import default_grid, marginal_density, quadrature_moment
+from nlsqueeze.hilbert import PositionGrid, default_grid, marginal_density, quadrature_moment
 from nlsqueeze.nlsq import (HALF_PI, PHASE_ORDERS, MomentSet, assemble_curve, exact_moment_set,
                             mixed_moment_recovery)
 from nlsqueeze.readout import (
     GUIDE_BUCKETS,
     SAMPLE_BLOCK,
+    BlockBuffers,
     ChannelParams,
     channel_coefficients,
     forward_output_moments,
@@ -243,19 +244,50 @@ def test_guided_lookup_equals_binary_search(spec):
         np.testing.assert_array_equal(F, inverse_cdf_table(state, phi).cdf)
         assert F.shape == (table.x.size + 1,) and F[0] == 0.0 and F[-1] == 1.0
         assert np.all(np.diff(F) >= 0)
-        assert table.guide.shape == (GUIDE_BUCKETS,)
+        assert_guide_is_the_binary_search(table)
+        assert table.guide.dtype == np.int16
         if spec.kind == "cubic_phase":
             # each bucket carries probability 1 / GUIDE_BUCKETS, and the
             # uniforms of straddling buckets (guide -1) are searched; a
             # lookup that searched most of them again would fail here
-            assert (table.guide < 0).mean() < 0.05
+            assert (table.guide < 0).mean() < 0.01
         plateau = F[1:][np.diff(F) == 0.0]  # cell edges inside zero-density runs
         assert plateau.size > 0
-        buckets = np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS
-        u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], F, plateau, np.nextafter(F, 0.0),
-                            buckets, np.nextafter(buckets, 0.0), rng.random(200_000)])
-        u = u[(u >= 0.0) & (u < 1.0)]  # the sampler's uniforms lie in [0, 1)
-        np.testing.assert_array_equal(table.cell(u), np.searchsorted(F, u, side="right") - 1)
+        assert_cells_are_the_binary_search(table, rng, plateau)
+
+
+def assert_guide_is_the_binary_search(table):
+    # the guide built from the counted ceilings equals the one built from
+    # K + 1 binary searches for the bucket edges
+    edges = np.searchsorted(table.cdf, np.arange(GUIDE_BUCKETS + 1) / GUIDE_BUCKETS,
+                            side="right") - 1
+    assert table.guide.shape == (GUIDE_BUCKETS,)
+    np.testing.assert_array_equal(table.guide,
+                                  np.where(edges[1:] == edges[:-1], edges[:-1], -1))
+
+
+def assert_cells_are_the_binary_search(table, rng, plateau=()):
+    F = table.cdf
+    buckets = np.arange(GUIDE_BUCKETS) / GUIDE_BUCKETS
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], F, plateau, np.nextafter(F, 0.0),
+                        buckets, np.nextafter(buckets, 0.0), rng.random(200_000)])
+    u = u[(u >= 0.0) & (u < 1.0)]  # the sampler's uniforms lie in [0, 1)
+    reference = np.searchsorted(F, u, side="right") - 1
+    np.testing.assert_array_equal(table.cell(u), reference)
+    # the buffered lookup of the sampler, one block at a time
+    buf = BlockBuffers()
+    for lo in range(0, u.size, SAMPLE_BLOCK):
+        np.testing.assert_array_equal(table.cell(u[lo:lo + SAMPLE_BLOCK], buf),
+                                      reference[lo:lo + SAMPLE_BLOCK])
+
+
+def test_guide_of_a_grid_past_int16_is_int32():
+    # cell indices up to 39,999 do not fit int16
+    state = make_state(StateSpec(kind="coherent", beta=0.5, N=8))
+    table = inverse_cdf_table(state, 0.3, PositionGrid(extent=18.0, n_points=40_000))
+    assert table.guide.dtype == np.int32
+    assert_guide_is_the_binary_search(table)
+    assert_cells_are_the_binary_search(table, np.random.default_rng(62))
 
 
 def test_noiseless_samples_are_scaled_grid_nodes():
