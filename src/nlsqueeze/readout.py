@@ -9,6 +9,15 @@ with Y_in the filtered optical vacuum (variance 1/2), Q_phi(0) the
 mechanical quadrature at t = 0, and E a Gaussian quadrature of the
 thermal bath with variance n_bar + 1/2.  The three terms are
 independent, which is what makes the output-moment hierarchy triangular.
+
+Records are synthesised block by block, each block from its own seeded
+stream: Q_phi(0) by inverse-CDF lookup on the grid nodes, and the
+channel noise by a ziggurat run on the whole block at once (Marsaglia &
+Tsang 2000), exact up to rounding.  A block's stream has fixed regions,
+in order: the Q uniforms, the noise-proposal uniforms, the slow-slot
+uniforms, the tail uniforms and last the restart normals; every region
+but the last has room for a whole block, so a longer record extends a
+shorter one (sample_homodyne gives the sizes and the exactness argument).
 """
 
 from __future__ import annotations
@@ -33,6 +42,42 @@ SAMPLE_BLOCK = 1 << 16
 # F * K and b / K are exact and the guided lookup equals a binary search
 # bit for bit.
 GUIDE_BUCKETS = 1 << 16
+
+# The channel noise comes from the ziggurat of Marsaglia & Tsang (2000,
+# J. Stat. Softw. 5(8)) with numpy's constants: 256 layers of area
+# ZIGGURAT_V under f(x) = exp(-x^2/2), the base layer reaching to
+# ZIGGURAT_R and holding the tail beyond it.
+ZIGGURAT_R = 3.6541528853610088
+ZIGGURAT_V = 4.9286732339746519e-3
+ZIGGURAT_LAYERS = 256
+# Marsaglia's exponential tries per tail slot; each succeeds with
+# probability 0.938, so four fail for about one tail slot in 66,000
+TAIL_TRIES = 4
+
+
+def _ziggurat_edges() -> list:
+    """Layer edges x[0..256]: layer i spans [0, x[i]) over
+    [f(x[i]), f(x[i + 1])), each of area v, with x[1] = r, x[256] = 0 and
+    the base layer's virtual width x[0] = v / f(r)."""
+    x = [ZIGGURAT_V / math.exp(-0.5 * ZIGGURAT_R ** 2), ZIGGURAT_R]
+    while len(x) < ZIGGURAT_LAYERS:
+        x.append(math.sqrt(-2.0 * math.log(ZIGGURAT_V / x[-1] + math.exp(-0.5 * x[-1] ** 2))))
+    return x + [0.0]
+
+
+# The tables are built from Python floats: a numpy ufunc called at import
+# would map its code pages into every process, sampling or not.
+_X = _ziggurat_edges()
+_F = [math.exp(-0.5 * x * x) for x in _X]
+ZIGGURAT_X, ZIGGURAT_F = np.array(_X), np.array(_F)
+# Tables over the 2 * 256 signed layers j (layer j % 256, negative for
+# j >= 256): a proposal t - j in [0, 1) lands at x = (t - j) W[j] and lies
+# under f, inside the next layer's width, when t - j < K[j].
+_W = np.array(_X[:-1] + [-x for x in _X[:-1]])
+_K = np.array([b / a for a, b in zip(_X, _X[1:])] * 2)
+_FLOOR = np.array(_F[:-1] * 2)
+_RISE = np.array([b - a for a, b in zip(_F, _F[1:])] * 2)
+_TAIL = np.array(([True] + [False] * (ZIGGURAT_LAYERS - 1)) * 2)
 
 
 @dataclass(frozen=True)
@@ -165,8 +210,11 @@ class BlockBuffers:
     """Work arrays for one block of at most SAMPLE_BLOCK samples, made once
     and reused for every block a caller draws and sums, so that no block
     allocates a sample-sized array: the samples y, the uniforms u, the
-    normals z, the power terms w and cur of estimate.empirical_moments,
-    and the lookup cells with their guide entries and straddle flags.
+    noise z, the power terms w and cur of estimate.empirical_moments, and
+    the lookup cells with their guide entries and straddle flags.  While a
+    block's noise is drawn, u, w, cur, cells and the straddle flags hold
+    the ziggurat's scratch (layer offsets, layer indices, acceptance flags
+    and the slow slots' values).
     """
 
     def __init__(self):
@@ -175,6 +223,7 @@ class BlockBuffers:
         self.guide = np.empty(SAMPLE_BLOCK, np.int32)  # viewed as the guide's dtype
         self.straddle = np.empty(SAMPLE_BLOCK, bool)
         self._nodes = (None, None, None)
+        self._widths = (None, None)
 
     def nodes(self, table: InverseCDF, c_Q: float) -> np.ndarray:
         """c_Q * table.x, computed once for consecutive blocks of one table."""
@@ -183,6 +232,15 @@ class BlockBuffers:
             nodes = table.x * c_Q
             self._nodes = (table, c_Q, nodes)
         return nodes
+
+    def widths(self, noise_std: float) -> np.ndarray:
+        """The signed layer widths scaled by noise_std, computed once for
+        consecutive blocks of one noise deviation."""
+        last, widths = self._widths
+        if last != noise_std:
+            widths = _W * noise_std
+            self._widths = (noise_std, widths)
+        return widths
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,6 +327,69 @@ def sampling_tables(state: QuantumState,
     return tuple(inverse_cdf_table(state, phi, grid) for phi, _ in PHASE_ORDERS)
 
 
+def _gaussian_noise(rng: np.random.Generator, count: int, noise_std: float,
+                    buf: BlockBuffers) -> np.ndarray:
+    """count draws of N(0, noise_std^2) into buf.z, read from rng's noise
+    regions in the layout sample_homodyne documents."""
+    u, z, w = buf.u[:count], buf.z[:count], buf.w[:count]
+    j = buf.cells[:count]
+    rng.random(out=u)
+    rng.bit_generator.advance(SAMPLE_BLOCK - count)
+    # t = 512 u: the signed layer j = floor(t) and the proposal's offset
+    # t - j in [0, 1) along the layer's width
+    t = np.multiply(u, 2 * ZIGGURAT_LAYERS, out=u)
+    np.subtract(t, np.floor(t, out=w), out=u)
+    np.copyto(j, w, casting="unsafe")
+    np.take(_K, j, out=w, mode="clip")  # j < 512, so no index is clipped
+    slow = np.greater_equal(u, w, out=buf.straddle[:count])
+    np.take(buf.widths(noise_std), j, out=z, mode="clip")
+    z *= u
+    slots = np.flatnonzero(slow)
+    n = slots.size
+    # the slow slots in sample order, each at its signed abscissa x
+    layer = j[slots]
+    x = np.take(_W, layer, out=buf.cur[:n])
+    x *= np.take(u, slots, out=w[:n])
+    tails = np.flatnonzero(np.take(_TAIL, layer, out=buf.straddle[:n]))
+    # a wedge point is kept when f(x_i) + s (f(x_{i+1}) - f(x_i)) < f(x)
+    s = rng.random(out=u[:n])
+    rng.bit_generator.advance(SAMPLE_BLOCK - n)
+    s *= np.take(_RISE, layer, out=w[:n])
+    s += np.take(_FLOOR, layer, out=w[:n])
+    density = np.multiply(x, x, out=w[:n])
+    density *= -0.5
+    keep = np.less(s, np.exp(density, out=density), out=buf.straddle[:n])
+    # a tail point is r + a with a = -ln(1 - u1) / r from the first of its
+    # tries that has -2 ln(1 - u2) > a^2 (Marsaglia's method).  math.log1p,
+    # unlike numpy's, takes no CPU-dependent SIMD path to these outputs.
+    exhausted = []
+    tries = rng.random((tails.size, TAIL_TRIES, 2))
+    rng.bit_generator.advance(2 * TAIL_TRIES * (SAMPLE_BLOCK - tails.size))
+    for i, pairs in zip(tails.tolist(), tries.tolist()):
+        keep[i] = False
+        for u1, u2 in pairs:
+            a = -math.log1p(-u1) / ZIGGURAT_R
+            if -2.0 * math.log1p(-u2) > a * a:
+                x[i] = math.copysign(ZIGGURAT_R + a, x[i])
+                keep[i] = True
+                break
+        else:
+            exhausted.append(i)
+    # a rejected wedge point restarts with the next standard normal, and a
+    # tail whose tries all fail takes the next normals until one has |z| >= r
+    redo = np.flatnonzero(np.logical_not(keep, out=keep))
+    if not exhausted:
+        x[redo] = rng.standard_normal(redo.size)
+    else:
+        for k in redo:
+            x[k] = rng.standard_normal()
+            while k in exhausted and abs(x[k]) < ZIGGURAT_R:
+                x[k] = rng.standard_normal()
+    x *= noise_std
+    z[slots] = x
+    return z
+
+
 def sample_homodyne(table: InverseCDF, c_Q: float, count: int, seed: int,
                     noise_std: float, block: int = 0,
                     buf: BlockBuffers | None = None) -> np.ndarray:
@@ -284,21 +405,41 @@ def sample_homodyne(table: InverseCDF, c_Q: float, count: int, seed: int,
     The channel noise W = Y_in + c_E E is one Gaussian of standard
     deviation noise_std = sqrt(ChannelCoefficients.noise_var); it smooths
     the node lattice, whose spacing the runner holds to |c_Q| dx <=
-    noise_std / 2 before a run.  The stream is partitioned into fixed-size
-    blocks, each seeded from (seed, block index), so the result depends
-    only on (seed, block, count) and any concurrent schedule producing the
-    same blocks yields identical samples.  Per
-    block the stream layout is fixed: SAMPLE_BLOCK uniforms for Q, then
-    standard normals for W, one per sample.  A block that holds m samples
-    draws m uniforms, advances the generator past the other
-    SAMPLE_BLOCK - m uniforms (PCG64 spends one 64-bit output per double),
-    and draws m normals, so a longer record extends a shorter one.
+    noise_std / 2 before a run.
+
+    W comes from the ziggurat of Marsaglia & Tsang (2000, J. Stat. Softw.
+    5(8)), run on the whole block at once.  Each sample proposes a point
+    uniformly in one of 512 equal-area layers, 256 per sign, that cover
+    f(x) = exp(-x^2/2); about 98.5% land in a layer's core, under f, and
+    are kept at once.  The others are slow slots: a point in a layer's
+    wedge is kept when a second uniform puts it under f, a point in the
+    base layer past r is replaced by a tail draw (Marsaglia's exponential
+    method, TAIL_TRIES tries), and a rejected wedge point restarts with a
+    fresh standard normal from numpy's exact standard_normal.  A tail
+    whose tries all fail takes standard normals until one has |z| >= r
+    and keeps that normal's sign, which the two equally likely signs of
+    the base layer allow.  Every replacement is an exact draw from
+    the distribution its slot would have yielded, so W is exactly
+    Gaussian up to rounding.
+
+    The stream is partitioned into fixed-size blocks, each seeded from
+    (seed, block index), so the result depends only on (seed, block,
+    count) and any concurrent schedule producing the same blocks yields
+    identical samples.  Per block the stream has fixed regions, in order:
+    SAMPLE_BLOCK uniforms for Q; SAMPLE_BLOCK noise-proposal uniforms, one
+    per sample; SAMPLE_BLOCK slow-slot uniforms, one per slow slot in
+    sample order; 2 TAIL_TRIES SAMPLE_BLOCK tail uniforms, 2 TAIL_TRIES per
+    tail slot in sample order; and last the restart normals, taken in
+    sample order.  A block that holds m samples, n slow slots and k tail
+    slots draws m, m, n and 2 TAIL_TRIES k uniforms and advances the
+    generator past the rest of each region (PCG64 spends one 64-bit output
+    per double), so a longer record extends a shorter one.
 
     With buf, the count <= SAMPLE_BLOCK samples of the one block `block`
     are written into buf.y and a view of them is returned: the block
-    allocates no sample-sized array, and c_Q * table.x is computed once
-    per table.  Without buf, the whole record is returned, drawn block by
-    block the same way.
+    allocates no sample-sized array, and c_Q * table.x and the scaled
+    layer widths are computed once per table and deviation.  Without
+    buf, the whole record is returned, drawn block by block the same way.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -314,10 +455,9 @@ def sample_homodyne(table: InverseCDF, c_Q: float, count: int, seed: int,
         raise ValueError(f"a buffered call draws one block of at most {SAMPLE_BLOCK} "
                          f"samples, got {count}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))
-    u, z, y = buf.u[:count], buf.z[:count], buf.y[:count]
+    u, y = buf.u[:count], buf.y[:count]
     rng.random(out=u)
     rng.bit_generator.advance(SAMPLE_BLOCK - count)
-    rng.standard_normal(out=z)
     np.take(buf.nodes(table, c_Q), table.cell(u, buf), out=y, mode="clip")
-    y += np.multiply(z, noise_std, out=z)
+    y += _gaussian_noise(rng, count, noise_std, buf)
     return y

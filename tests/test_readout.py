@@ -12,6 +12,11 @@ from nlsqueeze.nlsq import (HALF_PI, PHASE_ORDERS, MomentSet, assemble_curve, ex
 from nlsqueeze.readout import (
     GUIDE_BUCKETS,
     SAMPLE_BLOCK,
+    TAIL_TRIES,
+    ZIGGURAT_F,
+    ZIGGURAT_R,
+    ZIGGURAT_V,
+    ZIGGURAT_X,
     BlockBuffers,
     ChannelParams,
     channel_coefficients,
@@ -198,28 +203,154 @@ def test_sampler_prefix_property():
         np.testing.assert_array_equal(b[:short], a)
 
 
+def reference_block(table, c_Q, noise_std, seed, block, m):
+    """The first m samples of one block rebuilt from the documented stream
+    layout one sample at a time, and each sample's noise kind: core, wedge,
+    restart, tail or exhausted (a tail whose tries all failed)."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))
+    q_u = rng.random(SAMPLE_BLOCK)
+    proposal = rng.random(SAMPLE_BLOCK)
+    slow_u = iter(rng.random(SAMPLE_BLOCK))
+    tail_u = iter(rng.random(2 * TAIL_TRIES * SAMPLE_BLOCK))
+    # the stream now stands at the restart normals
+    # the binary search the guide table replaces, then the cell's node
+    q = c_Q * table.x[np.searchsorted(table.cdf, q_u[:m], side="right") - 1]
+    X, F = ZIGGURAT_X.tolist(), ZIGGURAT_F.tolist()
+    f = lambda x: float(np.exp(-0.5 * (x * x)))  # numpy's exp, as the sampler's
+    y, kinds = [], []
+    for i in range(m):
+        t = 512.0 * float(proposal[i])
+        j = math.floor(t)
+        offset = t - j
+        layer = j % 256
+        width = X[layer] if j < 256 else -X[layer]
+        if offset < X[layer + 1] / X[layer]:
+            y.append(q[i] + offset * (noise_std * width))
+            kinds.append("core")
+            continue
+        x = offset * width
+        s = next(slow_u)
+        if layer == 0:
+            tries = [(next(tail_u), next(tail_u)) for _ in range(TAIL_TRIES)]
+            kind = "exhausted"
+            for u1, u2 in tries:
+                a = -math.log1p(-u1) / ZIGGURAT_R
+                if -2.0 * math.log1p(-u2) > a * a:
+                    x, kind = math.copysign(ZIGGURAT_R + a, x), "tail"
+                    break
+        else:
+            kind = "wedge" if F[layer] + s * (F[layer + 1] - F[layer]) < f(x) else "restart"
+        if kind in ("restart", "exhausted"):
+            x = rng.standard_normal()
+            while kind == "exhausted" and abs(x) < ZIGGURAT_R:
+                x = rng.standard_normal()
+        y.append(q[i] + x * noise_std)
+        kinds.append(kind)
+    return np.array(y), kinds
+
+
+def reference_record(table, c_Q, noise_std, seed, n):
+    return np.concatenate([reference_block(table, c_Q, noise_std, seed, b,
+                                           min(SAMPLE_BLOCK, n - b * SAMPLE_BLOCK))[0]
+                           for b in range(-(-n // SAMPLE_BLOCK))])
+
+
 @pytest.mark.parametrize("n", [1, 100, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1,
                                SAMPLE_BLOCK + 1000, 2 * SAMPLE_BLOCK + 1000],
                          ids=["1", "100", "B-1", "B", "B+1", "B+1000", "2B+1000"])
 def test_sampler_follows_the_documented_stream(n):
-    # every block rebuilt from the seed tree by whole-block draws: per
-    # block SAMPLE_BLOCK uniforms, then SAMPLE_BLOCK normals, one per
-    # sample for W; a partial last block must read the same stream
-    st_ = cubic_state()
-    table = inverse_cdf_table(st_, 0.0)
+    # every block rebuilt one sample at a time from whole regions of its
+    # stream: SAMPLE_BLOCK uniforms for Q, SAMPLE_BLOCK noise proposals,
+    # SAMPLE_BLOCK slow-slot uniforms, 2 TAIL_TRIES SAMPLE_BLOCK tail
+    # uniforms, then the restart normals; a partial last block must read
+    # the same stream
+    table = inverse_cdf_table(cubic_state(), 0.0)
     co = channel_coefficients(STANDARD)
     noise_std = math.sqrt(co.noise_var)
-    seed = 77
-    ref = []
-    for b in range(-(-n // SAMPLE_BLOCK)):
-        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, b))))
-        u = rng.random(SAMPLE_BLOCK)
-        z = rng.standard_normal(SAMPLE_BLOCK)
-        # the binary search the guide table replaces, then the cell's node
-        ref.append(co.c_Q * table.x[np.searchsorted(table.cdf, u, side="right") - 1]
-                   + noise_std * z)
-    ref = np.concatenate(ref)[:n]
-    np.testing.assert_array_equal(sample_homodyne(table, co.c_Q, n, seed, noise_std), ref)
+    np.testing.assert_array_equal(sample_homodyne(table, co.c_Q, n, 77, noise_std),
+                                  reference_record(table, co.c_Q, noise_std, 77, n))
+
+
+def test_ziggurat_layers_have_equal_area():
+    X, F, v = ZIGGURAT_X, ZIGGURAT_F, ZIGGURAT_V
+    assert X.shape == (257,) and X[1] == ZIGGURAT_R and X[256] == 0.0 and F[256] == 1.0
+    assert np.all(np.diff(X[1:]) < 0)
+    np.testing.assert_array_equal(F, [math.exp(-0.5 * x * x) for x in X])
+    # layers 1..255 are the rectangles [0, x_i) x [f(x_i), f(x_{i+1}))
+    np.testing.assert_allclose(X[1:256] * np.diff(F[1:]), v, rtol=1e-12, atol=0)
+    # the top layer closes at x = 0: its recurrence step lands on f = 1
+    assert abs(v / X[255] + F[255] - 1.0) < 1e-14
+    # the base layer: the rectangle up to r plus the tail beyond it, and
+    # its virtual width x_0 = v / f(r)
+    tail = math.sqrt(math.pi / 2.0) * math.erfc(ZIGGURAT_R / math.sqrt(2.0))
+    assert ZIGGURAT_R * F[1] + tail == pytest.approx(v, rel=1e-12, abs=0)
+    assert X[0] * F[1] == pytest.approx(v, rel=1e-15, abs=0)
+
+
+FALSE_ALARM = 1e-4  # chance that a correct generator fails the whole test
+
+
+def test_noise_is_standard_normal():
+    # 306 blocks of pure noise (c_Q = 0, unit deviation), about 2e7 draws:
+    # moments 1..8 and the counts beyond 1, 2, 3, r and 4 each within k
+    # standard errors, k set so that the 13 checks together fail a correct
+    # generator with probability FALSE_ALARM
+    from scipy.special import ndtri
+
+    table = inverse_cdf_table(make_state(StateSpec(kind="vacuum", N=16)), 0.0)
+    buf = BlockBuffers()
+    orders = np.arange(1, 9)
+    edges = (1.0, 2.0, 3.0, ZIGGURAT_R, 4.0)
+    sums, beyond = np.zeros(orders.size), np.zeros(len(edges))
+    blocks = 306
+    for b in range(blocks):
+        z = sample_homodyne(table, 0.0, SAMPLE_BLOCK, 2024, 1.0, b, buf)
+        power = np.ones(SAMPLE_BLOCK)
+        for k in orders:
+            power *= z
+            sums[k - 1] += power.sum()
+        np.abs(z, out=power)
+        beyond += [np.count_nonzero(power > e) for e in edges]
+    n = blocks * SAMPLE_BLOCK
+    k = float(ndtri(1.0 - FALSE_ALARM / (2 * (orders.size + len(edges)))))
+    gauss = [0.0 if m % 2 else float(math.prod(range(m - 1, 0, -2))) for m in range(17)]
+    for m in orders:
+        se = math.sqrt((gauss[2 * m] - gauss[m] ** 2) / n)
+        assert abs(sums[m - 1] / n - gauss[m]) < k * se, m
+    for e, count in zip(edges, beyond):
+        p = math.erfc(e / math.sqrt(2.0))
+        assert abs(count - n * p) < k * math.sqrt(n * p * (1.0 - p)), e
+
+
+def slow_slot_prefixes(table, c_Q, noise_std, seed, block, kinds):
+    # each count ends just after the first slot of a kind
+    longer = sample_homodyne(table, c_Q, SAMPLE_BLOCK, seed, noise_std, block)
+    _, seen = reference_block(table, c_Q, noise_std, seed, block, SAMPLE_BLOCK)
+    for kind in kinds:
+        count = seen.index(kind) + 1
+        short = sample_homodyne(table, c_Q, count, seed, noise_std, block)
+        np.testing.assert_array_equal(short, longer[:count])
+        ref, _ = reference_block(table, c_Q, noise_std, seed, block, count)
+        np.testing.assert_array_equal(short, ref)
+    return longer, seen
+
+
+def test_sampler_prefix_ends_after_a_restart_and_a_tail():
+    table = inverse_cdf_table(cubic_state(), 0.0)
+    co = channel_coefficients(STANDARD)
+    slow_slot_prefixes(table, co.c_Q, math.sqrt(co.noise_var), 21, 0,
+                       ("restart", "tail", "wedge"))
+
+
+def test_sampler_prefix_ends_after_an_exhausted_tail():
+    # found by search: in block 311 of seed 13, all TAIL_TRIES tries of the
+    # tail slot 52528 fail, so it takes normals from the restart region
+    # until one lies past r (c_Q = 0 and unit deviation leave the noise)
+    table = inverse_cdf_table(make_state(StateSpec(kind="vacuum", N=16)), 0.0)
+    z, kinds = slow_slot_prefixes(table, 0.0, 1.0, 13, 311, ("exhausted",))
+    assert [i for i, kind in enumerate(kinds) if kind == "exhausted"] == [52528]
+    assert abs(z[52528]) >= ZIGGURAT_R
+    assert "restart" in kinds[52529:]  # a later restart reads past its normals
 
 
 def test_sampler_rejects_bad_count():
