@@ -13,7 +13,6 @@ pointwise statistics on any lambda grid follow.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,6 +208,8 @@ def ensemble_run(tables: tuple[InverseCDF, ...], coeffs: ChannelCoefficients, co
         return run_reconstruction(tables, coeffs, count, seed)
 
     if threads > 1:
+        # imported here: it pulls in logging and queue, unused by one thread
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(one, seeds))
     else:

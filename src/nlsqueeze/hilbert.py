@@ -91,6 +91,9 @@ def default_grid(N: int = 128) -> PositionGrid:
 def build_basis(N: int, grid: PositionGrid) -> np.ndarray:
     """Evaluate the first N oscillator eigenfunctions on the grid.
 
+    The discrete orthonormality check runs in place: h h^T dx - 1 is
+    formed in one N x N buffer, and the basis is never copied.
+
     Parameters
     ----------
     N : int
@@ -120,13 +123,15 @@ def build_basis(N: int, grid: PositionGrid) -> np.ndarray:
         h[1] = math.sqrt(2.0) * x * h[0]
     for n in range(2, N):
         h[n] = math.sqrt(2.0 / n) * x * h[n - 1] - math.sqrt((n - 1.0) / n) * h[n - 2]
-    gram = (h * grid.spacing) @ h.T
-    defect = float(np.max(np.abs(gram - np.eye(N))))
+    gram = h @ h.T
+    gram *= grid.spacing
+    gram.flat[::N + 1] -= 1.0
+    defect = float(np.abs(gram, out=gram).max())
     if defect > ORTHONORMALITY_TOL:
         raise GridError(
             f"discrete orthonormality defect {defect:.2e} exceeds "
-            f"{ORTHONORMALITY_TOL:g} for N={N} on extent {grid.extent:g}; "
-            "enlarge the grid"
+            f"{ORTHONORMALITY_TOL:g} for N={N} on extent {grid.extent:g} "
+            f"with {grid.n_points} points; add grid points or widen the extent"
         )
     h.flags.writeable = False
     return h
@@ -366,12 +371,20 @@ def _displacement_block(N: int, r: float) -> np.ndarray:
         return np.zeros((N, N))
     a = np.arange(float(N))  # float: no integer-to-float cast per entry
     n = a[:, None]
-    den = np.sqrt((n + 1.0) * (n + 1.0 + a))
-    c_now = (2.0 * n + 1.0 + a - x) / den
-    # c_prev = sqrt(n (n + a)) / den, in place of den: sqrt(n (n + a)) is den[n - 1]
-    den[1:] = den[:-1] / den[1:]
-    den[0] = 0.0
-    c_prev = den
+    # at most three N x N arrays live at once: den, c_now and c_prev, then
+    # buf, c_now and c_prev, and S and |S| reuse c_now and c_prev
+    n1 = n + 1.0
+    den = n1 + a
+    den *= n1
+    np.sqrt(den, out=den)
+    c_now = 2.0 * n + 1.0 + a
+    c_now -= x
+    c_now /= den
+    # c_prev = sqrt(n (n + a)) / den: sqrt(n (n + a)) is den[n - 1]
+    c_prev = np.empty((N, N))
+    c_prev[0] = 0.0
+    np.divide(den[:-1], den[1:], out=c_prev[1:])
+    del den
     check = 1e300 / (x + N + 2.0) ** 9
     log_g0 = coherent_log_moduli(r, N)
     s = np.minimum(log_g0 + math.log(check), 0.0)
@@ -400,13 +413,13 @@ def _displacement_block(N: int, r: float) -> np.ndarray:
     # S[n, n + a] = (-1)^a g_n^a above the diagonal, S[n + a, n] = g_n^a on
     # and below it: one strided copy of the transpose into the triangle
     sign = (-1.0) ** a
-    S = G * sign[:, None]
+    S = np.multiply(G, sign[:, None], out=c_now)
     S *= sign
     np.copyto(S, G.T, where=np.tri(N, dtype=bool))
     # below 1e-150 an entry times an amplitude <= 1 is lost under the last
     # bit of a unit-scale sum, and zeroing it keeps every product of the
     # kept entries a normal number
-    S[np.abs(S) < 1e-150] = 0.0
+    S[np.abs(S, out=c_prev) < 1e-150] = 0.0
     return S
 
 

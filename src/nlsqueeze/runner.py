@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ConfigError, GridError, NumericsError
 from .estimate import (CQ_FLOOR, MIN_REPLICATES, MIN_SAMPLES, EnsembleReport, derive_seed,
                        ensemble_run)
-from .hilbert import PositionGrid, default_grid
+from .hilbert import PositionGrid, build_basis, default_grid
 from .nlsq import (MINUS, P, PHASE_ORDERS, PLUS, Q, assemble_curve, classical_threshold,
                    exact_moment_set, resource_condition)
 from .readout import ChannelCoefficients, ChannelParams, channel_coefficients, sampling_tables
@@ -160,7 +160,7 @@ class ExperimentConfig:
         else:
             try:
                 self.grid = PositionGrid(self.grid_extent, self.grid_points)
-                self.grid.validate_for(self.state_spec.dim)
+                build_basis(self.state_spec.dim, self.grid)  # extent and orthonormality
             except GridError as exc:
                 raise ValueError(f"invalid grid.extent / grid.points: {exc}") from None
         spec = self.state_spec

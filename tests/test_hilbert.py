@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -56,6 +57,44 @@ def test_too_small_grid_rejected():
         PositionGrid(16.0, 2048).validate_for(128)
     with pytest.raises(GridError):
         build_basis(128, PositionGrid(16.0, 2048))
+
+
+def test_too_coarse_grid_fails_the_orthonormality_check():
+    # extent 18 covers N = 128, but 150 points (dx = 0.24) cannot resolve
+    # its highest eigenfunctions; 300 points can
+    coarse = PositionGrid(18.0, 150)
+    coarse.validate_for(128)
+    with pytest.raises(GridError, match="orthonormality defect"):
+        build_basis(128, coarse)
+    assert build_basis(128, PositionGrid(18.0, 300)).shape == (128, 300)
+
+
+def traced_peak(f, *args):
+    """Peak bytes tracemalloc sees while f(*args) runs, and its result."""
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, out
+
+
+def test_basis_check_makes_no_copy_of_the_basis():
+    # the Gram check holds one N x N buffer besides the basis (measured:
+    # basis + 1.05 N^2 8 bytes); a scaled copy of the basis would double it
+    N, grid = 128, default_grid(128)
+    peak, basis = traced_peak(build_basis.__wrapped__, N, grid)
+    assert peak < basis.nbytes + 2 * N * N * 8
+
+
+def test_displacement_block_holds_three_square_arrays():
+    # three N x N arrays live at once, plus numpy's ufunc buffers of about
+    # 0.2 MB (measured: 3.71 N^2 8 bytes at N = 192); a fourth N x N
+    # temporary would exceed the bound
+    N = 192
+    peak, _ = traced_peak(hilbert._displacement_block, N, 2.0)
+    assert peak < 4.5 * N * N * 8
 
 
 def test_basis_orthonormal_on_default_grid():

@@ -655,12 +655,17 @@ def test_cli_bad_config(tmp_path):
                  "state.inner.N = 64",
                  "mode = full": "mode = full\ngrid.extent = 8\ngrid.points = 400"}, [],
      "grid.extent"),
+    # the extent covers N = 128, but 150 points fail the orthonormality check
+    ("state-info", {"state.N = 64": "state.N = 128",
+                    "mode = full": "mode = full\ngrid.extent = 18\ngrid.points = 150"}, [],
+     "add grid points"),
     ("certify", {"certify.gamma_G = 0.1": "certify.gamma_G = 0"}, [], "certify.gamma_G"),
     ("certify", {"state.gamma = 0.1": "state.gamma = -0.1"}, [], "certify.gamma_G"),
 ], ids=["G-nan", "tau-inf", "sweep-inf", "count-inf", "k_sigma-nan", "k_sigma-negative",
         "threads-zero", "threads-negative", "seed-negative", "base_seed-negative",
         "R-one", "count-below-100", "count-fractional", "grid-too-small",
-        "grid-too-small-for-inner", "gamma_G-zero", "gamma_G-with-negative-gamma"])
+        "grid-too-small-for-inner", "grid-too-coarse", "gamma_G-zero",
+        "gamma_G-with-negative-gamma"])
 def test_cli_rejects_bad_numbers(tmp_path, capsys, command, edits, argv, key):
     text = FULL_TEXT
     for old, new in edits.items():
@@ -867,6 +872,18 @@ def test_runtime_imports_no_scipy():
                           env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_state_info_imports_no_thread_pool(tmp_path):
+    # only ensemble_run with threads > 1 needs concurrent.futures
+    cfg = write_cfg(tmp_path, "state.kind = vacuum\nstate.N = 16\n")
+    code = ("import sys; from nlsqueeze.runner import main; "
+            f"rc = main(['state-info', '--config', {cfg!r}]); "
+            "print(rc, 'concurrent.futures' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 # ------------------------------------------------------------- presets
