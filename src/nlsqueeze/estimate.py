@@ -71,46 +71,40 @@ class PowerSums:
             return np.ldexp(mu, self.exp * n), np.ldexp(cov, self.exp * (n[:, None] + n))
 
 
-def empirical_moments(samples, max_n: int, sums: PowerSums | None = None) -> PowerSums:
-    """Add samples to the power sums of Y^k, k <= 2 max_n, of one record
-    and return them; sums.moments() gives the means and their covariance.
+def empirical_moments(samples, sums: PowerSums) -> PowerSums:
+    """Add one block of at most SAMPLE_BLOCK samples to the running power
+    sums of Y^k, k <= 2 sums.max_n, of one record and return them;
+    sums.moments() gives the means and their covariance.
 
-    sums holds the record's earlier blocks (fresh ones when omitted, so
-    a whole record is one call).  The samples are summed in SAMPLE_BLOCK
-    slices through the power-term buffers, in slice order.  A non-finite
-    sample, or one whose max_n-th power leaves the float range, raises
-    DataError.
+    A record of several blocks is summed by calling this once per block,
+    in block order, as run_reconstruction does.  A non-finite sample, or
+    one whose max_n-th power leaves the float range, raises DataError.
     """
     x = np.asarray(samples, dtype=float)
-    if x.ndim != 1:
-        raise ValueError(f"need a 1-d array of samples, got shape {x.shape}")
-    if sums is None:
-        sums = PowerSums(max_n, BlockBuffers())
-    elif sums.max_n != max_n:
-        raise ValueError(f"max_n {max_n} differs from the sums' {sums.max_n}")
-    for lo in range(0, x.size, SAMPLE_BLOCK):
-        xs = x[lo:lo + SAMPLE_BLOCK]
-        peak = max(float(xs.max()), -float(xs.min()))  # NaN propagates through both
-        if not math.isfinite(peak):
-            raise DataError("non-finite sample in homodyne record")
-        try:
-            peak ** max_n
-        except OverflowError:
-            raise DataError(f"sample magnitude {peak:.3g} overflows the order-{max_n} "
-                            f"moment") from None
-        exp = math.frexp(peak)[1]  # 2^(exp - 1) <= peak < 2^exp
-        if exp > sums.exp:
-            sums.raw = np.ldexp(sums.raw, (sums.exp - exp) * np.arange(1, 2 * max_n + 1))
-            sums.exp = exp
-        raw = sums.raw
-        w = np.multiply(xs, math.ldexp(1.0, -sums.exp), out=sums.buf.w[:xs.size])
-        cur = np.multiply(w, w, out=sums.buf.cur[:xs.size])
-        raw[0] += w.sum()
-        raw[1] += cur.sum()
-        for k in range(2, 2 * max_n):
-            np.multiply(cur, w, out=cur)
-            raw[k] += cur.sum()
-        sums.count += xs.size
+    if x.ndim != 1 or not 1 <= x.size <= SAMPLE_BLOCK:
+        raise ValueError(f"need a 1-d block of 1..{SAMPLE_BLOCK} samples, got shape {x.shape}")
+    max_n = sums.max_n
+    peak = max(float(x.max()), -float(x.min()))  # NaN propagates through both
+    if not math.isfinite(peak):
+        raise DataError("non-finite sample in homodyne record")
+    try:
+        peak ** max_n
+    except OverflowError:
+        raise DataError(f"sample magnitude {peak:.3g} overflows the order-{max_n} "
+                        f"moment") from None
+    exp = math.frexp(peak)[1]  # 2^(exp - 1) <= peak < 2^exp
+    if exp > sums.exp:
+        sums.raw = np.ldexp(sums.raw, (sums.exp - exp) * np.arange(1, 2 * max_n + 1))
+        sums.exp = exp
+    raw = sums.raw
+    w = np.multiply(x, math.ldexp(1.0, -sums.exp), out=sums.buf.w[:x.size])
+    cur = np.multiply(w, w, out=sums.buf.cur[:x.size])
+    raw[0] += w.sum()
+    raw[1] += cur.sum()
+    for k in range(2, 2 * max_n):
+        np.multiply(cur, w, out=cur)
+        raw[k] += cur.sum()
+    sums.count += x.size
     return sums
 
 
@@ -160,7 +154,7 @@ def run_reconstruction(tables: tuple[InverseCDF, ...], coeffs: ChannelCoefficien
         for lo in range(0, count, SAMPLE_BLOCK):
             block = sample_homodyne(table, coeffs.c_Q, min(SAMPLE_BLOCK, count - lo),
                                     phase_seed, noise_std, lo // SAMPLE_BLOCK, buf)
-            empirical_moments(block, order, sums)
+            empirical_moments(block, sums)
         ms.values[k, 1:order + 1], ms.cov[k, :order, :order] = invert_hierarchy(
             *sums.moments(), coeffs)
     ms.mixed = mixed_moment_recovery(ms)

@@ -10,14 +10,14 @@ mechanical quadrature at t = 0, and E a Gaussian quadrature of the
 thermal bath with variance n_bar + 1/2.  The three terms are
 independent, which is what makes the output-moment hierarchy triangular.
 
-Records are synthesised block by block, each block from its own seeded
-stream: Q_phi(0) by inverse-CDF lookup on the grid nodes, and the
+Records are drawn one block per sample_homodyne call, each from its own
+seeded stream: Q_phi(0) by inverse-CDF lookup on the grid nodes, and the
 channel noise by a ziggurat run on the whole block at once (Marsaglia &
-Tsang 2000), exact up to rounding.  A block's stream has fixed regions,
-in order: the Q uniforms, the noise-proposal uniforms, the slow-slot
-uniforms, the tail uniforms and last the restart normals; every region
-but the last has room for a whole block, so a longer record extends a
-shorter one (sample_homodyne gives the sizes and the exactness argument).
+Tsang 2000), exact up to rounding.  A block's stream has fixed regions, in
+order: the Q uniforms, the noise-proposal uniforms, the slow-slot
+uniforms, the tail uniforms and last the restart normals; every region but
+the last has room for a whole block, so a longer record extends a shorter
+one (sample_homodyne gives the sizes and the exactness argument).
 """
 
 from __future__ import annotations
@@ -222,25 +222,6 @@ class BlockBuffers:
         self.cells = np.empty(SAMPLE_BLOCK, np.intp)
         self.guide = np.empty(SAMPLE_BLOCK, np.int32)  # viewed as the guide's dtype
         self.straddle = np.empty(SAMPLE_BLOCK, bool)
-        self._nodes = (None, None, None)
-        self._widths = (None, None)
-
-    def nodes(self, table: InverseCDF, c_Q: float) -> np.ndarray:
-        """c_Q * table.x, computed once for consecutive blocks of one table."""
-        last, last_c_Q, nodes = self._nodes
-        if last is not table or last_c_Q != c_Q:
-            nodes = table.x * c_Q
-            self._nodes = (table, c_Q, nodes)
-        return nodes
-
-    def widths(self, noise_std: float) -> np.ndarray:
-        """The signed layer widths scaled by noise_std, computed once for
-        consecutive blocks of one noise deviation."""
-        last, widths = self._widths
-        if last != noise_std:
-            widths = _W * noise_std
-            self._widths = (noise_std, widths)
-        return widths
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,22 +243,19 @@ class InverseCDF:
     cdf: np.ndarray
     guide: np.ndarray
 
-    def cell(self, u: np.ndarray, buf: BlockBuffers | None = None) -> np.ndarray:
+    def cell(self, u: np.ndarray, buf: BlockBuffers) -> np.ndarray:
         """Cell j with cdf[j] <= u < cdf[j + 1] for each u in [0, 1).
 
         Equal to searchsorted(cdf, u, side="right") - 1 bit for bit: one
         gather gives the cell of every uniform in a single-cell bucket, and
-        only the uniforms in straddling buckets are searched.  With buf (u
-        at most SAMPLE_BLOCK long) the cells are written into buf.cells and
-        nothing of u's size is allocated.
+        only the uniforms in straddling buckets are searched.  u is one
+        block, at most SAMPLE_BLOCK long; its cells are written into
+        buf.cells and a view of them is returned, so nothing of u's size is
+        allocated.
         """
         m = u.size
-        if buf is None:
-            cells, g, straddle = (np.empty(m, np.intp), np.empty(m, self.guide.dtype),
-                                  np.empty(m, bool))
-        else:
-            cells, g, straddle = (buf.cells[:m], buf.guide.view(self.guide.dtype)[:m],
-                                  buf.straddle[:m])
+        cells, g, straddle = (buf.cells[:m], buf.guide.view(self.guide.dtype)[:m],
+                              buf.straddle[:m])
         # u * K lands as floats in the cells' own memory and is cast in
         # place, element by element, so numpy needs no cast buffer
         np.copyto(cells, np.multiply(u, GUIDE_BUCKETS, out=cells.view(np.float64)),
@@ -342,7 +320,7 @@ def _gaussian_noise(rng: np.random.Generator, count: int, noise_std: float,
     np.copyto(j, w, casting="unsafe")
     np.take(_K, j, out=w, mode="clip")  # j < 512, so no index is clipped
     slow = np.greater_equal(u, w, out=buf.straddle[:count])
-    np.take(buf.widths(noise_std), j, out=z, mode="clip")
+    np.take(_W * noise_std, j, out=z, mode="clip")
     z *= u
     slots = np.flatnonzero(slow)
     n = slots.size
@@ -391,10 +369,9 @@ def _gaussian_noise(rng: np.random.Generator, count: int, noise_std: float,
 
 
 def sample_homodyne(table: InverseCDF, c_Q: float, count: int, seed: int,
-                    noise_std: float, block: int = 0,
-                    buf: BlockBuffers | None = None) -> np.ndarray:
-    """Synthesize count homodyne records Y_out = c_Q Q_phi(0) + W, starting
-    at block `block` of the stream.
+                    noise_std: float, block: int, buf: BlockBuffers) -> np.ndarray:
+    """Synthesize the first count <= SAMPLE_BLOCK homodyne records
+    Y_out = c_Q Q_phi(0) + W of block `block` of the stream.
 
     Q_phi(0) is drawn by inverse-CDF lookup in table, so the record is
     taken at the table's phase; the channel gains do not depend on it.  A
@@ -435,29 +412,16 @@ def sample_homodyne(table: InverseCDF, c_Q: float, count: int, seed: int,
     generator past the rest of each region (PCG64 spends one 64-bit output
     per double), so a longer record extends a shorter one.
 
-    With buf, the count <= SAMPLE_BLOCK samples of the one block `block`
-    are written into buf.y and a view of them is returned: the block
-    allocates no sample-sized array, and c_Q * table.x and the scaled
-    layer widths are computed once per table and deviation.  Without
-    buf, the whole record is returned, drawn block by block the same way.
+    The samples are written into buf.y and a view of them is returned, so
+    a block allocates no sample-sized array; estimate.run_reconstruction
+    draws a record by calling this once per block index.
     """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    if buf is None:
-        buf = BlockBuffers()
-        out = np.empty(count)
-        for lo in range(0, count, SAMPLE_BLOCK):
-            m = min(SAMPLE_BLOCK, count - lo)
-            out[lo:lo + m] = sample_homodyne(table, c_Q, m, seed, noise_std,
-                                             block + lo // SAMPLE_BLOCK, buf)
-        return out
-    if count > SAMPLE_BLOCK:
-        raise ValueError(f"a buffered call draws one block of at most {SAMPLE_BLOCK} "
-                         f"samples, got {count}")
+    if not 1 <= count <= SAMPLE_BLOCK:
+        raise ValueError(f"count must be in 1..{SAMPLE_BLOCK} (one block), got {count}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))
     u, y = buf.u[:count], buf.y[:count]
     rng.random(out=u)
     rng.bit_generator.advance(SAMPLE_BLOCK - count)
-    np.take(buf.nodes(table, c_Q), table.cell(u, buf), out=y, mode="clip")
+    np.take(table.x * c_Q, table.cell(u, buf), out=y, mode="clip")
     y += _gaussian_noise(rng, count, noise_std, buf)
     return y

@@ -396,6 +396,8 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepReport:
         raise ConfigError("sweep needs a channel section")
     if config.sweep_axis is None:
         raise ConfigError("sweep needs sweep.axis")
+    if not config.sweep_values:
+        raise ConfigError("sweep needs sweep.values")
     return _run_points(config, [
         _point(config, sv, apply_axis(config.channel, config.sweep_axis, sv),
                derive_seed(config.base_seed, i))

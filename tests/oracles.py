@@ -5,6 +5,10 @@ states come from matrix exponentials acting on Fock vectors, moments
 from dense operator powers, and output moments from collapsing the two
 Gaussian noise sources into a single effective one.  Agreement between
 these and the package is evidence, not tautology.
+
+The two record helpers at the end are not oracles: they run the
+package's one-block sampler and moment sums over a whole record, block
+by block through one set of buffers, as run_reconstruction does.
 """
 
 import cmath
@@ -14,6 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.linalg import expm
+
+from nlsqueeze.estimate import PowerSums, empirical_moments
+from nlsqueeze.readout import SAMPLE_BLOCK, BlockBuffers, sample_homodyne
 
 
 def ladder(N: int) -> np.ndarray:
@@ -182,3 +189,24 @@ def coherent_moment_dict(beta: complex) -> dict:
         (-quarter, 3): mu_minus ** 3 + 1.5 * mu_minus,
         "mixed": 2.0 * pb * (qb * qb + 0.5),
     }
+
+
+def draw_record(table, c_Q: float, count: int, seed: int, noise_std: float) -> np.ndarray:
+    """The first count samples of the stream (seed), drawn one block at a
+    time through one BlockBuffers and copied out of it."""
+    buf = BlockBuffers()
+    out = np.empty(count)
+    for lo in range(0, count, SAMPLE_BLOCK):
+        m = min(SAMPLE_BLOCK, count - lo)
+        out[lo:lo + m] = sample_homodyne(table, c_Q, m, seed, noise_std,
+                                         lo // SAMPLE_BLOCK, buf)
+    return out
+
+
+def record_moments(x, max_n: int) -> PowerSums:
+    """The power sums of a whole record x, added one SAMPLE_BLOCK slice at
+    a time, in slice order."""
+    sums = PowerSums(max_n, BlockBuffers())
+    for lo in range(0, len(x), SAMPLE_BLOCK):
+        empirical_moments(x[lo:lo + SAMPLE_BLOCK], sums)
+    return sums

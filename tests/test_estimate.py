@@ -30,9 +30,10 @@ from nlsqueeze.nlsq import (
     mixed_moment_recovery,
 )
 from nlsqueeze.readout import (SAMPLE_BLOCK, BlockBuffers, ChannelParams, channel_coefficients,
-                               forward_output_moments, hierarchy_matrix, sample_homodyne,
-                               sampling_tables)
+                               forward_output_moments, hierarchy_matrix, sampling_tables)
 from nlsqueeze.states import StateSpec, make_state
+
+from oracles import draw_record, record_moments
 
 STANDARD = ChannelParams(G=0.1, Gamma_m=1e-9, n_bar=1e4, tau=1e3)
 STANDARD_CO = channel_coefficients(STANDARD)
@@ -46,7 +47,7 @@ def cubic_state(gamma=0.1, N=128):
 
 def test_empirical_moments_basic():
     x = np.full(200, 2.0)
-    means, cov = empirical_moments(x, 3).moments()
+    means, cov = record_moments(x, 3).moments()
     assert means[0] == pytest.approx(2.0, rel=1e-14)
     assert means[2] == pytest.approx(8.0, rel=1e-14)
     assert cov[1, 1] == pytest.approx(0.0, abs=1e-24)
@@ -55,7 +56,7 @@ def test_empirical_moments_basic():
 def test_empirical_moments_standard_normal():
     rng = np.random.default_rng(9)
     x = rng.standard_normal(1_000_000)
-    means, cov = empirical_moments(x, 2).moments()
+    means, cov = record_moments(x, 2).moments()
     assert means[1] == pytest.approx(1.0, abs=5.0 * math.sqrt(2.0) / 1e3)
     assert math.sqrt(cov[1, 1]) == pytest.approx(math.sqrt(2.0) / 1e3, rel=0.05)
 
@@ -66,7 +67,7 @@ def test_empirical_moments_survives_huge_values():
     x = np.linspace(-1e60, 1e60, 500)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        means, cov = empirical_moments(x, 4).moments()
+        means, cov = record_moments(x, 4).moments()
     assert np.all(np.isfinite(means))
     assert means[3] > 0
     assert cov[3, 3] == math.inf
@@ -76,7 +77,7 @@ def test_empirical_moments_survives_huge_values():
                                    7 * SAMPLE_BLOCK // 2])
 def test_empirical_moments_blockwise_matches_fsum(count):
     x = 1.5 + np.random.default_rng(count).standard_normal(count)
-    means, cov = empirical_moments(x, 4).moments()
+    means, cov = record_moments(x, 4).moments()
     for n in range(1, 5):
         mean = math.fsum(x ** n) / count
         var = (math.fsum(x ** (2 * n)) / count - mean * mean) * count / (count - 1.0)
@@ -93,7 +94,7 @@ def test_empirical_moments_non_finite_in_last_partial_slice(bad):
     x = np.ones(7 * SAMPLE_BLOCK // 2)
     x[-1] = bad
     with pytest.raises(DataError):
-        empirical_moments(x, 2)
+        record_moments(x, 2)
 
 
 def test_rising_exponent_equals_one_exponent_accumulation():
@@ -104,10 +105,11 @@ def test_rising_exponent_equals_one_exponent_accumulation():
     x[SAMPLE_BLOCK + 7] = 3e3
     final_exp = math.frexp(3e3)[1]
     assert math.frexp(np.abs(x[:SAMPLE_BLOCK]).max())[1] < final_exp
-    rising = empirical_moments(x, 4)
+    rising = record_moments(x, 4)
     fixed = PowerSums(4, BlockBuffers())
     fixed.exp = final_exp
-    empirical_moments(x, 4, fixed)
+    for lo in range(0, x.size, SAMPLE_BLOCK):
+        empirical_moments(x[lo:lo + SAMPLE_BLOCK], fixed)
     assert rising.exp == fixed.exp == final_exp
     np.testing.assert_array_equal(rising.raw, fixed.raw)
     for a, b in zip(rising.moments(), fixed.moments(), strict=True):
@@ -116,28 +118,37 @@ def test_rising_exponent_equals_one_exponent_accumulation():
 
 def test_empirical_moments_input_validation():
     with pytest.raises(ValueError):
-        empirical_moments(np.zeros(99), 2).moments()
+        record_moments(np.zeros(99), 2).moments()
     with pytest.raises(ValueError):
-        empirical_moments(np.zeros(500), 5)
+        record_moments(np.zeros(500), 5)
     with pytest.raises(ValueError):
-        empirical_moments(np.zeros(500), 0)
+        record_moments(np.zeros(500), 0)
     bad = np.zeros(500)
     bad[3] = np.nan
     with pytest.raises(DataError):
-        empirical_moments(bad, 2)
+        record_moments(bad, 2)
     bad[3] = np.inf
     with pytest.raises(DataError):
-        empirical_moments(bad, 2)
+        record_moments(bad, 2)
     # finite samples whose fourth power is not a float
     with pytest.raises(DataError, match="overflows"):
-        empirical_moments(np.array([1e100, -3e99] * 100), 4)
+        record_moments(np.array([1e100, -3e99] * 100), 4)
     # the guard tests the true max, not its power-of-two scale: 1.8 * 2^255
     # has a finite fourth power although 2^256 has none, and 2^341.5 has no
     # finite cube although 2^341 has one
-    means, _ = empirical_moments(np.full(200, 1.8 * 2.0 ** 255), 4).moments()
+    means, _ = record_moments(np.full(200, 1.8 * 2.0 ** 255), 4).moments()
     assert np.isfinite(means).all()
     with pytest.raises(DataError, match="overflows"):
-        empirical_moments(np.full(200, 2.0 ** 341.5), 3)
+        record_moments(np.full(200, 2.0 ** 341.5), 3)
+
+
+@pytest.mark.parametrize("block", [np.zeros(SAMPLE_BLOCK + 1), np.zeros((2, 200)), np.zeros(0)],
+                         ids=["B+1", "2-d", "empty"])
+def test_empirical_moments_takes_one_block(block):
+    sums = PowerSums(2, BlockBuffers())
+    with pytest.raises(ValueError, match="1-d block"):
+        empirical_moments(block, sums)
+    assert sums.count == 0
 
 
 # ------------------------------------------------------------- inversion
@@ -234,15 +245,15 @@ def test_run_reconstruction_deterministic():
                          ids=["100", "B-1", "B", "B+1", "7B/2"])
 def test_one_pass_reconstruction_equals_the_record_path(count):
     # run_reconstruction draws and sums each block in one pass; the whole
-    # record drawn by sample_homodyne and summed by one empirical_moments
-    # call gives every row's moments and covariance bit for bit
+    # record drawn first and summed after gives every row's moments and
+    # covariance bit for bit
     tables = sampling_tables(cubic_state(N=64))
     seed = 41
     ms, _ = run_reconstruction(tables, STANDARD_CO, count, seed)
     for k, (table, (_, order)) in enumerate(zip(tables, PHASE_ORDERS, strict=True)):
-        record = sample_homodyne(table, STANDARD_CO.c_Q, count, derive_seed(seed, k),
-                                 math.sqrt(STANDARD_CO.noise_var))
-        q, q_cov = invert_hierarchy(*empirical_moments(record, order).moments(), STANDARD_CO)
+        record = draw_record(table, STANDARD_CO.c_Q, count, derive_seed(seed, k),
+                             math.sqrt(STANDARD_CO.noise_var))
+        q, q_cov = invert_hierarchy(*record_moments(record, order).moments(), STANDARD_CO)
         np.testing.assert_array_equal(ms.values[k, 1:order + 1], q)
         np.testing.assert_array_equal(ms.cov[k, :order, :order], q_cov)
 
@@ -263,13 +274,43 @@ def test_one_pass_rejects_non_finite_in_last_partial_block(monkeypatch):
         run_reconstruction(sampling_tables(cubic_state(N=64)), STANDARD_CO, count, 3)
 
 
+def test_reconstruction_calls_keep_the_traced_shapes(monkeypatch):
+    # the benchmark's tracer wraps estimate's bindings and reads the count
+    # as argument 2 of sample_homodyne and the block as argument 0 of
+    # empirical_moments; every block drawn is summed before the next
+    count, seed = 7 * SAMPLE_BLOCK // 2, 8
+    draw, add = estimate.sample_homodyne, estimate.empirical_moments
+    calls = []
+
+    def traced_draw(*args):
+        block = draw(*args)
+        calls.append(("draw", args, block))
+        return block
+
+    def traced_add(*args):
+        calls.append(("add", args, None))
+        return add(*args)
+
+    monkeypatch.setattr(estimate, "sample_homodyne", traced_draw)
+    monkeypatch.setattr(estimate, "empirical_moments", traced_add)
+    run_reconstruction(sampling_tables(cubic_state(N=64)), STANDARD_CO, count, seed)
+    blocks = 4  # per phase: three whole blocks and a half one
+    assert [kind for kind, _, _ in calls] == ["draw", "add"] * (len(PHASE_ORDERS) * blocks)
+    for (_, _, block), (_, args, _) in zip(calls[::2], calls[1::2]):
+        assert args[0] is block
+    for k in range(len(PHASE_ORDERS)):
+        drawn = [args for _, args, _ in calls[::2] if args[3] == derive_seed(seed, k)]
+        assert sum(args[2] for args in drawn) == count
+        assert [args[5] for args in drawn] == list(range(blocks))
+
+
 def test_one_pass_allocates_no_per_block_array():
-    # beyond the buffers made once per reconstruction, the node array c_Q x
-    # (16 KB) and the small arrays of the straddle search stay below
+    # beyond the buffers made once per reconstruction, each block's node
+    # array c_Q x (16 KB) and the small arrays of the straddle search stay below
     # SAMPLE_BLOCK bytes; a per-block array of even one byte per sample
     # would push the peak past it
     tables = sampling_tables(cubic_state(N=64))
-    run_reconstruction(tables, STANDARD_CO, SAMPLE_BLOCK, 1)  # fill the caches
+    run_reconstruction(tables, STANDARD_CO, SAMPLE_BLOCK, 1)  # warm up
     buffers = sum(a.nbytes for a in vars(BlockBuffers()).values()
                   if isinstance(a, np.ndarray))
     tracemalloc.start()

@@ -180,8 +180,8 @@ def test_forward_odd_moments_from_coherent():
 
 def sample(state, p, count, seed, phi=0.0):
     co = channel_coefficients(p)
-    return sample_homodyne(inverse_cdf_table(state, phi), co.c_Q, count, seed,
-                           math.sqrt(co.noise_var))
+    return oracles.draw_record(inverse_cdf_table(state, phi), co.c_Q, count, seed,
+                               math.sqrt(co.noise_var))
 
 
 def test_sampler_deterministic():
@@ -267,7 +267,7 @@ def test_sampler_follows_the_documented_stream(n):
     table = inverse_cdf_table(cubic_state(), 0.0)
     co = channel_coefficients(STANDARD)
     noise_std = math.sqrt(co.noise_var)
-    np.testing.assert_array_equal(sample_homodyne(table, co.c_Q, n, 77, noise_std),
+    np.testing.assert_array_equal(oracles.draw_record(table, co.c_Q, n, 77, noise_std),
                                   reference_record(table, co.c_Q, noise_std, 77, n))
 
 
@@ -324,11 +324,12 @@ def test_noise_is_standard_normal():
 
 def slow_slot_prefixes(table, c_Q, noise_std, seed, block, kinds):
     # each count ends just after the first slot of a kind
-    longer = sample_homodyne(table, c_Q, SAMPLE_BLOCK, seed, noise_std, block)
+    buf = BlockBuffers()
+    longer = sample_homodyne(table, c_Q, SAMPLE_BLOCK, seed, noise_std, block, buf).copy()
     _, seen = reference_block(table, c_Q, noise_std, seed, block, SAMPLE_BLOCK)
     for kind in kinds:
         count = seen.index(kind) + 1
-        short = sample_homodyne(table, c_Q, count, seed, noise_std, block)
+        short = sample_homodyne(table, c_Q, count, seed, noise_std, block, buf)
         np.testing.assert_array_equal(short, longer[:count])
         ref, _ = reference_block(table, c_Q, noise_std, seed, block, count)
         np.testing.assert_array_equal(short, ref)
@@ -354,8 +355,32 @@ def test_sampler_prefix_ends_after_an_exhausted_tail():
 
 
 def test_sampler_rejects_bad_count():
-    with pytest.raises(ValueError):
-        sample(cubic_state(), STANDARD, 0, seed=1)
+    # one call draws one block of 1..SAMPLE_BLOCK samples
+    table = inverse_cdf_table(cubic_state(), 0.0)
+    for count in (0, SAMPLE_BLOCK + 1):
+        with pytest.raises(ValueError, match="count"):
+            sample_homodyne(table, channel_coefficients(STANDARD).c_Q, count, 1, 1.0, 0,
+                            BlockBuffers())
+
+
+def test_reused_buffers_give_the_samples_of_fresh_ones():
+    # one BlockBuffers across two tables, two gains and two deviations in
+    # alternation: nothing of one block's table, c_Q or noise_std may leak
+    # into the next.  The settings run through a Gray code, so each step
+    # changes exactly one of the three and each of them changes alone; the
+    # tables are on different grids, so their nodes differ too.
+    state = cubic_state()
+    tables = (inverse_cdf_table(state, 0.0),
+              inverse_cdf_table(state, HALF_PI, PositionGrid(extent=20.0, n_points=3001)))
+    co = channel_coefficients(STANDARD)
+    gains = (co.c_Q, 0.5 * co.c_Q)
+    deviations = (math.sqrt(co.noise_var), 2.0)
+    buf = BlockBuffers()
+    for i in range(16):
+        g = i ^ (i >> 1)
+        args = (tables[g & 1], gains[g >> 1 & 1], 1000 + i, 17, deviations[g >> 2 & 1], i % 3)
+        np.testing.assert_array_equal(sample_homodyne(*args, buf),
+                                      sample_homodyne(*args, BlockBuffers()), err_msg=str(i))
 
 
 @pytest.mark.parametrize("spec", [StateSpec(kind="vacuum", N=32),
@@ -404,7 +429,6 @@ def assert_cells_are_the_binary_search(table, rng, plateau=()):
                         buckets, np.nextafter(buckets, 0.0), rng.random(200_000)])
     u = u[(u >= 0.0) & (u < 1.0)]  # the sampler's uniforms lie in [0, 1)
     reference = np.searchsorted(F, u, side="right") - 1
-    np.testing.assert_array_equal(table.cell(u), reference)
     # the buffered lookup of the sampler, one block at a time
     buf = BlockBuffers()
     for lo in range(0, u.size, SAMPLE_BLOCK):
@@ -424,7 +448,7 @@ def test_guide_of_a_grid_past_int16_is_int32():
 def test_noiseless_samples_are_scaled_grid_nodes():
     table = inverse_cdf_table(cubic_state(), 0.0)
     c_Q = channel_coefficients(STANDARD).c_Q
-    y = sample_homodyne(table, c_Q, SAMPLE_BLOCK + 1000, 5, 0.0)
+    y = oracles.draw_record(table, c_Q, SAMPLE_BLOCK + 1000, 5, 0.0)
     assert np.isin(y, c_Q * table.x).all()
     assert np.unique(y).size > 100
 

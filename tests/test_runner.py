@@ -409,12 +409,16 @@ def test_csv_17_digit_round_trip(tmp_path):
     assert parsed == report.points[0].report.v_stats(report.lambdas)[0][j]
 
 
-def test_empty_sweep_yields_header_only(tmp_path):
-    text = FULL_TEXT.replace("sweep.values = 1e-7, 1e-5", "sweep.values =")
-    cfg = parse_config(text)
-    report = run_sweep(cfg)
-    assert emit_plot_data(report) == PLOT_HEADER + "\n"
-    assert sweep_csv(report) == SWEEP_HEADER + "\n"
+def test_empty_sweep_is_rejected_before_building_the_state(monkeypatch):
+    # a sweep of no points would write header-only CSVs and exit 0
+    def fail(*args, **kwargs):
+        raise AssertionError("state built for a sweep of no points")
+
+    monkeypatch.setattr(runner, "make_state", fail)
+    for old, new in (("sweep.values = 1e-7, 1e-5", "sweep.values ="),
+                     ("sweep.values = 1e-7, 1e-5\n", "")):
+        with pytest.raises(ConfigError, match="sweep needs sweep.values"):
+            run_sweep(parse_config(FULL_TEXT.replace(old, new)))
 
 
 def test_single_run_report_uses_zero_sweep_value(tmp_path):
@@ -693,10 +697,13 @@ NO_CHANNEL = {"channel.G = 0.1\nchannel.kappa = 1.0\nchannel.n_bar = 1.0e4\n"
      "invalid channel parameters: tau must be > 0, got 0.0"),
     ("sweep", NO_CHANNEL, "sweep needs a channel section"),
     ("sweep", {"sweep.axis = thermalisation_rate\n": ""}, "sweep needs sweep.axis"),
+    ("sweep", {"sweep.values = 1e-7, 1e-5": "sweep.values ="}, "sweep needs sweep.values"),
+    ("sweep", {"sweep.values = 1e-7, 1e-5\n": ""}, "sweep needs sweep.values"),
     ("reconstruct", NO_CHANNEL, "reconstruction needs a channel section"),
     ("certify", NO_CHANNEL, "certify needs a channel section"),
 ], ids=["missing-kind", "inner-on-cubic", "channel-without-tau", "channel-tau-zero",
-        "sweep-without-channel", "sweep-without-axis", "reconstruct-without-channel",
+        "sweep-without-channel", "sweep-without-axis", "sweep-with-empty-values",
+        "sweep-without-values", "reconstruct-without-channel",
         "certify-without-channel"])
 def test_cli_rejects_incomplete_sections(tmp_path, capsys, command, edits, message):
     text = FULL_TEXT
