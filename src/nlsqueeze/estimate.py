@@ -109,29 +109,20 @@ def empirical_moments(samples, sums: PowerSums) -> PowerSums:
 
 
 def invert_hierarchy(means, cov, coeffs: ChannelCoefficients):
-    """Forward substitution through readout.hierarchy_matrix at one phase.
-
-    Takes the output moments <Y^n> for n = 1..len(means) and their
-    covariance, and returns (q, q_cov), the mechanical moments <Q^n> for
-    the same orders and their covariance.  Row n gives
-    <Q^n> = (<Y^n> - sum_{k<n} H[n, k] <Q^k>) / H[n, n].  The covariance
-    is first-order propagated, J cov J^T, through the Jacobian
-    J = d<Q>/d<Y> (the inverse of H).
+    """(q, q_cov): the mechanical moments <Q^n> and their covariance from
+    the output moments <Y^n>, n = 1..len(means), and their covariance cov
+    at one phase.  (1, <Q>, ...) = H (1, <Y>, ...) through the inverse
+    channel's hierarchy H = readout.hierarchy_matrix(1/c_Q, -noise_var/c_Q^2,
+    max_n), and q_cov = J cov J^T through its exact Jacobian J = H[1:, 1:].
     """
     cq = coeffs.c_Q
     if abs(cq) < CQ_FLOOR:
         raise ChannelConditionError(
             f"|c_Q| = {abs(cq):.2e} below {CQ_FLOOR:g}; channel too weak to invert"
         )
-    max_n = len(means)
-    H = hierarchy_matrix(coeffs, max_n)
-    q = np.ones(max_n + 1)   # q[0] = <Q^0> = 1 exactly
-    J = np.eye(max_n + 1)    # J[n, k] = d<Q^n>/d<Y^k>, filled row by row
-    for n in range(1, max_n + 1):
-        q[n] = (means[n - 1] - sum(H[n, k] * q[k] for k in range(n))) / H[n, n]
-        J[n] = (J[n] - H[n, :n] @ J[:n]) / H[n, n]
-    J = J[1:, 1:]
-    return q[1:], J @ cov @ J.T
+    H = hierarchy_matrix(1.0 / cq, -coeffs.noise_var / (cq * cq), len(means))
+    J = H[1:, 1:]
+    return (H @ np.concatenate(([1.0], means)))[1:], J @ cov @ J.T
 
 
 def run_reconstruction(tables: tuple[InverseCDF, ...], coeffs: ChannelCoefficients,

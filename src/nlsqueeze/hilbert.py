@@ -233,15 +233,20 @@ def truncated_state(vectors: np.ndarray, weights: np.ndarray, what: str, fix: st
 
 @lru_cache(maxsize=32)
 def _power_bands(N: int, n: int) -> tuple:
-    """Nonzero diagonals of the real symmetric banded Q_0^n at dimension
-    N on and above the main one, as (d, (Q_0^n)[m, m + d] over m) for
-    d = n mod 2, n mod 2 + 2, ..., n, where Q_0[k-1, k] = Q_0[k, k-1] =
-    sqrt(k/2)."""
-    k = np.arange(1, N)
-    Q0 = np.zeros((N, N))
-    Q0[k - 1, k] = Q0[k, k - 1] = np.sqrt(k / 2.0)
-    Qn = np.linalg.matrix_power(Q0, n)
-    return tuple((d, np.diagonal(Qn, d).copy()) for d in range(n % 2, n + 1, 2))
+    """Nonzero diagonals of the real symmetric banded Q_0^n at dimension N
+    on and above the main one, read-only, as (d, (Q_0^n)[m, m + d] over m)
+    for d = n mod 2, n mod 2 + 2, ..., n, Q_0[k-1, k] = Q_0[k, k-1] = sqrt(k/2):
+    Q_0^k = Q_0 Q_0^(k-1) runs on the bands P[n + d, m] = (Q_0^k)[m, m + d]
+    from P = 1 on d = 0, zero past either edge, so no N x N array is formed."""
+    s = np.sqrt(np.arange(1, N) / 2.0)
+    P = np.zeros((2 * n + 1, N))
+    P[n] = 1.0
+    for _ in range(n):
+        prev, P = P, np.zeros_like(P)
+        P[:-1, 1:] = s * prev[1:, :-1]
+        P[1:, :-1] += s * prev[:-1, 1:]
+    P.flags.writeable = False
+    return tuple((d, P[n + d, :max(N - d, 0)]) for d in range(n % 2, n + 1, 2))
 
 
 def quadrature_moment(state: QuantumState, phi: float, n: int) -> float:

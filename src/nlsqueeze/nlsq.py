@@ -122,7 +122,7 @@ def resource_condition(gamma: float, gamma_G: float) -> bool:
     gate nonlinearity gamma_G, i.e. 0 < gamma < 2 gamma_G."""
     if not (gamma > 0 and gamma_G > 0):
         raise ValueError("resource_condition is stated for positive gamma and gamma_G")
-    return 0.5 * (1.0 + 9.0 * (gamma - gamma_G) ** 2) < 0.5 * (1.0 + 9.0 * gamma_G ** 2)
+    return classical_threshold(gamma - gamma_G) < classical_threshold(gamma_G)
 
 
 def exact_moment_set(state: QuantumState) -> MomentSet:

@@ -174,27 +174,26 @@ def channel_coefficients(p: ChannelParams, order: str = "exact") -> ChannelCoeff
     return ChannelCoefficients(c_Q=c_Q, c_E=c_E, noise_var=0.5 + c_E ** 2 * (p.n_bar + 0.5))
 
 
-def hierarchy_matrix(coeffs: ChannelCoefficients, max_n: int) -> np.ndarray:
-    """Lower-triangular map H with <Y_out^n> = sum_k H[n, k] <Q^k>, n, k = 0..max_n.
+def hierarchy_matrix(c_Q: float, noise_var: float, max_n: int) -> np.ndarray:
+    """Lower-triangular map H with <Y^n> = sum_k H[n, k] <Q^k>, n, k = 0..max_n,
+    for Y = c_Q Q + W with W Gaussian of variance noise_var and independent of Q.
 
-    Y_out = c_Q Q + W with the channel noise W = Y_in + c_E E independent
-    of Q, so H[n, k] = C(n, k) c_Q^k <W^{n-k}>.  W is Gaussian with
-    variance noise2 = coeffs.noise_var, so
-    <W^m> = noise2^{m/2} (m-1)!! for even m and 0 for odd m, and the rows
-    up to n = 4 read
+    H[n, k] = C(n, k) c_Q^k <W^{n-k}>, with <W^m> = noise_var^{m/2} (m-1)!!
+    for even m and 0 for odd m, so the rows up to n = 4 read
 
         <Y>   = c_Q <Q>
-        <Y^2> = noise2 + c_Q^2 <Q^2>
-        <Y^3> = 3 c_Q <Q> noise2 + c_Q^3 <Q^3>
-        <Y^4> = 3 noise2^2 + 6 c_Q^2 <Q^2> noise2 + c_Q^4 <Q^4>
+        <Y^2> = noise_var + c_Q^2 <Q^2>
+        <Y^3> = 3 c_Q <Q> noise_var + c_Q^3 <Q^3>
+        <Y^4> = 3 noise_var^2 + 6 c_Q^2 <Q^2> noise_var + c_Q^4 <Q^4>
+
+    H(c', v') H(c, v) = H(c' c, c'^2 v + v'), so H(1/c_Q, -noise_var/c_Q^2) inverts H.
     """
-    noise2 = coeffs.noise_var
-    noise = [0.0 if m % 2 else noise2 ** (m // 2) * math.prod(range(m - 1, 0, -2))
+    noise = [0.0 if m % 2 else noise_var ** (m // 2) * math.prod(range(m - 1, 0, -2))
              for m in range(max_n + 1)]
     H = np.zeros((max_n + 1, max_n + 1))
     for n in range(max_n + 1):
         for k in range(n + 1):
-            H[n, k] = math.comb(n, k) * coeffs.c_Q ** k * noise[n - k]
+            H[n, k] = math.comb(n, k) * c_Q ** k * noise[n - k]
     return H
 
 
@@ -203,7 +202,7 @@ def forward_output_moments(q, coeffs: ChannelCoefficients) -> np.ndarray:
     q = (<Q>, ..., <Q^max_n>) at one phase, the product of hierarchy_matrix
     with (1, <Q>, ..., <Q^max_n>)."""
     qmom = np.concatenate(([1.0], np.asarray(q, dtype=float)))
-    return (hierarchy_matrix(coeffs, qmom.size - 1) @ qmom)[1:]
+    return (hierarchy_matrix(coeffs.c_Q, coeffs.noise_var, qmom.size - 1) @ qmom)[1:]
 
 
 class BlockBuffers:

@@ -66,15 +66,18 @@ def _positive(text) -> float:
 
 
 def _whole(text) -> int:
-    value = _finite(text)
+    try:
+        return int(text)  # exact, so a 64-bit seed keeps every digit
+    except ValueError:
+        value = _finite(text)  # a whole number in float form, as 1e6
     if not value.is_integer():
         raise ValueError("not a whole number")
     return int(value)
 
 
-def _at_least(low: int, convert=int):
+def _at_least(low: int):
     def check(text) -> int:
-        value = convert(text)
+        value = _whole(text)
         if value < low:
             raise ValueError(f"must be >= {low}")
         return value
@@ -103,7 +106,7 @@ def _sweep_values(text: str) -> tuple:
 
 
 STATE_KEYS = {"kind": str, "beta": _complex, "n_bar": _finite, "gamma": _finite,
-              "alpha": _complex, "N": int}
+              "alpha": _complex, "N": _whole}
 # the one kind each kind-specific state key applies to; N applies to all
 KIND_KEYS = {"beta": "coherent", "n_bar": "thermal", "gamma": "cubic_phase",
              "alpha": "displaced"}
@@ -116,7 +119,7 @@ CONFIG_KEYS = {
     "sweep.axis": ("sweep_axis", _one_of(AXES)),
     "sweep.values": ("sweep_values", _sweep_values),
     "ensemble.R": ("R", _at_least(MIN_REPLICATES)),
-    "ensemble.count": ("count", _at_least(MIN_SAMPLES, _whole)),
+    "ensemble.count": ("count", _at_least(MIN_SAMPLES)),
     "ensemble.base_seed": ("base_seed", _at_least(0)),
     "lambda.min": ("lambda_min", _finite),
     "lambda.max": ("lambda_max", _finite),
@@ -125,7 +128,7 @@ CONFIG_KEYS = {
     "certify.gamma_G": ("gamma_G", _positive),
     "certify.k_sigma": ("k_sigma", _positive),
     "grid.extent": ("grid_extent", _finite),
-    "grid.points": ("grid_points", int),
+    "grid.points": ("grid_points", _whole),
     "output.dir": ("out_dir", str),
     "mode": ("mode", _one_of(MODES)),
 }
@@ -336,7 +339,7 @@ def analytic_overlay(spec: StateSpec, state, lambdas: np.ndarray) -> np.ndarray:
     """Closed-form curve for cubic states, exact truncated-state curve
     otherwise."""
     if spec.kind == "cubic_phase":
-        return 0.5 * (1.0 + 9.0 * (spec.gamma - lambdas) ** 2)
+        return classical_threshold(spec.gamma - lambdas)
     return assemble_curve(exact_moment_set(state))(lambdas)
 
 

@@ -16,7 +16,7 @@ from nlsqueeze.estimate import (
     invert_hierarchy,
     run_reconstruction,
 )
-from nlsqueeze.hilbert import quadrature_moment
+from nlsqueeze.hilbert import MAX_MOMENT_ORDER, quadrature_moment
 from nlsqueeze.nlsq import (
     HALF_PI,
     MINUS,
@@ -175,7 +175,7 @@ def test_invert_error_scaling():
     a = np.random.default_rng(4).normal(size=(4, 4))
     cov = a @ a.T
     _, q_cov = invert_hierarchy([0.1, 41.0, 0.3, 5e3], cov, co)
-    hinv = np.linalg.inv(hierarchy_matrix(co, 4)[1:, 1:])
+    hinv = np.linalg.inv(hierarchy_matrix(co.c_Q, co.noise_var, 4)[1:, 1:])
     np.testing.assert_allclose(q_cov, hinv @ cov @ hinv.T, rtol=1e-10, atol=0.0)
 
 
@@ -193,6 +193,35 @@ def test_round_trip_through_channel(state_spec):
         y = forward_output_moments(mech, co)
         back, _ = invert_hierarchy(y, np.zeros((4, 4)), co)
         np.testing.assert_allclose(back, mech, rtol=0, atol=1e-10)
+
+
+# the hottest channel of criterion 07 (n_bar Gamma_m tau = 1e2) and the
+# weakest of criterion 08 (cooperativity 1e-3)
+HOT = dataclasses.replace(STANDARD, Gamma_m=1e2 / (STANDARD.n_bar * STANDARD.tau))
+WEAK = dataclasses.replace(STANDARD, Gamma_m=1e-8,
+                           G=math.sqrt(1e-3 * STANDARD.n_bar * 1e-8 * STANDARD.kappa))
+
+
+@pytest.mark.parametrize("params", [STANDARD, HOT, WEAK], ids=["standard", "hot", "weak"])
+def test_inverse_hierarchy_is_the_inverse(params):
+    # An entry of H or Hinv is a product of at most n + 1 rounded factors,
+    # so a product through both is off by at most about 2 (n + 1) eps of
+    # |Hinv| |H| (measured: up to 3 eps).  That bound is the conditioning:
+    # it reaches 2.6e14 on the weak channel at n = 8, where the inverse
+    # holds only a few digits.
+    co = channel_coefficients(params)
+    st = cubic_state()
+    eps = np.finfo(float).eps
+    for n in range(1, MAX_MOMENT_ORDER + 1):
+        H = hierarchy_matrix(co.c_Q, co.noise_var, n)
+        Hinv = hierarchy_matrix(1.0 / co.c_Q, -co.noise_var / co.c_Q ** 2, n)
+        bound = np.abs(Hinv) @ np.abs(H)
+        tol = 2 * (n + 1) * eps
+        assert np.all(np.abs(Hinv @ H - np.eye(n + 1)) <= tol * bound)
+        for phi in (0.0, 0.7):
+            q = np.array([quadrature_moment(st, phi, k) for k in range(1, n + 1)])
+            back, _ = invert_hierarchy(forward_output_moments(q, co), np.zeros((n, n)), co)
+            assert np.all(np.abs(back - q) <= tol * (bound @ np.r_[1.0, np.abs(q)])[1:])
 
 
 # ------------------------------------------------------------- mixed moment

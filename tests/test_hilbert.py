@@ -223,6 +223,25 @@ def test_cached_moment_terms_match_a_fresh_state():
         assert [quadrature_moment(st_, phi, n) for phi, n in cases] == fresh
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 64, 128, 192, 400])
+def test_power_bands_equal_the_dense_power(N):
+    # The oracle's entries sqrt(k)/sqrt(2) take three roundings and sit up
+    # to about 1 eps from the bands' sqrt(k/2); Q_0 >= 0, so at order 8 that
+    # alone moves entries by 1.8e-15.  Rounded back to sqrt(k/2), with
+    # k = round(2 q^2) exact, the dense power is the bands' own product.
+    q = oracles.q_matrix(N).real
+    q0 = np.sqrt(np.round(2.0 * q * q) / 2.0)
+    for n in range(MAX_MOMENT_ORDER + 1):
+        dense = np.linalg.matrix_power(q0, n)
+        bands = hilbert._power_bands(N, n)
+        assert [d for d, _ in bands] == list(range(n % 2, n + 1, 2))
+        for d, band in bands:
+            want = np.diagonal(dense, d)
+            assert band.shape == want.shape  # empty from d = N on
+            assert np.all(np.abs(band - want) <= 1e-15 * np.maximum(1.0, np.abs(want)))
+            assert not band.flags.writeable  # shared through the cache
+
+
 # ------------------------------------------------------------- marginals
 
 def test_vacuum_marginal_is_gaussian():

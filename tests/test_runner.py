@@ -153,6 +153,38 @@ def test_parse_rejects_bad_lines():
         parse_config("state.kind vacuum\n")
 
 
+# key -> (other lines it needs, the field it sets, accepted text -> value,
+# rejected texts: fractional, non-finite and below the key's minimum)
+WHOLE_KEYS = {
+    "state.N": ("", lambda c: c.state_spec.N, {"12": 12, "1.2e1": 12, "1.28e2": 128},
+                ["12.5", "inf", "0"]),
+    "grid.points": ("state.N = 8\ngrid.extent = 12\n", lambda c: c.grid_points,
+                    {"401": 401, "4.01e2": 401, "1e4": 10_000}, ["400.5", "nan", "1"]),
+    "lambda.points": ("", lambda c: c.lambda_points, {"9": 9, "1e2": 100},
+                      ["9.5", "inf", "0"]),
+    "ensemble.R": ("", lambda c: c.R, {"3": 3, "2e1": 20}, ["3.5", "nan", "1"]),
+    "ensemble.count": ("", lambda c: c.count,
+                       {"9007199254740993": 2 ** 53 + 1, "1e6": 1_000_000, "4000.0": 4000},
+                       ["2500.7", "inf", "99", "1e1"]),
+    "ensemble.base_seed": ("", lambda c: c.base_seed,
+                           {"18446744073709551615": 2 ** 64 - 1, "1e3": 1000, "0": 0},
+                           ["0.5", "-inf", "-1"]),
+}
+
+
+@pytest.mark.parametrize("key", WHOLE_KEYS)
+def test_whole_number_keys_read_exactly_and_alike(key):
+    # digits read as an int, so a count or seed past 2^53 keeps every digit;
+    # a whole number in float form reads as that number
+    extra, field, accepted, rejected = WHOLE_KEYS[key]
+    for text, value in accepted.items():
+        got = field(parse_config(f"state.kind = vacuum\n{extra}{key} = {text}\n"))
+        assert type(got) is int and got == value
+    for text in rejected:
+        with pytest.raises(ConfigError, match=re.escape(key.rpartition(".")[0])):
+            parse_config(f"state.kind = vacuum\n{extra}{key} = {text}\n")
+
+
 def test_parse_rejects_bad_sweep_values():
     with pytest.raises(ConfigError):
         parse_config("state.kind = vacuum\nsweep.values = 2, 1\n")
