@@ -6,8 +6,8 @@ triangular moment hierarchy phase by phase, carrying the covariance
 through its Jacobian, recover the mixed moment from the rotated third
 moments, and assemble the V(lambda) parabola with the covariance of its
 coefficients.  Ensembles repeat this with independent derived seeds and
-keep the per-replicate curve coefficients and mixed moments, from which
-pointwise statistics on any lambda grid follow.
+keep each replicate's curve, with its covariance, and mixed moment, from
+which pointwise statistics on any lambda grid follow.
 """
 
 from __future__ import annotations
@@ -154,25 +154,25 @@ def run_reconstruction(tables: tuple[InverseCDF, ...], coeffs: ChannelCoefficien
 
 @dataclass
 class EnsembleReport:
-    """Per-replicate curve coefficients and mixed moments of R
-    reconstructions, and the replicate seeds."""
+    """The curves and mixed moments of R reconstructions, and their seeds."""
 
-    coeff_values: dict     # name -> ndarray over replicates (a0, a1, a2)
+    curves: list           # NlsCurve per replicate, in replicate order
     mixed_values: np.ndarray
     seeds: list
 
-    def v_at(self, lam: float):
-        """Per-replicate curve values at one lambda."""
-        a0, a1, a2 = (self.coeff_values[k] for k in ("a0", "a1", "a2"))
-        return a0 + lam * (a1 + lam * a2)
+    @property
+    def coeff_values(self) -> dict:  # a0, a1, a2 -> ndarray over replicates, read from curves
+        return {k: np.array([getattr(c, k) for c in self.curves]) for k in ("a0", "a1", "a2")}
+
+    def v_at(self, lam):
+        """Per-replicate curve values: (R,) at one lambda, C-ordered (R, L) on L."""
+        return np.array([c(lam) for c in self.curves])
 
     def v_stats(self, lambdas):
         """Pointwise mean and sample deviation of V over the replicates on
-        a lambda grid.  The C-ordered (R, L) table is reduced over axis 0,
+        a lambda grid.  The (R, L) table of v_at is reduced over axis 0,
         which fixes the summation order and so the last bits of plot.csv."""
-        lam = np.asarray(lambdas, dtype=float)
-        a0, a1, a2 = (self.coeff_values[k][:, None] for k in ("a0", "a1", "a2"))
-        vmat = a0 + lam * (a1 + lam * a2)
+        vmat = self.v_at(np.asarray(lambdas, dtype=float))
         return vmat.mean(axis=0), vmat.std(axis=0, ddof=1)
 
 
@@ -201,8 +201,7 @@ def ensemble_run(tables: tuple[InverseCDF, ...], coeffs: ChannelCoefficients, co
         results = [one(s) for s in seeds]
 
     return EnsembleReport(
-        coeff_values={k: np.array([getattr(c, k) for _, c in results])
-                      for k in ("a0", "a1", "a2")},
+        curves=[c for _, c in results],
         mixed_values=np.array([ms.mixed for ms, _ in results]),
         seeds=seeds,
     )

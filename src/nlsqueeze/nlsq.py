@@ -27,7 +27,7 @@ QUARTER_PI = math.pi / 4.0
 # from the curve, the n=3 inversion row consumes them).
 PHASE_ORDERS = ((0.0, 4), (HALF_PI, 3), (QUARTER_PI, 3), (-QUARTER_PI, 3))
 Q, P, PLUS, MINUS = range(len(PHASE_ORDERS))  # rows of PHASE_ORDERS
-MAX_ORDER = 4
+MAX_ORDER = max(order for _, order in PHASE_ORDERS)
 MIXED_C = 2.0 * math.sqrt(2.0) / 3.0  # weight of the rotated cubes in mixed_moment_recovery
 
 
@@ -109,6 +109,15 @@ def second_moment(m: MomentSet, lam: float) -> float:
     lam = float(lam)
     first = m.values[P, 1] - 3.0 * lam * m.values[Q, 2]
     return assemble_curve(m)(lam) + first * first
+
+
+# A margin threshold - V(lambda) of at most this is no verdict: on the
+# threshold (vacuum, coherent states with Re beta = 0) every margin is
+# rounding or truncation noise, at most 1.5e-7 over beta = iy, y in
+# 0..9 step 0.25, N in {16, 24, 32, 48, 64, 96, 128, 192}.  Real margins
+# sit far outside it: the displaced cubic state's is 1.7e-2 (7.0e-4 at
+# gamma 0.02, the least of the benchmark family), coherent 1.2-0.8j's -2.1e-4.
+MARGIN_TOL = 1e-6
 
 
 def classical_threshold(lam: float):

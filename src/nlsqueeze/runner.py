@@ -35,8 +35,8 @@ from .errors import ConfigError, GridError, NumericsError
 from .estimate import (CQ_FLOOR, MIN_REPLICATES, MIN_SAMPLES, EnsembleReport, derive_seed,
                        ensemble_run)
 from .hilbert import PositionGrid, build_basis, default_grid
-from .nlsq import (MINUS, P, PHASE_ORDERS, PLUS, Q, assemble_curve, classical_threshold,
-                   exact_moment_set, resource_condition)
+from .nlsq import (MARGIN_TOL, MINUS, P, PHASE_ORDERS, PLUS, Q, assemble_curve,
+                   classical_threshold, exact_moment_set, resource_condition)
 from .readout import ChannelCoefficients, ChannelParams, channel_coefficients, sampling_tables
 from .states import StateSpec, make_state
 
@@ -538,7 +538,9 @@ def certify(config: ExperimentConfig, threads: int = 1) -> dict:
 
 
 def state_info(config: ExperimentConfig) -> dict:
-    """Exact moments and curve of the configured state, no sampling."""
+    """Exact moments and curve of the configured state, no sampling.  A best
+    margin threshold - V within nlsq.MARGIN_TOL of zero is noise: it names
+    no lambda, and nonclassical needs a margin above MARGIN_TOL."""
     state = make_state(config.state_spec, grid=config.grid)
     m = exact_moment_set(state)
     curve = assemble_curve(m)
@@ -546,6 +548,7 @@ def state_info(config: ExperimentConfig) -> dict:
     v = curve(lam)
     margins = np.asarray(classical_threshold(lam)) - v
     best = int(np.argmax(margins))
+    margin = float(margins[best])
     return {
         "state": _spec_echo(config.state_spec),
         "leakage": state.leakage,
@@ -556,9 +559,9 @@ def state_info(config: ExperimentConfig) -> dict:
         "curve": {"a0": curve.a0, "a1": curve.a1, "a2": curve.a2},
         "v_min": float(np.min(v)),
         "lambda_at_v_min": float(lam[int(np.argmin(v))]),
-        "best_margin": float(margins[best]),
-        "lambda_at_best_margin": float(lam[best]),
-        "nonclassical": bool(margins[best] > 0),
+        "best_margin": margin,
+        "lambda_at_best_margin": float(lam[best]) if abs(margin) > MARGIN_TOL else None,
+        "nonclassical": margin > MARGIN_TOL,
     }
 
 
@@ -584,10 +587,10 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--config", required=True, metavar="PATH", help="experiment config file")
     ap.add_argument("--out", default=None, metavar="DIR",
                     help="output directory (overrides output.dir)")
-    ap.add_argument("--seed", type=int, default=None, metavar="U64",
+    ap.add_argument("--seed", type=_whole, default=None, metavar="U64",
                     help="override ensemble.base_seed")
     ap.add_argument("--mode", choices=MODES, default=None, help="override mode")
-    ap.add_argument("--threads", type=int, default=1, metavar="N",
+    ap.add_argument("--threads", type=_whole, default=1, metavar="N",
                     help="replicate worker threads, >= 1 (default 1)")
     return ap
 

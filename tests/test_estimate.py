@@ -400,6 +400,22 @@ def test_ensemble_statistics_shapes():
     assert v_mean[mid] == pytest.approx(float(per_rep.mean()), rel=1e-12)
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+def test_ensemble_keeps_each_replicates_curve(threads):
+    tables = sampling_tables(cubic_state(N=64))
+    rep = ensemble_run(tables, STANDARD_CO, 1500, 3, 41, threads=threads)
+    assert len(rep.curves) == 3
+    for r, curve in enumerate(rep.curves):
+        _, alone = run_reconstruction(tables, STANDARD_CO, 1500, derive_seed(41, r))
+        assert (curve.a0, curve.a1, curve.a2) == (alone.a0, alone.a1, alone.a2)
+        assert curve.cov.shape == (3, 3)
+        np.testing.assert_array_equal(curve.cov, alone.cov)
+        assert rep.v_at(0.1)[r] == curve(0.1)
+    lam = np.linspace(-0.1, 0.3, 5)
+    np.testing.assert_array_equal(rep.v_at(lam), [c(lam) for c in rep.curves])
+    np.testing.assert_array_equal(rep.coeff_values["a1"], [c.a1 for c in rep.curves])
+
+
 def test_ensemble_deterministic_and_thread_invariant():
     tables = sampling_tables(cubic_state(N=64))
     lam = np.linspace(0.0, 0.2, 5)

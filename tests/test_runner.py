@@ -545,6 +545,43 @@ def test_state_info_cubic():
     assert info["mixed_moment"] == pytest.approx(0.45, abs=1e-6)
 
 
+ON_THRESHOLD = [
+    *((f"vacuum-N{N}", {"kind": "vacuum", "N": N}) for N in (32, 64, 128, 192)),
+    *((f"coherent-{beta}-N{N}", {"kind": "coherent", "beta": beta, "N": N})
+      for beta in ("1j", "2j", "-1.3j", "-3.3j", "5j") for N in (64, 128)),
+    # the largest margins of a scan of beta = iy, y in 0..9 step 0.25, N in 16..192
+    *((f"coherent-{beta}-N{N}", {"kind": "coherent", "beta": beta, "N": N})
+      for beta, N in (("2.75j", 32), ("4j", 48), ("6.75j", 96), ("8.25j", 128))),
+    ("displaced-vacuum-4j-N48", {"kind": "displaced", "alpha": "4j", "N": 48,
+                                 "inner.kind": "vacuum", "inner.N": 48}),
+]
+CUBIC_128 = {"kind": "cubic_phase", "N": 128}
+NONCLASSICAL = [
+    *((f"cubic-{gamma}", {**CUBIC_128, "gamma": gamma}, 0.4) for gamma in (0.02, 0.1, 0.25)),
+    ("displaced-cubic", {"kind": "displaced", "alpha": "0.3+0.4j", "N": 128,
+                         **{f"inner.{k}": v for k, v in CUBIC_128.items()},
+                         "inner.gamma": 0.1}, 0.136),
+]
+
+
+@pytest.mark.parametrize("keys, lam", [
+    *(pytest.param(keys, None, id=name) for name, keys in ON_THRESHOLD),
+    *(pytest.param(keys, lam, id=name) for name, keys, lam in NONCLASSICAL),
+])
+def test_state_info_verdict_clears_the_margin_tolerance(keys, lam):
+    # on the threshold every margin is rounding or truncation noise (up to
+    # 1.5e-7 here, well inside MARGIN_TOL), so no lambda is named and the
+    # state reads classical
+    info = state_info(parse_config("".join(f"state.{k} = {v}\n" for k, v in keys.items())))
+    assert info["nonclassical"] is (lam is not None)
+    if lam is None:
+        assert info["lambda_at_best_margin"] is None
+        assert abs(info["best_margin"]) <= 2e-7
+    else:
+        assert info["lambda_at_best_margin"] == pytest.approx(lam, abs=1e-12)
+        assert info["best_margin"] > 1e-2
+
+
 # ------------------------------------------------------------- CLI
 
 def write_cfg(tmp_path, text):
@@ -590,7 +627,10 @@ ALL_OPTIONS = ["--config", "c.cfg", "--out", "o", "--seed", "7", "--mode", "quic
     (["--config", "c.cfg"], {"config": "c.cfg", "out": None, "seed": None, "mode": None,
                              "threads": 1}),
     (ALL_OPTIONS, {"config": "c.cfg", "out": "o", "seed": 7, "mode": "quick", "threads": 2}),
-], ids=["defaults", "all-options"])
+    # whole numbers in float form, read as ensemble.base_seed reads them
+    (["--config", "c.cfg", "--seed", "1e3", "--threads", "2e0"],
+     {"config": "c.cfg", "out": None, "seed": 1000, "mode": None, "threads": 2}),
+], ids=["defaults", "all-options", "float-form"])
 def test_cli_grammar(command, options, expected):
     assert vars(build_parser().parse_args([command, *options])) == {"command": command,
                                                                      **expected}
@@ -626,7 +666,8 @@ def test_cli_options_may_precede_the_command(tmp_path, capsys):
     ["state-info"],
     ["sweep", "--config", "c.cfg", "--threads", "two"],
     ["certify", "--config", "c.cfg", "--mode", "medium"],
-], ids=["unknown-command", "no-config", "threads-not-int", "unknown-mode"])
+    ["certify", "--config", "c.cfg", "--seed", "2500.7"],
+], ids=["unknown-command", "no-config", "threads-not-int", "unknown-mode", "seed-not-whole"])
 def test_cli_rejects_bad_arguments(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)

@@ -11,9 +11,10 @@ thermal state displaced by 0.3+0.4j at N = 128, run through the same
 three commands at --threads 1 and 2.  It covers the exact-moment
 overlay, certify's default lambda_star = 0 and the dense marginal.
 The script also runs state-info on a fixed state family (vacuum,
-coherent at 1.2-0.8j and at 3-2j, thermal, cubic at gamma 0.1 and 0.2,
-cubic displaced by 0.3+0.4j and by 2-1.5j, and thermal displaced by
-0.3+0.4j, each at N = 64, 128 and 192).  The package is imported from
+coherent at 1.2-0.8j, at 3-2j and on the threshold at 5j, thermal,
+cubic at gamma 0.1 and 0.2, cubic displaced by 0.3+0.4j and by
+2-1.5j, and thermal displaced by 0.3+0.4j, each at N = 64, 128 and
+192).  The package is imported from
 DIR/src (default: the checkout this script sits in).
 Every file a run writes and its stdout are hashed after masking what
 legitimately differs between runs: the value of each "wall_clock_s"
@@ -55,6 +56,10 @@ STATES = {
     "coherent": {"kind": "coherent", "beta": "1.2-0.8j"},
     # a larger amplitude, whose Fock amplitudes span more decades
     "coherent_far": {"kind": "coherent", "beta": "3-2j"},
+    # on the classical threshold (Re beta = 0): its margins are truncation
+    # noise at N = 64 and rounding noise at N = 128 and 192, inside
+    # nlsq.MARGIN_TOL, so it must read classical with no lambda
+    "coherent_threshold": {"kind": "coherent", "beta": "5j"},
     "thermal": {"kind": "thermal", "n_bar": "0.7"},
     "cubic": CUBIC,
     # a phase gamma x^3 that winds many times over the support; at N = 64
