@@ -172,7 +172,7 @@ class EnsembleReport:
         """Pointwise mean and sample deviation of V over the replicates on
         a lambda grid.  The (R, L) table of v_at is reduced over axis 0,
         which fixes the summation order and so the last bits of plot.csv."""
-        vmat = self.v_at(np.asarray(lambdas, dtype=float))
+        vmat = self.v_at(lambdas)
         return vmat.mean(axis=0), vmat.std(axis=0, ddof=1)
 
 

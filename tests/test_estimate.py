@@ -408,7 +408,6 @@ def test_ensemble_keeps_each_replicates_curve(threads):
     for r, curve in enumerate(rep.curves):
         _, alone = run_reconstruction(tables, STANDARD_CO, 1500, derive_seed(41, r))
         assert (curve.a0, curve.a1, curve.a2) == (alone.a0, alone.a1, alone.a2)
-        assert curve.cov.shape == (3, 3)
         np.testing.assert_array_equal(curve.cov, alone.cov)
         assert rep.v_at(0.1)[r] == curve(0.1)
     lam = np.linspace(-0.1, 0.3, 5)

@@ -555,12 +555,11 @@ ON_THRESHOLD = [
     ("displaced-vacuum-4j-N48", {"kind": "displaced", "alpha": "4j", "N": 48,
                                  "inner.kind": "vacuum", "inner.N": 48}),
 ]
-CUBIC_128 = {"kind": "cubic_phase", "N": 128}
 NONCLASSICAL = [
-    *((f"cubic-{gamma}", {**CUBIC_128, "gamma": gamma}, 0.4) for gamma in (0.02, 0.1, 0.25)),
+    *((f"cubic-{gamma}", {"kind": "cubic_phase", "gamma": gamma, "N": 128}, 0.4)
+      for gamma in (0.02, 0.1, 0.25)),
     ("displaced-cubic", {"kind": "displaced", "alpha": "0.3+0.4j", "N": 128,
-                         **{f"inner.{k}": v for k, v in CUBIC_128.items()},
-                         "inner.gamma": 0.1}, 0.136),
+                         "inner.kind": "cubic_phase", "inner.gamma": 0.1, "inner.N": 128}, 0.136),
 ]
 
 

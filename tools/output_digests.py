@@ -14,8 +14,8 @@ The script also runs state-info on a fixed state family (vacuum,
 coherent at 1.2-0.8j, at 3-2j and on the threshold at 5j, thermal,
 cubic at gamma 0.1 and 0.2, cubic displaced by 0.3+0.4j and by
 2-1.5j, and thermal displaced by 0.3+0.4j, each at N = 64, 128 and
-192).  The package is imported from
-DIR/src (default: the checkout this script sits in).
+192).  The package is imported from DIR/src (default: the checkout
+this script sits in).
 Every file a run writes and its stdout are hashed after masking what
 legitimately differs between runs: the value of each "wall_clock_s"
 key, the timings printed to stdout, and the output directory.  The
