@@ -10,9 +10,10 @@ identity for a thermal one, and D(alpha) maps the factor.  Every built
 state passes through truncated_state, which records the population the
 truncation drops as leakage; no state is made from a dense rho, and
 validation checks the factor and the weights and never factors rho.
-A uniform, symmetric position grid carries the orthonormal oscillator
-eigenfunctions h_n(x) used to build
-wavefunctions, marginal densities along any phase, and the sampling CDF.
+A uniform position grid, exactly antisymmetric, carries the orthonormal
+oscillator eigenfunctions h_n(x) used to build wavefunctions, marginal
+densities along any phase, and the sampling CDF; as h_n(-x) =
+(-1)^n h_n(x), the basis is kept on the nodes x >= 0 only.
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ MAX_MOMENT_ORDER = 8
 
 @dataclass(frozen=True)
 class PositionGrid:
-    """Uniform symmetric grid on [-extent, extent] with n_points samples."""
+    """Uniform grid on [-extent, extent] with n_points samples, exactly
+    antisymmetric (points == -points[::-1], which the half basis needs):
+    linspace's nodes x > 0 mirrored onto x < 0, and x = 0 on an odd grid."""
 
     extent: float
     n_points: int
@@ -52,6 +55,10 @@ class PositionGrid:
         if self.n_points < 2:
             raise GridError(f"grid needs at least 2 points, got {self.n_points}")
         points = np.linspace(-self.extent, self.extent, self.n_points)
+        half = self.n_points // 2
+        points[:half] = -points[:-half - 1:-1]
+        if self.n_points % 2:
+            points[half] = 0.0
         points.flags.writeable = False  # default_grid shares one grid per N
         object.__setattr__(self, "points", points)
 
@@ -89,10 +96,14 @@ def default_grid(N: int = 128) -> PositionGrid:
 
 @lru_cache(maxsize=8)
 def build_basis(N: int, grid: PositionGrid) -> np.ndarray:
-    """Evaluate the first N oscillator eigenfunctions on the grid.
+    """Evaluate the first N oscillator eigenfunctions on the nodes x >= 0.
 
-    The discrete orthonormality check runs in place: h h^T dx - 1 is
-    formed in one N x N buffer, and the basis is never copied.
+    h_n(-x) = (-1)^n h_n(x), so the nodes grid.points[n_points // 2:]
+    carry the whole basis.  Rows of unlike parity are orthogonal on the
+    mirrored grid; the discrete orthonormality check runs on the even and
+    on the odd rows, whose whole-grid sums are twice the half-grid ones
+    less the x = 0 node of an odd grid, counted once, and forms
+    h h^T dx - 1 in one buffer per block: the basis is never copied.
 
     Parameters
     ----------
@@ -104,8 +115,9 @@ def build_basis(N: int, grid: PositionGrid) -> np.ndarray:
     Returns
     -------
     np.ndarray
-        Shape (N, n_points), rows h_n(x_j) from the stable upward
-        recurrence h_n = sqrt(2/n) x h_{n-1} - sqrt((n-1)/n) h_{n-2}.
+        Shape (N, n_points - n_points // 2), rows h_n(x_j) over the nodes
+        x_j >= 0 from the stable upward recurrence
+        h_n = sqrt(2/n) x h_{n-1} - sqrt((n-1)/n) h_{n-2}.
         Read-only, because the result is cached and shared.
 
     Raises
@@ -116,17 +128,21 @@ def build_basis(N: int, grid: PositionGrid) -> np.ndarray:
     if N < 1:
         raise GridError(f"basis dimension must be >= 1, got {N}")
     grid.validate_for(N)
-    x = grid.points
+    x = grid.points[grid.n_points // 2:]
     h = np.zeros((N, x.size))
     h[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
     if N > 1:
         h[1] = math.sqrt(2.0) * x * h[0]
     for n in range(2, N):
         h[n] = math.sqrt(2.0 / n) * x * h[n - 1] - math.sqrt((n - 1.0) / n) * h[n - 2]
-    gram = h @ h.T
-    gram *= grid.spacing
-    gram.flat[::N + 1] -= 1.0
-    defect = float(np.abs(gram, out=gram).max())
+    defect = 0.0
+    for rows in (h[0::2], h[1::2]):
+        gram = rows @ rows.T
+        if grid.n_points % 2:  # x[0] = 0 is its own mirror
+            gram -= 0.5 * np.outer(rows[:, 0], rows[:, 0])
+        gram *= 2.0 * grid.spacing
+        gram.flat[::len(rows) + 1] -= 1.0
+        defect = max(defect, float(np.abs(gram, out=gram).max(initial=0.0)))
     if defect > ORTHONORMALITY_TOL:
         raise GridError(
             f"discrete orthonormality defect {defect:.2e} exceeds "
@@ -308,7 +324,9 @@ def marginal_density(state: QuantumState, phi: float, grid: PositionGrid) -> np.
     the real and imaginary parts of b_k.  When r is not small against N,
     the dense rho is rotated instead and Pr(x_j) = sum_{mn}
     Re(U rho U†)_{mn} h_m(x_j) h_n(x_j), which costs one product with the
-    basis instead of 2r.  Exact within truncation, no interpolation.
+    basis instead of 2r.  Both run on the basis of the nodes x >= 0, and
+    the same product with U diag((-1)^m) gives the x < 0 half, because
+    Q_{phi+pi} = -Q_phi.  Exact within truncation, no interpolation.
 
     Raises
     ------
@@ -318,16 +336,21 @@ def marginal_density(state: QuantumState, phi: float, grid: PositionGrid) -> np.
         ends), is more than 1e-4 from 1; both tests fail on NaN, so a
         returned density is finite, nonnegative and of positive total.
     """
-    basis = build_basis(state.dim, grid)
-    phase = np.exp(-1j * phi * np.arange(state.dim))
-    if 4 * state.weights.size <= state.dim:
-        b = phase[:, None] * state.vectors
+    N, r = state.dim, state.weights.size
+    basis = build_basis(N, grid)
+    # U for the nodes x >= 0, U diag((-1)^m) for their mirrors
+    phases = np.exp(-1j * phi * np.arange(N)) * np.array([[1.0], [-1.0]]) ** np.arange(N)
+    if 4 * r <= N:
+        b = np.hstack([u[:, None] * state.vectors for u in phases])
         re, im = b.real.T @ basis, b.imag.T @ basis
-        dens = state.weights @ (re * re + im * im)
+        dens = state.weights @ (re * re + im * im).reshape(2, r, -1)
     else:
         # .real strides 16 bytes; the copy keeps matmul on BLAS under numpy 1.x.
-        rho_rot = np.ascontiguousarray((phase[:, None] * state.rho * phase.conj()).real)
-        dens = np.einsum("mj,mj->j", basis, rho_rot @ basis)
+        rho_rot = np.ascontiguousarray((phases[:, :, None] * state.rho * phases[:, None].conj()).real)
+        prod = rho_rot.reshape(2 * N, N) @ basis
+        dens = np.einsum("mj,smj->sj", basis, prod.reshape(2, N, -1))
+    # the node x = 0 of an odd grid is the first of both halves
+    dens = np.concatenate((dens[1, grid.n_points % 2:][::-1], dens[0]))
     low = float(dens.min())
     # PSD tolerance 1e-10 on rho can push the marginal a few times lower,
     # so the clamp threshold sits at -1e-8 rather than the matrix tolerance.

@@ -108,17 +108,20 @@ def make_state(spec: StateSpec, grid: PositionGrid | None = None) -> QuantumStat
     if spec.kind == "cubic_phase":
         grid = grid or default_grid(N)
         basis = build_basis(N, grid)
-        # Only the nodes where h_0 >= 1e-20 (contiguous, |x| < 9.6) enter: |h_n| < 1,
-        # so the dropped terms of c_n sum to at most dx M 1e-20 ~ 4e-19 over M
-        # nodes, under the last bit of a unit-scale sum.
-        lo, hi = np.flatnonzero(basis[0] >= 1e-20)[[0, -1]]
-        on = slice(lo, hi + 1)
-        x, h0 = grid.points[on], basis[0, on]
+        # Only the nodes where h_0 >= 1e-20 (|x| < 9.6) enter: |h_n| < 1, so the
+        # dropped terms of c_n sum to at most dx M 1e-20 ~ 4e-19 over M nodes,
+        # under the last bit of a unit-scale sum.  The basis holds x >= 0,
+        # and the pair x, -x gives c_n twice h_n h_0 cos(theta) for even n,
+        # i times twice h_n h_0 sin(theta) for odd n (x = 0 counts once).
+        on = slice(np.flatnonzero(basis[0] >= 1e-20)[-1] + 1)
+        x, h0 = grid.points[grid.n_points // 2:][on], basis[0, on]
         theta = spec.gamma * (x * x * x)
         psi = np.stack((h0 * np.cos(theta), h0 * np.sin(theta)), axis=1)
-        # basis is real: one product with [Re psi, Im psi], read as complex
-        c = (basis[:, on] @ psi).view(complex)[:, 0]
-        c *= grid.spacing
+        if grid.n_points % 2:
+            psi[0] *= 0.5
+        proj = basis[:, on] @ psi
+        c = np.where(np.arange(N) % 2, 1j * proj[:, 1], proj[:, 0])
+        c *= 2.0 * grid.spacing
         what = f"cubic gamma={spec.gamma}"
         fix = f"at N={N} on extent {grid.extent:g}; increase N or the grid"
     else:

@@ -1,6 +1,7 @@
 """Independent reference implementations used to pin expected values.
 
 Everything here deliberately avoids the package's construction routes:
+the position basis covers the whole grid, with no use of parity,
 states come from matrix exponentials acting on Fock vectors, moments
 from dense operator powers, and output moments from collapsing the two
 Gaussian noise sources into a single effective one.  Agreement between
@@ -39,6 +40,20 @@ def p_matrix(N: int) -> np.ndarray:
 
 def quad_matrix(N: int, phi: float) -> np.ndarray:
     return math.cos(phi) * q_matrix(N) + math.sin(phi) * p_matrix(N)
+
+
+def full_basis(N: int, grid) -> np.ndarray:
+    """h_n(x_j) for n < N over every node of the grid, x < 0 too, by the
+    plain upward recurrence h_n = sqrt(2/n) x h_{n-1} - sqrt((n-1)/n) h_{n-2}:
+    no parity and no orthonormality check."""
+    x = grid.points
+    h = np.zeros((N, x.size))
+    h[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    if N > 1:
+        h[1] = math.sqrt(2.0) * x * h[0]
+    for n in range(2, N):
+        h[n] = math.sqrt(2.0 / n) * x * h[n - 1] - math.sqrt((n - 1.0) / n) * h[n - 2]
+    return h
 
 
 def fock_vacuum(N: int) -> np.ndarray:

@@ -31,10 +31,17 @@ _trapz = getattr(np, "trapezoid", None) or np.trapz
 # ------------------------------------------------------------- grids
 
 def test_grid_spacing_and_symmetry():
-    g = PositionGrid(10.0, 101)
-    assert g.spacing == pytest.approx(0.2)
-    assert g.points[0] == -10.0 and g.points[-1] == 10.0
-    np.testing.assert_allclose(g.points, -g.points[::-1], atol=0)
+    assert PositionGrid(10.0, 101).spacing == pytest.approx(0.2)
+    # the mirror is exact, as build_basis keeps only the nodes x >= 0
+    for g in (PositionGrid(10.0, 101), PositionGrid(10.0, 100),
+              default_grid(128), default_grid(192)):
+        np.testing.assert_allclose(np.diff(g.points), g.spacing, rtol=1e-12, atol=0)
+        assert g.points[0] == -g.extent and g.points[-1] == g.extent
+        assert np.array_equal(g.points, -g.points[::-1])
+        # the nodes x > 0 keep their linspace values, and an odd grid has x = 0
+        pos = g.n_points // 2 + g.n_points % 2
+        assert np.array_equal(g.points[pos:], np.linspace(-g.extent, g.extent, g.n_points)[pos:])
+        assert g.n_points % 2 == 0 or g.points[g.n_points // 2] == 0.0
 
 
 def test_default_grid_covers_turning_points():
@@ -61,12 +68,13 @@ def test_too_small_grid_rejected():
 
 def test_too_coarse_grid_fails_the_orthonormality_check():
     # extent 18 covers N = 128, but 150 points (dx = 0.24) cannot resolve
-    # its highest eigenfunctions; 300 points can
-    coarse = PositionGrid(18.0, 150)
-    coarse.validate_for(128)
-    with pytest.raises(GridError, match="orthonormality defect"):
-        build_basis(128, coarse)
-    assert build_basis(128, PositionGrid(18.0, 300)).shape == (128, 300)
+    # its highest eigenfunctions; 300 points can.  The odd grid checks the
+    # x = 0 node, counted once
+    for coarse in (PositionGrid(18.0, 150), PositionGrid(18.0, 151)):
+        coarse.validate_for(128)
+        with pytest.raises(GridError, match="orthonormality defect"):
+            build_basis(128, coarse)
+    assert build_basis(128, PositionGrid(18.0, 300)).shape == (128, 150)
 
 
 def traced_peak(f, *args):
@@ -81,11 +89,29 @@ def traced_peak(f, *args):
 
 
 def test_basis_check_makes_no_copy_of_the_basis():
-    # the Gram check holds one N x N buffer besides the basis (measured:
-    # basis + 1.05 N^2 8 bytes); a scaled copy of the basis would double it
+    # the Gram checks hold one N/2 x N/2 buffer at a time besides the half
+    # basis; a scaled copy of the basis would double it
     N, grid = 128, default_grid(128)
     peak, basis = traced_peak(build_basis.__wrapped__, N, grid)
     assert peak < basis.nbytes + 2 * N * N * 8
+
+
+@pytest.mark.parametrize("N", [128, 192])
+def test_cached_basis_holds_the_half_grid(N):
+    g = default_grid(N)
+    M = g.n_points
+    assert build_basis(N, g).nbytes == N * (M - M // 2) * 8
+
+
+@pytest.mark.parametrize("grid", [PositionGrid(12.0, 240), PositionGrid(12.0, 241)],
+                         ids=["even", "odd"])
+def test_basis_is_the_half_of_the_full_recurrence(grid):
+    # bit for bit: h_n(-x) = (-1)^n h_n(x) holds exactly in the recurrence
+    full, half = oracles.full_basis(40, grid), build_basis(40, grid)
+    M = grid.n_points
+    assert np.array_equal(half, full[:, M // 2:])
+    mirror = half[:, ::-1][:, :M // 2] * (-1.0) ** np.arange(40)[:, None]
+    assert np.array_equal(mirror, full[:, :M // 2])
 
 
 def test_displacement_block_holds_three_square_arrays():
@@ -99,7 +125,7 @@ def test_displacement_block_holds_three_square_arrays():
 
 def test_basis_orthonormal_on_default_grid():
     g = default_grid(128)
-    b = build_basis(128, g)
+    b = oracles.full_basis(128, g)
     gram = (b * g.spacing) @ b.T
     assert np.max(np.abs(gram - np.eye(128))) < 1e-8
 
@@ -114,16 +140,17 @@ def test_cached_basis_is_read_only():
 
 def test_basis_ground_state_value():
     g = PositionGrid(12.0, 241)  # odd count so x = 0 is a grid point
-    b = build_basis(8, g)
+    b = oracles.full_basis(8, g)
     i0 = g.n_points // 2
     assert b[0, i0] == pytest.approx(math.pi ** -0.25, abs=1e-14)
+    assert build_basis(8, g)[0, 0] == b[0, i0]  # x = 0 is the first kept node
 
 
 def test_basis_matches_hermite_polynomials():
     from scipy.special import eval_hermite
 
     g = PositionGrid(12.0, 301)
-    b = build_basis(6, g)
+    b = oracles.full_basis(6, g)
     x = g.points
     for n in range(6):
         ref = (eval_hermite(n, x) * np.exp(-0.5 * x * x)
@@ -275,7 +302,7 @@ def test_marginal_moments_match_operator_route():
 def _complex_route_marginal(st_, phi, g):
     # sum_{mn} rho'_{mn} h_m h_n in complex arithmetic, rho' rotated by
     # the diagonal Fock phase, before the density guards
-    h = build_basis(st_.dim, g)
+    h = oracles.full_basis(st_.dim, g)
     phase = np.exp(-1j * phi * np.arange(st_.dim))
     rho_rot = phase[:, None] * st_.rho * phase.conj()[None, :]
     return np.einsum("mj,mj->j", h, rho_rot @ h).real
@@ -303,6 +330,22 @@ def test_marginal_real_route_matches_complex_route(spec):
     for phi in (0.0, math.pi / 2, math.pi / 4, -math.pi / 4, 0.3):
         np.testing.assert_allclose(marginal_density(st_, phi, g),
                                    _complex_route_marginal(st_, phi, g), atol=1e-14, rtol=0)
+
+
+@pytest.mark.parametrize("spec", [
+    StateSpec(kind="cubic_phase", gamma=0.1, N=128),
+    StateSpec(kind="thermal", n_bar=0.7, N=64),
+    StateSpec(kind="displaced", alpha=0.3 + 0.4j, N=128,
+              inner=StateSpec(kind="thermal", n_bar=0.7, N=128)),
+], ids=["cubic", "thermal", "displaced_thermal"])
+def test_marginal_at_phi_plus_pi_is_the_mirror(spec):
+    # Q_{phi+pi} = -Q_phi; the cubic state takes the factor route, the others the dense one
+    st_ = make_state(spec)
+    g = default_grid(st_.dim)
+    for phi in (0.0, math.pi / 4, -1.1):
+        dens = marginal_density(st_, phi, g)
+        np.testing.assert_allclose(marginal_density(st_, phi + math.pi, g), dens[::-1],
+                                   rtol=0, atol=1e-15 * dens.max())
 
 
 def test_marginal_rejects_undersized_grid():

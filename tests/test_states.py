@@ -6,7 +6,7 @@ import pytest
 
 from nlsqueeze import hilbert, states
 from nlsqueeze.errors import TruncationError
-from nlsqueeze.hilbert import LEAK_TOL, build_basis, default_grid, quadrature_moment
+from nlsqueeze.hilbert import LEAK_TOL, default_grid, quadrature_moment
 from nlsqueeze.states import GAMMA_MAX, StateSpec, make_state
 
 import oracles
@@ -183,7 +183,7 @@ def test_cubic_projection_matches_the_complex_route(N, gamma):
     # of the basis on the whole grid, normalised like the package does;
     # the package sums only where h_0 >= 1e-20
     grid = default_grid(N)
-    basis = build_basis(N, grid)
+    basis = oracles.full_basis(N, grid)
     psi = basis[0] * np.exp(1j * gamma * grid.points ** 3)
     c = (basis * grid.spacing) @ psi
     c = c / math.sqrt(float(np.sum(np.abs(c) ** 2)))
@@ -245,7 +245,7 @@ def _projector(c):
 
 def _cubic_projector(gamma, N):
     grid = default_grid(N)
-    basis = build_basis(N, grid)
+    basis = oracles.full_basis(N, grid)
     return _projector((basis * grid.spacing) @ (basis[0] * np.exp(1j * gamma * grid.points ** 3)))
 
 
