@@ -13,7 +13,8 @@ validation checks the factor and the weights and never factors rho.
 A uniform position grid, exactly antisymmetric, carries the orthonormal
 oscillator eigenfunctions h_n(x) used to build wavefunctions, marginal
 densities along any phase, and the sampling CDF; as h_n(-x) =
-(-1)^n h_n(x), the basis is kept on the nodes x >= 0 only.
+(-1)^n h_n(x), the basis is kept on the nodes x >= 0 only, and the cubic
+projection keeps only its columns where h_0 >= 1e-20.
 """
 
 from __future__ import annotations
@@ -94,16 +95,69 @@ def default_grid(N: int = 128) -> PositionGrid:
     return PositionGrid(extent=extent, n_points=n_points)
 
 
+def _kept_nodes(N: int, grid: PositionGrid) -> np.ndarray:
+    """The nodes x >= 0, grid.points[n_points // 2:], once N and the grid
+    extent are checked: h_n(-x) = (-1)^n h_n(x), so they carry the basis."""
+    if N < 1:
+        raise GridError(f"basis dimension must be >= 1, got {N}")
+    grid.validate_for(N)
+    return grid.points[grid.n_points // 2:]
+
+
+def _hermite(N: int, x: np.ndarray) -> np.ndarray:
+    """Rows h_n(x_j) for n < N over the nodes x, shape (N, x.size), from the
+    stable upward recurrence h_n = sqrt(2/n) x h_{n-1} - sqrt((n-1)/n) h_{n-2}.
+    Each column depends on its own node only, so a block of nodes gives the
+    same bits as those columns of a build over every node."""
+    h = np.zeros((N, x.size))
+    h[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    if N > 1:
+        h[1] = math.sqrt(2.0) * x * h[0]
+    for n in range(2, N):
+        h[n] = math.sqrt(2.0 / n) * x * h[n - 1] - math.sqrt((n - 1.0) / n) * h[n - 2]
+    return h
+
+
+def _parity_grams(h: np.ndarray) -> list:
+    """h h^T over the even rows and over the odd rows of a block h of
+    half-grid columns; the blocks of a partition of the nodes x >= 0 sum to
+    the half-grid Gram matrices."""
+    return [h[p::2] @ h[p::2].T for p in (0, 1)]
+
+
+def _check_orthonormal(N: int, grid: PositionGrid, grams: list) -> None:
+    """Raise GridError unless the first N eigenfunctions are orthonormal on
+    the whole grid within ORTHONORMALITY_TOL, from the half-grid Gram
+    matrices of their even and odd rows (_parity_grams).
+
+    Rows of unlike parity are orthogonal on the mirrored grid, and a
+    whole-grid sum is twice the half-grid one less the x = 0 node of an
+    odd grid, counted once; each matrix becomes h h^T dx - 1 in place.
+    """
+    h0 = _hermite(N, np.zeros(1))[:, 0] if grid.n_points % 2 else None  # x = 0 is its own mirror
+    defect = 0.0
+    for p, gram in enumerate(grams):
+        if h0 is not None:
+            gram -= 0.5 * np.outer(h0[p::2], h0[p::2])
+        gram *= 2.0 * grid.spacing
+        gram.flat[::len(gram) + 1] -= 1.0
+        defect = max(defect, float(np.abs(gram, out=gram).max(initial=0.0)))
+    if defect > ORTHONORMALITY_TOL:
+        raise GridError(
+            f"discrete orthonormality defect {defect:.2e} exceeds "
+            f"{ORTHONORMALITY_TOL:g} for N={N} on extent {grid.extent:g} "
+            f"with {grid.n_points} points; add grid points or widen the extent"
+        )
+
+
 @lru_cache(maxsize=8)
 def build_basis(N: int, grid: PositionGrid) -> np.ndarray:
     """Evaluate the first N oscillator eigenfunctions on the nodes x >= 0.
 
     h_n(-x) = (-1)^n h_n(x), so the nodes grid.points[n_points // 2:]
-    carry the whole basis.  Rows of unlike parity are orthogonal on the
-    mirrored grid; the discrete orthonormality check runs on the even and
-    on the odd rows, whose whole-grid sums are twice the half-grid ones
-    less the x = 0 node of an odd grid, counted once, and forms
-    h h^T dx - 1 in one buffer per block: the basis is never copied.
+    carry the whole basis; the discrete orthonormality check runs on the
+    even and on the odd rows (_check_orthonormal), in one buffer per
+    parity: the basis is never copied.  The marginal densities read it.
 
     Parameters
     ----------
@@ -116,39 +170,41 @@ def build_basis(N: int, grid: PositionGrid) -> np.ndarray:
     -------
     np.ndarray
         Shape (N, n_points - n_points // 2), rows h_n(x_j) over the nodes
-        x_j >= 0 from the stable upward recurrence
-        h_n = sqrt(2/n) x h_{n-1} - sqrt((n-1)/n) h_{n-2}.
-        Read-only, because the result is cached and shared.
+        x_j >= 0 (_hermite).  Read-only, because the result is cached and
+        shared.
 
     Raises
     ------
     GridError
         If the grid is too small for N or discrete orthonormality fails.
     """
-    if N < 1:
-        raise GridError(f"basis dimension must be >= 1, got {N}")
-    grid.validate_for(N)
-    x = grid.points[grid.n_points // 2:]
-    h = np.zeros((N, x.size))
-    h[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
-    if N > 1:
-        h[1] = math.sqrt(2.0) * x * h[0]
-    for n in range(2, N):
-        h[n] = math.sqrt(2.0 / n) * x * h[n - 1] - math.sqrt((n - 1.0) / n) * h[n - 2]
-    defect = 0.0
-    for rows in (h[0::2], h[1::2]):
-        gram = rows @ rows.T
-        if grid.n_points % 2:  # x[0] = 0 is its own mirror
-            gram -= 0.5 * np.outer(rows[:, 0], rows[:, 0])
-        gram *= 2.0 * grid.spacing
-        gram.flat[::len(rows) + 1] -= 1.0
-        defect = max(defect, float(np.abs(gram, out=gram).max(initial=0.0)))
-    if defect > ORTHONORMALITY_TOL:
-        raise GridError(
-            f"discrete orthonormality defect {defect:.2e} exceeds "
-            f"{ORTHONORMALITY_TOL:g} for N={N} on extent {grid.extent:g} "
-            f"with {grid.n_points} points; add grid points or widen the extent"
-        )
+    h = _hermite(N, _kept_nodes(N, grid))
+    _check_orthonormal(N, grid, _parity_grams(h))
+    h.flags.writeable = False
+    return h
+
+
+@lru_cache(maxsize=8)
+def projection_basis(N: int, grid: PositionGrid) -> np.ndarray:
+    """The columns of build_basis(N, grid) on the support nodes, the first
+    nodes x >= 0 up to the last one where h_0 >= 1e-20 (|x| < 9.6), bit for
+    bit, read-only and C-contiguous: the rows the cubic projection reads.
+
+    The same orthonormality check as build_basis runs on every node x >= 0.
+    The other nodes are built first as one block, which enters the Gram
+    matrices and is dropped before the support block is built, so no full
+    basis is held or cached.
+
+    Raises
+    ------
+    GridError
+        If the grid is too small for N or discrete orthonormality fails.
+    """
+    x = _kept_nodes(N, grid)
+    cut = np.flatnonzero(_hermite(1, x)[0] >= 1e-20)[-1] + 1
+    rest = _parity_grams(_hermite(N, x[cut:]))
+    h = _hermite(N, x[:cut])
+    _check_orthonormal(N, grid, [g + r for g, r in zip(_parity_grams(h), rest)])
     h.flags.writeable = False
     return h
 
@@ -397,58 +453,80 @@ def _displacement_block(N: int, r: float) -> np.ndarray:
     x = r * r
     if not x < 1e32:  # |g_n^a| <= e^{-x/2} (4x)^N is below 1e-150 for any N < 1e29
         return np.zeros((N, N))
-    a = np.arange(float(N))  # float: no integer-to-float cast per entry
-    n = a[:, None]
-    # at most three N x N arrays live at once: den, c_now and c_prev, then
-    # buf, c_now and c_prev, and S and |S| reuse c_now and c_prev
+    # at most two N x N arrays live at once: buf (with the recurrence
+    # coefficients of _RECURRENCE_ROWS rows at a time), then buf and S,
+    # then S and |S|; the recurrence runs in _laguerre_rows, so that its
+    # row views of buf die with it and del frees buf
+    buf = _laguerre_rows(N, x, r)
+    G = buf.reshape(-1)[:N * N].reshape(N, N)
+    # S[n, n + a] = (-1)^a g_n^a above the diagonal, S[n + a, n] = g_n^a on
+    # and below it: one strided copy of the transpose into the triangle
+    sign = (-1.0) ** np.arange(float(N))
+    S = G * sign[:, None]
+    S *= sign
+    np.copyto(S, G.T, where=np.tri(N, dtype=bool))
+    del buf, G
+    # below 1e-150 an entry times an amplitude <= 1 is lost under the last
+    # bit of a unit-scale sum, and zeroing it keeps every product of the
+    # kept entries a normal number
+    S[np.abs(S) < 1e-150] = 0.0
+    return S
+
+
+_RECURRENCE_ROWS = 32  # rows of the recurrence coefficients built at a time
+
+
+def _recurrence_coefficients(a: np.ndarray, x: float, lo: int, hi: int) -> tuple:
+    """c_now = (2n+1+a-x) / den and c_prev = sqrt(n(n+a)) / den over the
+    rows n = lo .. hi - 1 and a < N, den = sqrt((n+1)(n+1+a)), so that
+    g_{n+1} = c_now g_n - c_prev g_{n-1}.  sqrt(n(n+a)) is den of row
+    n - 1, which is 0 for n = 0.  Entrywise the operations of a build over
+    every row, so a block of rows has the same bits."""
+    n = np.arange(lo - 1.0, hi)[:, None]
     n1 = n + 1.0
     den = n1 + a
     den *= n1
     np.sqrt(den, out=den)
-    c_now = 2.0 * n + 1.0 + a
+    c_now = 2.0 * n[1:] + 1.0 + a
     c_now -= x
-    c_now /= den
-    # c_prev = sqrt(n (n + a)) / den: sqrt(n (n + a)) is den[n - 1]
-    c_prev = np.empty((N, N))
-    c_prev[0] = 0.0
-    np.divide(den[:-1], den[1:], out=c_prev[1:])
-    del den
+    c_now /= den[1:]
+    return c_now, den[:-1] / den[1:]
+
+
+def _laguerre_rows(N: int, x: float, r: float) -> np.ndarray:
+    """The N x (N + 1) buffer whose row n holds g_n^a over a < N (see
+    _displacement_block), from the scaled recurrence in n.
+
+    Read as a flat N x N block, the buffer holds g_n^a at [n, n + a], on
+    and above the diagonal, and the entries past level N (a >= N - n)
+    below it.  The coefficients are built _RECURRENCE_ROWS rows at a time.
+    """
+    a = np.arange(float(N))  # float: no integer-to-float cast per entry
     check = 1e300 / (x + N + 2.0) ** 9
     log_g0 = coherent_log_moduli(r, N)
     s = np.minimum(log_g0 + math.log(check), 0.0)
     w = np.exp(s)
-    # Row n of the recurrence, g_n^a over a, fills row n of buf.  Read as
-    # a flat N x N block, buf holds g_n^a at [n, n + a], on and above the
-    # diagonal, and the entries past level N (a >= N - n) below it.
     buf = np.zeros((N, N + 1))
     rows = buf[:, :N]
     h, h_prev, tmp = rows[0], np.zeros(N), np.empty(N)
     np.exp(log_g0 - s, out=h)
     start = 0
-    for k, (cn, cp, row) in enumerate(zip(c_now, c_prev, rows[1:]), 1):
-        np.multiply(cn, h, out=row)
-        np.multiply(cp, h_prev, out=tmp)
-        np.subtract(row, tmp, out=row)
-        h, h_prev = row, h
-        if k % 8 == 0 and max(np.abs(h).max(), np.abs(h_prev).max()) > check:
-            f = np.maximum(np.maximum(np.abs(h), np.abs(h_prev)), 1.0)
-            h, h_prev = h / f, h_prev / f
-            rows[start:k + 1] *= w
-            start, s = k + 1, s + np.log(f)
-            w = np.exp(s)
+    for lo in range(0, N - 1, _RECURRENCE_ROWS):
+        c_now, c_prev = _recurrence_coefficients(a, x, lo, min(lo + _RECURRENCE_ROWS, N - 1))
+        for k, (cn, cp) in enumerate(zip(c_now, c_prev), lo + 1):
+            row = rows[k]
+            np.multiply(cn, h, out=row)
+            np.multiply(cp, h_prev, out=tmp)
+            np.subtract(row, tmp, out=row)
+            h, h_prev = row, h
+            if k % 8 == 0 and max(np.abs(h).max(), np.abs(h_prev).max()) > check:
+                f = np.maximum(np.maximum(np.abs(h), np.abs(h_prev)), 1.0)
+                h, h_prev = h / f, h_prev / f
+                rows[start:k + 1] *= w
+                start, s = k + 1, s + np.log(f)
+                w = np.exp(s)
     rows[start:] *= w
-    G = buf.reshape(-1)[:N * N].reshape(N, N)
-    # S[n, n + a] = (-1)^a g_n^a above the diagonal, S[n + a, n] = g_n^a on
-    # and below it: one strided copy of the transpose into the triangle
-    sign = (-1.0) ** a
-    S = np.multiply(G, sign[:, None], out=c_now)
-    S *= sign
-    np.copyto(S, G.T, where=np.tri(N, dtype=bool))
-    # below 1e-150 an entry times an amplitude <= 1 is lost under the last
-    # bit of a unit-scale sum, and zeroing it keeps every product of the
-    # kept entries a normal number
-    S[np.abs(S, out=c_prev) < 1e-150] = 0.0
-    return S
+    return buf
 
 
 def displace(state: QuantumState, alpha: complex) -> QuantumState:

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ConfigError, GridError, NumericsError
 from .estimate import (CQ_FLOOR, MIN_REPLICATES, MIN_SAMPLES, EnsembleReport, derive_seed,
                        ensemble_run)
-from .hilbert import PositionGrid, build_basis, default_grid
+from .hilbert import PositionGrid, default_grid, projection_basis
 from .nlsq import (MARGIN_TOL, MINUS, P, PHASE_ORDERS, PLUS, Q, assemble_curve,
                    classical_threshold, exact_moment_set, resource_condition)
 from .readout import ChannelCoefficients, ChannelParams, channel_coefficients, sampling_tables
@@ -163,7 +163,7 @@ class ExperimentConfig:
         else:
             try:
                 self.grid = PositionGrid(self.grid_extent, self.grid_points)
-                build_basis(self.state_spec.dim, self.grid)  # extent and orthonormality
+                projection_basis(self.state_spec.dim, self.grid)  # extent and orthonormality
             except GridError as exc:
                 raise ValueError(f"invalid grid.extent / grid.points: {exc}") from None
         spec = self.state_spec
@@ -343,30 +343,31 @@ def analytic_overlay(spec: StateSpec, state, lambdas: np.ndarray) -> np.ndarray:
     return assemble_curve(exact_moment_set(state))(lambdas)
 
 
-def _point(config: ExperimentConfig, sweep_value: float, channel: ChannelParams,
-           seed: int) -> SweepPoint:
+def _point(config: ExperimentConfig, where: str, sweep_value: float,
+           channel: ChannelParams, seed: int) -> SweepPoint:
     """The record of one channel setting, checked before any state is built:
     |c_Q| >= CQ_FLOOR keeps the moment hierarchy invertible, and
     |c_Q| dx <= sigma_W / 2 (sigma_W the noise deviation) keeps the lattice
     ripple of the grid nodes in the density of Y_out below about e^{-79}
-    (Poisson summation)."""
+    (Poisson summation).  A failed check's message starts with where."""
     co = channel_coefficients(channel)
     if abs(co.c_Q) < CQ_FLOOR:
-        raise ConfigError(f"sweep value {sweep_value:g}: |c_Q| = {abs(co.c_Q):.2e} below "
+        raise ConfigError(f"{where}: |c_Q| = {abs(co.c_Q):.2e} below "
                           f"{CQ_FLOOR:g}; channel too weak to invert")
     sigma_w, dx = math.sqrt(co.noise_var), config.grid.spacing
     if abs(co.c_Q) * dx > 0.5 * sigma_w:
         raise ConfigError(
-            f"sweep value {sweep_value:g}: |c_Q| dx = {abs(co.c_Q) * dx:.3g} exceeds half "
+            f"{where}: |c_Q| dx = {abs(co.c_Q) * dx:.3g} exceeds half "
             f"the noise deviation {sigma_w:.3g}; raise grid.points")
     return SweepPoint(sweep_value, channel, co, seed)
 
 
 def _template_point(config: ExperimentConfig, what: str) -> SweepPoint:
-    """The one point of reconstruct and certify: the template channel, seed base_seed."""
+    """The one point of reconstruct and certify: the template channel, seed
+    base_seed, sweep value 0.0; a failed check names what."""
     if config.channel is None:
         raise ConfigError(f"{what} needs a channel section")
-    return _point(config, 0.0, config.channel, config.base_seed)
+    return _point(config, what, 0.0, config.channel, config.base_seed)
 
 
 def _run_points(config: ExperimentConfig, points: list, threads: int = 1,
@@ -402,8 +403,8 @@ def run_sweep(config: ExperimentConfig, threads: int = 1) -> SweepReport:
     if not config.sweep_values:
         raise ConfigError("sweep needs sweep.values")
     return _run_points(config, [
-        _point(config, sv, apply_axis(config.channel, config.sweep_axis, sv),
-               derive_seed(config.base_seed, i))
+        _point(config, f"sweep value {sv:g}", sv,
+               apply_axis(config.channel, config.sweep_axis, sv), derive_seed(config.base_seed, i))
         for i, sv in enumerate(config.sweep_values)], threads)
 
 

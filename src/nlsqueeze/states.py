@@ -16,10 +16,10 @@ import numpy as np
 from .hilbert import (
     PositionGrid,
     QuantumState,
-    build_basis,
     coherent_log_moduli,
     default_grid,
     displace,
+    projection_basis,
     truncated_state,
 )
 
@@ -107,19 +107,18 @@ def make_state(spec: StateSpec, grid: PositionGrid | None = None) -> QuantumStat
                                f"thermal n_bar={spec.n_bar}", f"at N={N}; increase N")
     if spec.kind == "cubic_phase":
         grid = grid or default_grid(N)
-        basis = build_basis(N, grid)
+        basis = projection_basis(N, grid)
         # Only the nodes where h_0 >= 1e-20 (|x| < 9.6) enter: |h_n| < 1, so the
         # dropped terms of c_n sum to at most dx M 1e-20 ~ 4e-19 over M nodes,
-        # under the last bit of a unit-scale sum.  The basis holds x >= 0,
-        # and the pair x, -x gives c_n twice h_n h_0 cos(theta) for even n,
-        # i times twice h_n h_0 sin(theta) for odd n (x = 0 counts once).
-        on = slice(np.flatnonzero(basis[0] >= 1e-20)[-1] + 1)
-        x, h0 = grid.points[grid.n_points // 2:][on], basis[0, on]
+        # under the last bit of a unit-scale sum.  The basis holds those nodes
+        # x >= 0, and the pair x, -x gives c_n twice h_n h_0 cos(theta) for even
+        # n, i times twice h_n h_0 sin(theta) for odd n (x = 0 counts once).
+        x, h0 = grid.points[grid.n_points // 2:][:basis.shape[1]], basis[0]
         theta = spec.gamma * (x * x * x)
         psi = np.stack((h0 * np.cos(theta), h0 * np.sin(theta)), axis=1)
         if grid.n_points % 2:
             psi[0] *= 0.5
-        proj = basis[:, on] @ psi
+        proj = basis @ psi
         c = np.where(np.arange(N) % 2, 1j * proj[:, 1], proj[:, 0])
         c *= 2.0 * grid.spacing
         what = f"cubic gamma={spec.gamma}"

@@ -7,9 +7,11 @@ from dense operator powers, and output moments from collapsing the two
 Gaussian noise sources into a single effective one.  Agreement between
 these and the package is evidence, not tautology.
 
-The two record helpers at the end are not oracles: they run the
-package's one-block sampler and moment sums over a whole record, block
-by block through one set of buffers, as run_reconstruction does.
+Three helpers are not oracles.  displacement_block_three_arrays keeps
+an earlier build of the package's displacement block, the reference for
+bit-for-bit tests of the current one.  The two record helpers at the end
+run the package's one-block sampler and moment sums over a whole record,
+block by block through one set of buffers, as run_reconstruction does.
 """
 
 import cmath
@@ -21,6 +23,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from nlsqueeze.estimate import PowerSums, empirical_moments
+from nlsqueeze.hilbert import coherent_log_moduli
 from nlsqueeze.readout import SAMPLE_BLOCK, BlockBuffers, sample_homodyne
 
 
@@ -119,6 +122,68 @@ def oracle_displacement_element(m: int, n: int, alpha: complex) -> complex:
              * (Decimal(math.factorial(n)) / math.factorial(m)).sqrt()
              * (-xd / 2).exp() * xd.sqrt() ** (m - n))
     return float(g) * cmath.exp(1j * (m - n) * cmath.phase(alpha))
+
+
+def displacement_block_three_arrays(N: int, r: float) -> np.ndarray:
+    """The displacement block S as hilbert._displacement_block built it with
+    three N x N arrays live (den, c_now and c_prev over every row, then
+    buf, c_now and c_prev): the reference the two-array build must equal
+    bit for bit."""
+    x = r * r
+    if not x < 1e32:  # |g_n^a| <= e^{-x/2} (4x)^N is below 1e-150 for any N < 1e29
+        return np.zeros((N, N))
+    a = np.arange(float(N))  # float: no integer-to-float cast per entry
+    n = a[:, None]
+    # at most three N x N arrays live at once: den, c_now and c_prev, then
+    # buf, c_now and c_prev, and S and |S| reuse c_now and c_prev
+    n1 = n + 1.0
+    den = n1 + a
+    den *= n1
+    np.sqrt(den, out=den)
+    c_now = 2.0 * n + 1.0 + a
+    c_now -= x
+    c_now /= den
+    # c_prev = sqrt(n (n + a)) / den: sqrt(n (n + a)) is den[n - 1]
+    c_prev = np.empty((N, N))
+    c_prev[0] = 0.0
+    np.divide(den[:-1], den[1:], out=c_prev[1:])
+    del den
+    check = 1e300 / (x + N + 2.0) ** 9
+    log_g0 = coherent_log_moduli(r, N)
+    s = np.minimum(log_g0 + math.log(check), 0.0)
+    w = np.exp(s)
+    # Row n of the recurrence, g_n^a over a, fills row n of buf.  Read as
+    # a flat N x N block, buf holds g_n^a at [n, n + a], on and above the
+    # diagonal, and the entries past level N (a >= N - n) below it.
+    buf = np.zeros((N, N + 1))
+    rows = buf[:, :N]
+    h, h_prev, tmp = rows[0], np.zeros(N), np.empty(N)
+    np.exp(log_g0 - s, out=h)
+    start = 0
+    for k, (cn, cp, row) in enumerate(zip(c_now, c_prev, rows[1:]), 1):
+        np.multiply(cn, h, out=row)
+        np.multiply(cp, h_prev, out=tmp)
+        np.subtract(row, tmp, out=row)
+        h, h_prev = row, h
+        if k % 8 == 0 and max(np.abs(h).max(), np.abs(h_prev).max()) > check:
+            f = np.maximum(np.maximum(np.abs(h), np.abs(h_prev)), 1.0)
+            h, h_prev = h / f, h_prev / f
+            rows[start:k + 1] *= w
+            start, s = k + 1, s + np.log(f)
+            w = np.exp(s)
+    rows[start:] *= w
+    G = buf.reshape(-1)[:N * N].reshape(N, N)
+    # S[n, n + a] = (-1)^a g_n^a above the diagonal, S[n + a, n] = g_n^a on
+    # and below it: one strided copy of the transpose into the triangle
+    sign = (-1.0) ** a
+    S = np.multiply(G, sign[:, None], out=c_now)
+    S *= sign
+    np.copyto(S, G.T, where=np.tri(N, dtype=bool))
+    # below 1e-150 an entry times an amplitude <= 1 is lost under the last
+    # bit of a unit-scale sum, and zeroing it keeps every product of the
+    # kept entries a normal number
+    S[np.abs(S, out=c_prev) < 1e-150] = 0.0
+    return S
 
 
 def oracle_moment(rho: np.ndarray, phi: float, n: int) -> float:

@@ -17,6 +17,7 @@ from nlsqueeze.hilbert import (
     default_grid,
     displace,
     marginal_density,
+    projection_basis,
     quadrature_moment,
     validate_state,
 )
@@ -114,13 +115,64 @@ def test_basis_is_the_half_of_the_full_recurrence(grid):
     assert np.array_equal(mirror, full[:, :M // 2])
 
 
-def test_displacement_block_holds_three_square_arrays():
-    # three N x N arrays live at once, plus numpy's ufunc buffers of about
-    # 0.2 MB (measured: 3.71 N^2 8 bytes at N = 192); a fourth N x N
-    # temporary would exceed the bound
+@pytest.mark.parametrize("N, grid", [(64, None), (128, None), (192, None), (256, None),
+                                     (40, PositionGrid(14.0, 801))],
+                         ids=["64", "128", "192", "256", "odd"])
+def test_projection_basis_is_the_support_of_the_basis(N, grid):
+    # bit for bit the columns the cubic projection read from the whole basis
+    grid = grid or default_grid(N)
+    full, rows = build_basis(N, grid), projection_basis(N, grid)
+    cut = np.flatnonzero(full[0] >= 1e-20)[-1] + 1  # the last node with h_0 >= 1e-20
+    assert rows.shape == (N, cut) and cut < full.shape[1]
+    assert np.array_equal(rows, full[:, :rows.shape[1]])
+    assert rows.flags.c_contiguous and not rows.flags.writeable
+    assert projection_basis(N, grid) is rows
+
+
+def test_cubic_state_builds_no_basis():
+    before = build_basis.cache_info()
+    for grid in (None, PositionGrid(18.0, 2047)):
+        make_state(StateSpec("cubic_phase", gamma=0.1, N=128), grid=grid)
+    assert build_basis.cache_info() == before
+
+
+@pytest.mark.parametrize("grid, match", [(PositionGrid(16.0, 2048), "too small"),
+                                         (PositionGrid(18.0, 151), "orthonormality defect")])
+def test_cubic_state_rejects_a_grid_the_basis_rejects(grid, match):
+    # the check runs on every node x >= 0, not only on the support
+    with pytest.raises(GridError, match=match):
+        make_state(StateSpec("cubic_phase", gamma=0.1, N=128), grid=grid)
+
+
+def test_projection_basis_peaks_no_higher_than_the_basis():
+    # the other nodes are built, summed into the Gram matrices and dropped
+    # before the support rows are built
+    N, grid = 192, default_grid(192)
+    peak, rows = traced_peak(projection_basis.__wrapped__, N, grid)
+    basis_peak, basis = traced_peak(build_basis.__wrapped__, N, grid)
+    assert np.array_equal(rows, basis[:, :rows.shape[1]])
+    assert peak <= basis_peak
+
+
+def test_displacement_block_holds_two_square_arrays():
+    # two N x N arrays live at once (the recurrence buffer, then S; then S
+    # and |S|), plus a boolean N x N mask and numpy's ufunc buffers
+    # (measured: 2.26 N^2 8 bytes at N = 192); a third N x N array would
+    # exceed the bound
     N = 192
     peak, _ = traced_peak(hilbert._displacement_block, N, 2.0)
-    assert peak < 4.5 * N * N * 8
+    assert peak < 2.6 * N * N * 8
+
+
+@pytest.mark.parametrize("N", [1, 2, 31, 32, 33, 64, 128, 192, 400])
+def test_displacement_block_equals_the_three_array_build(N):
+    # chunk edges of the recurrence coefficients, renormalised columns
+    # (r = 300 from N = 192 on, r = 1e10 at every N >= 33) and the all-zero
+    # block (r = 1e17), bit for bit
+    for r in (1e-3, 0.5, 2.0, 7.3, 38.6, 300.0, 1e10, 1e17):
+        S = hilbert._displacement_block(N, r)
+        assert S.shape == (N, N)
+        assert np.array_equal(S, oracles.displacement_block_three_arrays(N, r))
 
 
 def test_basis_orthonormal_on_default_grid():

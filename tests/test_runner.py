@@ -813,7 +813,8 @@ def test_cli_rejects_a_coarse_lattice_before_building_the_state(tmp_path, capsys
     assert rc == 2 and calls == []
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "grid.points" in err
-    assert f"sweep value {value}:" in err
+    # only a sweep names its sweep value; reconstruct and certify run none
+    assert (f"sweep value {value}:" in err) == (command == "sweep")
     assert not out.exists()
 
 
@@ -845,8 +846,31 @@ def test_cli_rejects_a_weak_channel_before_building_the_state(tmp_path, capsys,
     out = tmp_path / "out"
     rc = main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)])
     assert rc == 2 and calls == []
-    assert capsys.readouterr().err == (f"config error: sweep value {value}: |c_Q| = 0.00e+00 "
+    where = {"sweep": f"sweep value {value}", "reconstruct": "reconstruction",
+             "certify": "certify"}[command]
+    assert capsys.readouterr().err == (f"config error: {where}: |c_Q| = 0.00e+00 "
                                        "below 1e-06; channel too weak to invert\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, where", [("reconstruct", "reconstruction"),
+                                            ("certify", "certify")])
+@pytest.mark.parametrize("edits, message", [
+    ({"channel.G = 0.1": "channel.G = 1e-9"},
+     "|c_Q| = 8.94e-08 below 1e-06; channel too weak to invert"),
+    ({"mode = full": "mode = full\ngrid.extent = 18\ngrid.points = 257"},
+     "|c_Q| dx = 1.26 exceeds half the noise deviation 0.876; raise grid.points"),
+], ids=["weak", "coarse"])
+def test_cli_names_the_command_of_a_template_point(tmp_path, capsys, command, where,
+                                                   edits, message):
+    # reconstruct and certify run the template channel alone, no sweep value
+    text = FULL_TEXT
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    out = tmp_path / "out"
+    rc = main([command, "--config", write_cfg(tmp_path, text), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"config error: {where}: {message}\n"
     assert not out.exists()
 
 

@@ -13,8 +13,8 @@ overlay, certify's default lambda_star = 0 and the dense marginal.
 The script also runs state-info on a fixed state family (vacuum,
 coherent at 1.2-0.8j, at 3-2j and on the threshold at 5j, thermal,
 cubic at gamma 0.1 and 0.2, cubic displaced by 0.3+0.4j and by
-2-1.5j, and thermal displaced by 0.3+0.4j, each at N = 64, 128 and
-192).  The package is imported from DIR/src (default: the checkout
+2-1.5j, and thermal displaced by 0.3+0.4j, each at N = 64, 128, 192
+and 256).  The package is imported from DIR/src (default: the checkout
 this script sits in).
 Every file a run writes and its stdout are hashed after masking what
 legitimately differs between runs: the value of each "wall_clock_s"
@@ -57,7 +57,7 @@ STATES = {
     # a larger amplitude, whose Fock amplitudes span more decades
     "coherent_far": {"kind": "coherent", "beta": "3-2j"},
     # on the classical threshold (Re beta = 0): its margins are truncation
-    # noise at N = 64 and rounding noise at N = 128 and 192, inside
+    # noise at N = 64 and rounding noise at N = 128, 192 and 256, inside
     # nlsq.MARGIN_TOL, so it must read classical with no lambda
     "coherent_threshold": {"kind": "coherent", "beta": "5j"},
     "thermal": {"kind": "thermal", "n_bar": "0.7"},
@@ -74,8 +74,10 @@ STATES = {
     "displaced_thermal": {"kind": "displaced", "alpha": "0.3+0.4j",
                           "inner.kind": "thermal", "inner.n_bar": "0.7"},
 }
-# 192 is the first N whose default grid grows past extent 18
-STATE_N = (64, 128, 192)
+# 192 is the first N whose default grid grows past extent 18; 256's grid
+# (extent 25, 2,844 points) puts the smallest share of its nodes x >= 0
+# in the cubic projection's support (544 of 1,422)
+STATE_N = (64, 128, 192, 256)
 # The sampled full-rank state (state, N); its config takes the lines of
 # these sections from the thermalisation preset.
 FULL_RANK = ("displaced_thermal", 128)
