@@ -19,8 +19,8 @@ import numpy as np
 
 from .errors import ChannelConditionError, DataError
 from .nlsq import MAX_ORDER, PHASE_ORDERS, MomentSet, assemble_curve, mixed_moment_recovery
-from .readout import (SAMPLE_BLOCK, BlockBuffers, ChannelCoefficients, InverseCDF,
-                      hierarchy_matrix, sample_homodyne)
+from .readout import (SAMPLE_BLOCK, BlockBuffers, ChannelCoefficients, InverseCDF, NodeMasses,
+                      hierarchy_matrix, output_table, sample_homodyne)
 
 CQ_FLOOR = 1e-6
 MIN_SAMPLES = 100   # per record, for moments with meaningful errors
@@ -128,23 +128,22 @@ def invert_hierarchy(means, cov, coeffs: ChannelCoefficients):
 def run_reconstruction(tables: tuple[InverseCDF, ...], coeffs: ChannelCoefficients,
                        count: int, seed: int):
     """One full reconstruction through the channel coeffs: 4 phases, count
-    samples each, drawn from tables (readout.sampling_tables, one per
-    PHASE_ORDERS row, in row order).
+    samples each, drawn from tables (readout.output_table of coeffs, one
+    per PHASE_ORDERS row, in row order).
 
     Each phase is drawn and summed one block at a time through buffers
     made once per reconstruction, so no record is ever kept.
 
     Returns (MomentSet, NlsCurve).
     """
-    noise_std = math.sqrt(coeffs.noise_var)
     buf = BlockBuffers()
     ms = MomentSet()
     for k, (table, (_, order)) in enumerate(zip(tables, PHASE_ORDERS, strict=True)):
         phase_seed = derive_seed(seed, k)
         sums = PowerSums(order, buf)
         for lo in range(0, count, SAMPLE_BLOCK):
-            block = sample_homodyne(table, coeffs.c_Q, min(SAMPLE_BLOCK, count - lo),
-                                    phase_seed, noise_std, lo // SAMPLE_BLOCK, buf)
+            block = sample_homodyne(table, phase_seed, min(SAMPLE_BLOCK, count - lo),
+                                    lo // SAMPLE_BLOCK, buf)
             empirical_moments(block, sums)
         ms.values[k, 1:order + 1], ms.cov[k, :order, :order] = invert_hierarchy(
             *sums.moments(), coeffs)
@@ -176,10 +175,12 @@ class EnsembleReport:
         return vmat.mean(axis=0), vmat.std(axis=0, ddof=1)
 
 
-def ensemble_run(tables: tuple[InverseCDF, ...], coeffs: ChannelCoefficients, count: int,
+def ensemble_run(masses: tuple[NodeMasses, ...], coeffs: ChannelCoefficients, count: int,
                  R: int, base_seed: int, threads: int = 1) -> EnsembleReport:
     """R independent reconstructions with seeds derived from
-    (base_seed, replicate index), all sampling the same tables.
+    (base_seed, replicate index), all sampling the same read-only output
+    tables, built here once from the node masses of each PHASE_ORDERS row
+    (readout.schedule_masses) and the channel coeffs.
 
     Replicates are independent tasks; with threads > 1 they run in a
     thread pool and are reduced in index order, so the report does not
@@ -188,6 +189,7 @@ def ensemble_run(tables: tuple[InverseCDF, ...], coeffs: ChannelCoefficients, co
     if R < MIN_REPLICATES:
         raise ValueError(f"R must be >= {MIN_REPLICATES} for ensemble statistics, got {R}")
     seeds = [derive_seed(base_seed, r) for r in range(R)]
+    tables = tuple(output_table(m, coeffs) for m in masses)
 
     def one(seed):
         return run_reconstruction(tables, coeffs, count, seed)

@@ -10,14 +10,12 @@ mechanical quadrature at t = 0, and E a Gaussian quadrature of the
 thermal bath with variance n_bar + 1/2.  The three terms are
 independent, which is what makes the output-moment hierarchy triangular.
 
-Records are drawn one block per sample_homodyne call, each from its own
-seeded stream: Q_phi(0) by inverse-CDF lookup on the grid nodes, and the
-channel noise by a ziggurat run on the whole block at once (Marsaglia &
-Tsang 2000), exact up to rounding.  A block's stream has fixed regions, in
-order: the Q uniforms, the noise-proposal uniforms, the slow-slot
-uniforms, the tail uniforms and last the restart normals; every region but
-the last has room for a whole block, so a longer record extends a shorter
-one (sample_homodyne gives the sizes and the exactness argument).
+Records are drawn from the marginal of Y_out itself: the state's node
+masses of Q_phi(0), smeared by the channel Gaussian onto an output
+lattice once per channel (output_table), so each sample is one uniform,
+one guided inverse-CDF lookup and one gather.  A block's stream holds one
+region, a uniform per sample, so a longer record extends a shorter one
+(sample_homodyne).
 """
 
 from __future__ import annotations
@@ -27,6 +25,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .hilbert import PositionGrid, QuantumState, default_grid, marginal_density
 from .nlsq import PHASE_ORDERS
@@ -43,41 +42,9 @@ SAMPLE_BLOCK = 1 << 16
 # bit for bit.
 GUIDE_BUCKETS = 1 << 16
 
-# The channel noise comes from the ziggurat of Marsaglia & Tsang (2000,
-# J. Stat. Softw. 5(8)) with numpy's constants: 256 layers of area
-# ZIGGURAT_V under f(x) = exp(-x^2/2), the base layer reaching to
-# ZIGGURAT_R and holding the tail beyond it.
-ZIGGURAT_R = 3.6541528853610088
-ZIGGURAT_V = 4.9286732339746519e-3
-ZIGGURAT_LAYERS = 256
-# Marsaglia's exponential tries per tail slot; each succeeds with
-# probability 0.938, so four fail for about one tail slot in 66,000
-TAIL_TRIES = 4
-
-
-def _ziggurat_edges() -> list:
-    """Layer edges x[0..256]: layer i spans [0, x[i]) over
-    [f(x[i]), f(x[i + 1])), each of area v, with x[1] = r, x[256] = 0 and
-    the base layer's virtual width x[0] = v / f(r)."""
-    x = [ZIGGURAT_V / math.exp(-0.5 * ZIGGURAT_R ** 2), ZIGGURAT_R]
-    while len(x) < ZIGGURAT_LAYERS:
-        x.append(math.sqrt(-2.0 * math.log(ZIGGURAT_V / x[-1] + math.exp(-0.5 * x[-1] ** 2))))
-    return x + [0.0]
-
-
-# The tables are built from Python floats: a numpy ufunc called at import
-# would map its code pages into every process, sampling or not.
-_X = _ziggurat_edges()
-_F = [math.exp(-0.5 * x * x) for x in _X]
-ZIGGURAT_X, ZIGGURAT_F = np.array(_X), np.array(_F)
-# Tables over the 2 * 256 signed layers j (layer j % 256, negative for
-# j >= 256): a proposal t - j in [0, 1) lands at x = (t - j) W[j] and lies
-# under f, inside the next layer's width, when t - j < K[j].
-_W = np.array(_X[:-1] + [-x for x in _X[:-1]])
-_K = np.array([b / a for a, b in zip(_X, _X[1:])] * 2)
-_FLOOR = np.array(_F[:-1] * 2)
-_RISE = np.array([b - a for a, b in zip(_F, _F[1:])] * 2)
-_TAIL = np.array(([True] + [False] * (ZIGGURAT_LAYERS - 1)) * 2)
+# The output lattice's Gaussian kernel reaches KERNEL_REACH noise deviations;
+# the mass past it, erfc(13 / sqrt(2)) ~ 1e-38, is left out.
+KERNEL_REACH = 13.0
 
 
 @dataclass(frozen=True)
@@ -209,15 +176,12 @@ class BlockBuffers:
     """Work arrays for one block of at most SAMPLE_BLOCK samples, made once
     and reused for every block a caller draws and sums, so that no block
     allocates a sample-sized array: the samples y, the uniforms u, the
-    noise z, the power terms w and cur of estimate.empirical_moments, and
-    the lookup cells with their guide entries and straddle flags.  While a
-    block's noise is drawn, u, w, cur, cells and the straddle flags hold
-    the ziggurat's scratch (layer offsets, layer indices, acceptance flags
-    and the slow slots' values).
+    power terms w and cur of estimate.empirical_moments, and the lookup
+    cells with their guide entries and straddle flags.
     """
 
     def __init__(self):
-        self.y, self.u, self.z, self.w, self.cur = np.empty((5, SAMPLE_BLOCK))
+        self.y, self.u, self.w, self.cur = np.empty((4, SAMPLE_BLOCK))
         self.cells = np.empty(SAMPLE_BLOCK, np.intp)
         self.guide = np.empty(SAMPLE_BLOCK, np.int32)  # viewed as the guide's dtype
         self.straddle = np.empty(SAMPLE_BLOCK, bool)
@@ -225,17 +189,16 @@ class BlockBuffers:
 
 @dataclass(frozen=True, eq=False)
 class InverseCDF:
-    """Inverse-CDF sampling table of the Q_phi marginal of one state.
+    """Inverse-CDF sampling table over the nodes x.
 
-    The grid node x[j] carries the mass p(x_j) / sum_k p(x_k) of the
-    marginal density p, and cdf is the cumulative node mass (n_points + 1
-    entries, cdf[0] = 0, cdf[-1] = 1, nondecreasing), so node j owns the
-    cell [cdf[j], cdf[j + 1]) of [0, 1).  The guide table splits [0, 1)
-    into K = GUIDE_BUCKETS equal buckets [b / K, (b + 1) / K): guide[b] is
-    the one cell holding the whole bucket, or -1 when the bucket straddles
-    a cell edge.  It is stored in the narrowest signed integer dtype that
-    holds -1 and every cell index: int16 for every default grid (128 KB),
-    int32 above 32,768 points.
+    cdf is the cumulative node mass (x.size + 1 entries, cdf[0] = 0,
+    cdf[-1] = 1, nondecreasing), so node j owns the cell
+    [cdf[j], cdf[j + 1]) of [0, 1).  The guide table splits [0, 1) into
+    K = GUIDE_BUCKETS equal buckets [b / K, (b + 1) / K): guide[b] is the
+    one cell holding the whole bucket, or -1 when the bucket straddles a
+    cell edge.  It is stored in the narrowest signed integer dtype that
+    holds -1 and every cell index: int16 for every default grid's output
+    lattice (128 KB), int32 above 32,768 nodes.
     """
 
     x: np.ndarray
@@ -268,148 +231,154 @@ class InverseCDF:
         return cells
 
 
-def inverse_cdf_table(state: QuantumState, phi: float,
-                      grid: PositionGrid | None = None) -> InverseCDF:
-    """Sampling table of the Q_phi marginal on the nodes of grid
-    (default_grid(state.dim) when omitted).
-
-    Node j's mass p(x_j) / sum_k p(x_k) is its trapezoid weight (the end
-    values of p vanish), so sum_j (cdf[j + 1] - cdf[j]) x_j^n is the
-    trapezoid rule for <Q_phi^n>, which converges exponentially for these
-    Gaussian-decaying marginals (Trefethen & Weideman 2014, SIAM Rev.
-    56:385): the sampled Q_phi has the state's moments to rounding.
-    """
-    if grid is None:
-        grid = default_grid(state.dim)
-    # marginal_density's density is finite, >= 0 and of positive total
-    F = np.concatenate(([0.0], np.cumsum(marginal_density(state, phi, grid))))
+def _inverse_cdf(x: np.ndarray, mass: np.ndarray) -> InverseCDF:
+    """The table of the nodes x with masses proportional to mass (finite,
+    >= 0 and of positive total)."""
+    F = np.concatenate(([0.0], np.cumsum(mass)))
     F /= F[-1]
     # F * K is exact and K is a power of two, so ceil(F_j K) <= b exactly
     # when F_j <= b / K, and edges[b] = searchsorted(F, b / K, side="right")
     # - 1 is the last j with c_j = ceil(F_j K) <= b: cell j owns the buckets
-    # c_j .. c_{j+1} - 1, built in O(n_points + K).  cell(u) is
+    # c_j .. c_{j+1} - 1, built in O(x.size + K).  cell(u) is
     # nondecreasing, so edges[b] <= cell(u) <= edges[b + 1] for u in bucket
     # b, and the bucket straddles a cell edge exactly when some c_j = b + 1.
     c = np.ceil(F * GUIDE_BUCKETS).astype(np.intp)
-    # -n_points fits exactly when every cell index 0..n_points - 1 does
-    guide = np.repeat(np.arange(grid.n_points, dtype=np.min_scalar_type(-grid.n_points)),
-                      np.diff(c))
+    # -x.size fits exactly when every cell index 0..x.size - 1 does
+    guide = np.repeat(np.arange(x.size, dtype=np.min_scalar_type(-x.size)), np.diff(c))
     guide[c[c > 0] - 1] = -1
-    return InverseCDF(x=grid.points, cdf=F, guide=guide)
+    return InverseCDF(x=x, cdf=F, guide=guide)
 
 
-def sampling_tables(state: QuantumState,
-                    grid: PositionGrid | None = None) -> tuple[InverseCDF, ...]:
-    """One InverseCDF per schedule phase, in nlsq.PHASE_ORDERS order."""
-    return tuple(inverse_cdf_table(state, phi, grid) for phi, _ in PHASE_ORDERS)
+@dataclass(frozen=True, eq=False)
+class NodeMasses:
+    """The Q_phi marginal of one state on the nodes of grid.
+
+    Node x_j = grid.points[j] carries mass[j] = p(x_j) / sum_k p(x_k) of
+    the marginal density p, its trapezoid weight (the end values of p
+    vanish), so sum_j mass[j] x_j^n is the trapezoid rule for <Q_phi^n>,
+    which converges exponentially for these Gaussian-decaying marginals
+    (Trefethen & Weideman 2014, SIAM Rev. 56:385): the nodes carry the
+    state's moments to rounding.
+    """
+
+    grid: PositionGrid
+    mass: np.ndarray
 
 
-def _gaussian_noise(rng: np.random.Generator, count: int, noise_std: float,
-                    buf: BlockBuffers) -> np.ndarray:
-    """count draws of N(0, noise_std^2) into buf.z, read from rng's noise
-    regions in the layout sample_homodyne documents."""
-    u, z, w = buf.u[:count], buf.z[:count], buf.w[:count]
-    j = buf.cells[:count]
-    rng.random(out=u)
-    rng.bit_generator.advance(SAMPLE_BLOCK - count)
-    # t = 512 u: the signed layer j = floor(t) and the proposal's offset
-    # t - j in [0, 1) along the layer's width
-    t = np.multiply(u, 2 * ZIGGURAT_LAYERS, out=u)
-    np.subtract(t, np.floor(t, out=w), out=u)
-    np.copyto(j, w, casting="unsafe")
-    np.take(_K, j, out=w, mode="clip")  # j < 512, so no index is clipped
-    slow = np.greater_equal(u, w, out=buf.straddle[:count])
-    np.take(_W * noise_std, j, out=z, mode="clip")
-    z *= u
-    slots = np.flatnonzero(slow)
-    n = slots.size
-    # the slow slots in sample order, each at its signed abscissa x
-    layer = j[slots]
-    x = np.take(_W, layer, out=buf.cur[:n])
-    x *= np.take(u, slots, out=w[:n])
-    tails = np.flatnonzero(np.take(_TAIL, layer, out=buf.straddle[:n]))
-    # a wedge point is kept when f(x_i) + s (f(x_{i+1}) - f(x_i)) < f(x)
-    s = rng.random(out=u[:n])
-    rng.bit_generator.advance(SAMPLE_BLOCK - n)
-    s *= np.take(_RISE, layer, out=w[:n])
-    s += np.take(_FLOOR, layer, out=w[:n])
-    density = np.multiply(x, x, out=w[:n])
-    density *= -0.5
-    keep = np.less(s, np.exp(density, out=density), out=buf.straddle[:n])
-    # a tail point is r + a with a = -ln(1 - u1) / r from the first of its
-    # tries that has -2 ln(1 - u2) > a^2 (Marsaglia's method).  math.log1p,
-    # unlike numpy's, takes no CPU-dependent SIMD path to these outputs.
-    exhausted = []
-    tries = rng.random((tails.size, TAIL_TRIES, 2))
-    rng.bit_generator.advance(2 * TAIL_TRIES * (SAMPLE_BLOCK - tails.size))
-    for i, pairs in zip(tails.tolist(), tries.tolist()):
-        keep[i] = False
-        for u1, u2 in pairs:
-            a = -math.log1p(-u1) / ZIGGURAT_R
-            if -2.0 * math.log1p(-u2) > a * a:
-                x[i] = math.copysign(ZIGGURAT_R + a, x[i])
-                keep[i] = True
-                break
-        else:
-            exhausted.append(i)
-    # a rejected wedge point restarts with the next standard normal, and a
-    # tail whose tries all fail takes the next normals until one has |z| >= r
-    redo = np.flatnonzero(np.logical_not(keep, out=keep))
-    if not exhausted:
-        x[redo] = rng.standard_normal(redo.size)
+def node_masses(state: QuantumState, phi: float, grid: PositionGrid | None = None) -> NodeMasses:
+    """Node masses of the Q_phi marginal on grid (default_grid(state.dim)
+    when omitted)."""
+    if grid is None:
+        grid = default_grid(state.dim)
+    # marginal_density's density is finite, >= 0 and of positive total
+    density = marginal_density(state, phi, grid)
+    return NodeMasses(grid, density / density.sum())
+
+
+def schedule_masses(state: QuantumState,
+                    grid: PositionGrid | None = None) -> tuple[NodeMasses, ...]:
+    """One NodeMasses per schedule phase, in nlsq.PHASE_ORDERS order."""
+    return tuple(node_masses(state, phi, grid) for phi, _ in PHASE_ORDERS)
+
+
+def _smear(mass: np.ndarray, t: np.ndarray, k: int, reach: int, beta: float) -> np.ndarray:
+    """p_i = sum_j mass_j exp(-beta d^2) over the nodes j within reach of
+    t_i, d = t_i - j, for the lattice t of step k.
+
+    With k below the node count n, row i is the window of a zero-padded
+    copy of the masses that starts at i k, against one kernel row (the
+    kernel is symmetric in d).  At k >= n the kernel, about 52 k long,
+    would outgrow the grid many times over, so each row's weights over
+    the n nodes are computed instead.  Only elementwise products and
+    numpy's row sums, never BLAS, whose sums change their bits with its
+    thread count; a chunk of rows at a time, so the temporaries stay near
+    SAMPLE_BLOCK entries.
+    """
+    n = mass.size
+    if k < n:
+        d = np.arange(-reach, reach + 1.0)
+        kernel = np.exp(-beta * d * d)
+        padded = np.zeros((t.size - 1) * k + kernel.size)
+        # padded[start + j] = mass_j, so row i starts at i k, at j = t_i - reach
+        start = reach - int(t[0])
+        padded[start:start + n] = mass
+        rows = sliding_window_view(padded, kernel.size)[::k]
+
+        def block(lo, hi):
+            return rows[lo:hi] * kernel
     else:
-        for k in redo:
-            x[k] = rng.standard_normal()
-            while k in exhausted and abs(x[k]) < ZIGGURAT_R:
-                x[k] = rng.standard_normal()
-    x *= noise_std
-    z[slots] = x
-    return z
+        j = np.arange(float(n))
+
+        def block(lo, hi):
+            d = t[lo:hi, None] - j
+            w = np.exp(-beta * d * d)
+            w *= np.abs(d) <= reach
+            w *= mass
+            return w
+    p = np.empty(t.size)
+    step = max(1, SAMPLE_BLOCK // (2 * reach + 1 if k < n else n))
+    for lo in range(0, t.size, step):
+        np.sum(block(lo, lo + step), axis=1, out=p[lo:lo + step])
+    return p
 
 
-def sample_homodyne(table: InverseCDF, c_Q: float, count: int, seed: int,
-                    noise_std: float, block: int, buf: BlockBuffers) -> np.ndarray:
-    """Synthesize the first count <= SAMPLE_BLOCK homodyne records
-    Y_out = c_Q Q_phi(0) + W of block `block` of the stream.
+def output_table(nodes: NodeMasses, coeffs: ChannelCoefficients) -> InverseCDF:
+    """Sampling table of Y_out = c_Q Q_phi + W for the node masses m_j of
+    Q_phi and the channel coeffs.
 
-    Q_phi(0) is drawn by inverse-CDF lookup in table, so the record is
-    taken at the table's phase; the channel gains do not depend on it.  A
-    guide table of GUIDE_BUCKETS equal u-buckets picks the cell in O(1)
-    (Chen & Asau 1974; Devroye 1986, section III.2), with a binary search
-    only in the buckets that straddle a cell edge, and Q_phi(0) is the
-    cell's grid node, so c_Q Q_phi(0) is one gather from c_Q * table.x.
-    The channel noise W = Y_in + c_E E is one Gaussian of standard
-    deviation noise_std = sqrt(ChannelCoefficients.noise_var); it smooths
-    the node lattice, whose spacing the runner holds to |c_Q| dx <=
-    noise_std / 2 before a run.
+    With x_j = x_0 + j dx, the density of Y_out is the mixture
+    sum_j m_j N(c_Q x_j, sigma_W^2).  The table samples it on the lattice
+    y_i = c_Q (x_0 + t_i dx), where t_i = i k - h runs over the multiples
+    of k = floor(sigma_W / (2 |c_Q| dx)) within D = floor(KERNEL_REACH
+    sigma_W / (|c_Q| dx)) grid steps of the grid, with the masses
+    p_i = sum_j m_j exp(-(y_i - c_Q x_j)^2 / (2 sigma_W^2)) over
+    |t_i - j| <= D.  The lattice step k |c_Q| dx <= sigma_W / 2 puts each
+    Gaussian's lattice moments within e^{-2 pi^2 (sigma_W / step)^2} <=
+    e^{-79} of its own, wherever its centre falls (Poisson summation;
+    Trefethen & Weideman 2014), so the sampled Y_out has the moments of
+    c_Q Q_phi + W; the cut at D leaves out about 1e-38 of each Gaussian.
 
-    W comes from the ziggurat of Marsaglia & Tsang (2000, J. Stat. Softw.
-    5(8)), run on the whole block at once.  Each sample proposes a point
-    uniformly in one of 512 equal-area layers, 256 per sign, that cover
-    f(x) = exp(-x^2/2); about 98.5% land in a layer's core, under f, and
-    are kept at once.  The others are slow slots: a point in a layer's
-    wedge is kept when a second uniform puts it under f, a point in the
-    base layer past r is replaced by a tail draw (Marsaglia's exponential
-    method, TAIL_TRIES tries), and a rejected wedge point restarts with a
-    fresh standard normal from numpy's exact standard_normal.  A tail
-    whose tries all fail takes standard normals until one has |z| >= r
-    and keeps that normal's sign, which the two equally likely signs of
-    the base layer allow.  Every replacement is an exact draw from
-    the distribution its slot would have yielded, so W is exactly
-    Gaussian up to rounding.
+    A channel without noise (noise_var = 0) samples the nodes c_Q x_j
+    themselves, and one without gain (c_Q = 0) samples W alone on the
+    lattice of step sigma_W / 2.  Raises ValueError when
+    0 < sigma_W < 2 |c_Q| dx, against the runner's lattice rule.
+    """
+    sigma = math.sqrt(coeffs.noise_var)
+    x, mass = nodes.grid.points, nodes.mass
+    if sigma == 0.0:
+        return _inverse_cdf(coeffs.c_Q * x, mass)
+    if coeffs.c_Q == 0.0:
+        # every centre is 0: one node of unit mass, at lattice step sigma / 2
+        y0, dy, mass = 0.0, 0.5 * sigma, np.ones(1)
+    else:
+        y0, dy = coeffs.c_Q * x[0], coeffs.c_Q * nodes.grid.spacing
+    if abs(dy) > 0.5 * sigma:
+        raise ValueError(f"|c_Q| dx = {abs(dy):.3g} exceeds half the noise deviation "
+                         f"{sigma:.3g}; the output lattice would ripple")
+    k = int(sigma / (2.0 * abs(dy)))
+    reach = int(KERNEL_REACH * sigma / abs(dy))
+    t = np.arange(reach % k - reach, mass.size + reach, k, dtype=float)
+    return _inverse_cdf(y0 + dy * t, _smear(mass, t, k, reach, 0.5 * (dy / sigma) ** 2))
+
+
+def sample_homodyne(table: InverseCDF, seed: int, count: int, block: int,
+                    buf: BlockBuffers) -> np.ndarray:
+    """The first count <= SAMPLE_BLOCK homodyne records Y_out of block
+    `block` of the stream `seed`, drawn from table (an output_table, so
+    the record is taken at its phase and channel).
+
+    Each sample is one uniform u, the cell j with cdf[j] <= u < cdf[j + 1]
+    and the cell's node x[j].  A guide table of GUIDE_BUCKETS equal
+    u-buckets picks the cell in O(1) (Chen & Asau 1974; Devroye 1986,
+    section III.2), with a binary search only in the buckets that
+    straddle a cell edge.
 
     The stream is partitioned into fixed-size blocks, each seeded from
     (seed, block index), so the result depends only on (seed, block,
     count) and any concurrent schedule producing the same blocks yields
-    identical samples.  Per block the stream has fixed regions, in order:
-    SAMPLE_BLOCK uniforms for Q; SAMPLE_BLOCK noise-proposal uniforms, one
-    per sample; SAMPLE_BLOCK slow-slot uniforms, one per slow slot in
-    sample order; 2 TAIL_TRIES SAMPLE_BLOCK tail uniforms, 2 TAIL_TRIES per
-    tail slot in sample order; and last the restart normals, taken in
-    sample order.  A block that holds m samples, n slow slots and k tail
-    slots draws m, m, n and 2 TAIL_TRIES k uniforms and advances the
-    generator past the rest of each region (PCG64 spends one 64-bit output
-    per double), so a longer record extends a shorter one.
+    identical samples.  A block's stream has one region: SAMPLE_BLOCK
+    uniforms, one per sample in order, of which a block of count samples
+    reads the first count, so a longer record extends a shorter one.
 
     The samples are written into buf.y and a view of them is returned, so
     a block allocates no sample-sized array; estimate.run_reconstruction
@@ -418,9 +387,5 @@ def sample_homodyne(table: InverseCDF, c_Q: float, count: int, seed: int,
     if not 1 <= count <= SAMPLE_BLOCK:
         raise ValueError(f"count must be in 1..{SAMPLE_BLOCK} (one block), got {count}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))
-    u, y = buf.u[:count], buf.y[:count]
-    rng.random(out=u)
-    rng.bit_generator.advance(SAMPLE_BLOCK - count)
-    np.take(table.x * c_Q, table.cell(u, buf), out=y, mode="clip")
-    y += _gaussian_noise(rng, count, noise_std, buf)
-    return y
+    u = rng.random(out=buf.u[:count])
+    return np.take(table.x, table.cell(u, buf), out=buf.y[:count], mode="clip")

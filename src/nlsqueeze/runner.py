@@ -37,7 +37,7 @@ from .estimate import (CQ_FLOOR, MIN_REPLICATES, MIN_SAMPLES, EnsembleReport, de
 from .hilbert import PositionGrid, default_grid, projection_basis
 from .nlsq import (MARGIN_TOL, MINUS, P, PHASE_ORDERS, PLUS, Q, assemble_curve,
                    classical_threshold, exact_moment_set, resource_condition)
-from .readout import ChannelCoefficients, ChannelParams, channel_coefficients, sampling_tables
+from .readout import ChannelCoefficients, ChannelParams, channel_coefficients, schedule_masses
 from .states import StateSpec, make_state
 
 AXES = ("thermalisation_rate", "interaction_time", "cooperativity")
@@ -347,9 +347,11 @@ def _point(config: ExperimentConfig, where: str, sweep_value: float,
            channel: ChannelParams, seed: int) -> SweepPoint:
     """The record of one channel setting, checked before any state is built:
     |c_Q| >= CQ_FLOOR keeps the moment hierarchy invertible, and
-    |c_Q| dx <= sigma_W / 2 (sigma_W the noise deviation) keeps the lattice
-    ripple of the grid nodes in the density of Y_out below about e^{-79}
-    (Poisson summation).  A failed check's message starts with where."""
+    |c_Q| dx <= sigma_W / 2 (sigma_W the noise deviation) lets the output
+    lattice take a step k |c_Q| dx <= sigma_W / 2 with k >= 1, which keeps
+    its ripple in the moments of Y_out below about e^{-79} (Poisson
+    summation; readout.output_table).  A failed check's message starts
+    with where."""
     co = channel_coefficients(channel)
     if abs(co.c_Q) < CQ_FLOOR:
         raise ConfigError(f"{where}: |c_Q| = {abs(co.c_Q):.2e} below "
@@ -372,11 +374,12 @@ def _template_point(config: ExperimentConfig, what: str) -> SweepPoint:
 
 def _run_points(config: ExperimentConfig, points: list, threads: int = 1,
                 overlay: bool = True) -> SweepReport:
-    """Build the state, its sampling tables and the lambda grid once and run
-    one ensemble per point; overlay=False leaves v_analytic None."""
+    """Build the state, its node masses and the lambda grid once and run
+    one ensemble per point, which builds the point's output tables;
+    overlay=False leaves v_analytic None."""
     t0 = perf_counter()
     state = make_state(config.state_spec, grid=config.grid)
-    tables = sampling_tables(state, config.grid)
+    masses = schedule_masses(state, config.grid)
     lam = config.lambda_grid()
     report = SweepReport(
         config=config,
@@ -387,7 +390,7 @@ def _run_points(config: ExperimentConfig, points: list, threads: int = 1,
     )
     for pt in points:
         t1 = perf_counter()
-        pt.report = ensemble_run(tables, pt.coeffs, config.count, config.R, pt.seed, threads)
+        pt.report = ensemble_run(masses, pt.coeffs, config.count, config.R, pt.seed, threads)
         pt.wall_clock_s = perf_counter() - t1
     report.wall_clock_s = perf_counter() - t0
     return report

@@ -271,15 +271,15 @@ def coherent_moment_dict(beta: complex) -> dict:
     }
 
 
-def draw_record(table, c_Q: float, count: int, seed: int, noise_std: float) -> np.ndarray:
-    """The first count samples of the stream (seed), drawn one block at a
-    time through one BlockBuffers and copied out of it."""
+def draw_record(table, count: int, seed: int) -> np.ndarray:
+    """The first count samples of the stream (seed) from an output table,
+    drawn one block at a time through one BlockBuffers and copied out of
+    it."""
     buf = BlockBuffers()
     out = np.empty(count)
     for lo in range(0, count, SAMPLE_BLOCK):
         m = min(SAMPLE_BLOCK, count - lo)
-        out[lo:lo + m] = sample_homodyne(table, c_Q, m, seed, noise_std,
-                                         lo // SAMPLE_BLOCK, buf)
+        out[lo:lo + m] = sample_homodyne(table, seed, m, lo // SAMPLE_BLOCK, buf)
     return out
 
 

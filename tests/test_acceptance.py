@@ -17,7 +17,7 @@ from nlsqueeze.estimate import derive_seed, ensemble_run, invert_hierarchy
 from nlsqueeze.hilbert import QuantumState, quadrature_moment
 from nlsqueeze.nlsq import assemble_curve, classical_threshold, exact_moment_set, second_moment
 from nlsqueeze.readout import (ChannelParams, channel_coefficients, forward_output_moments,
-                               sampling_tables)
+                               schedule_masses)
 from nlsqueeze.runner import main
 from nlsqueeze.states import StateSpec, make_state
 
@@ -132,11 +132,11 @@ def test_criterion_05_round_trip_inversion():
 def test_criterion_06_clean_point_monte_carlo():
     t0 = time.perf_counter()
     state = make_state(StateSpec(kind="cubic_phase", gamma=0.1, N=128))
-    tables = sampling_tables(state)
-    rep = ensemble_run(tables, channel_coefficients(CLEAN), 10 ** 6, 20, derive_seed(6, 0),
+    masses = schedule_masses(state)
+    rep = ensemble_run(masses, channel_coefficients(CLEAN), 10 ** 6, 20, derive_seed(6, 0),
                        threads=4)
     ok_full, mean, sigma = detection_passes(rep, slack=3.0)
-    quick = ensemble_run(tables, channel_coefficients(CLEAN), 10 ** 5, 5, derive_seed(6, 1),
+    quick = ensemble_run(masses, channel_coefficients(CLEAN), 10 ** 5, 5, derive_seed(6, 1),
                          threads=4)
     ok_quick, mean_q, sigma_q = detection_passes(quick, slack=4.0)
     dt = time.perf_counter() - t0
@@ -147,12 +147,12 @@ def test_criterion_06_clean_point_monte_carlo():
 
 
 def test_criterion_07_thermalisation_degrades_errors():
-    tables = sampling_tables(make_state(StateSpec(kind="cubic_phase", gamma=0.1, N=128)))
+    masses = schedule_masses(make_state(StateSpec(kind="cubic_phase", gamma=0.1, N=128)))
     sigmas = []
     R = 20
     for i, prod in enumerate((1e-4, 1e-2, 1.0, 1e2)):
         params = replace(CLEAN, Gamma_m=prod / (CLEAN.n_bar * CLEAN.tau))
-        rep = ensemble_run(tables, channel_coefficients(params), 10 ** 5, R, derive_seed(7, i),
+        rep = ensemble_run(masses, channel_coefficients(params), 10 ** 5, R, derive_seed(7, i),
                            threads=4)
         sigmas.append(float(np.std(rep.v_at(0.3), ddof=1)))
     # sample std of R gaussian draws has relative error ~1/sqrt(2(R-1))
@@ -168,13 +168,13 @@ def test_criterion_07_thermalisation_degrades_errors():
 
 def test_criterion_08_cooperativity_regimes():
     t0 = time.perf_counter()
-    tables = sampling_tables(make_state(StateSpec(kind="cubic_phase", gamma=0.1, N=128)))
+    masses = schedule_masses(make_state(StateSpec(kind="cubic_phase", gamma=0.1, N=128)))
     base = replace(CLEAN, Gamma_m=1e-8)  # n_bar Gamma_m = 1e-4 kappa
     verdicts = {}
     stats = {}
     for i, C in enumerate((1e-3, 0.1, 10.0)):
         G = math.sqrt(C * base.n_bar * base.Gamma_m * base.kappa)
-        rep = ensemble_run(tables, channel_coefficients(replace(base, G=G)), 10 ** 6, 20,
+        rep = ensemble_run(masses, channel_coefficients(replace(base, G=G)), 10 ** 6, 20,
                            derive_seed(8, i), threads=4)
         ok, mean, sigma = detection_passes(rep)
         verdicts[C] = ok

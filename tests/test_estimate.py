@@ -30,7 +30,8 @@ from nlsqueeze.nlsq import (
     mixed_moment_recovery,
 )
 from nlsqueeze.readout import (SAMPLE_BLOCK, BlockBuffers, ChannelParams, channel_coefficients,
-                               forward_output_moments, hierarchy_matrix, sampling_tables)
+                               forward_output_moments, hierarchy_matrix, output_table,
+                               schedule_masses)
 from nlsqueeze.states import StateSpec, make_state
 
 from oracles import draw_record, record_moments
@@ -41,6 +42,12 @@ STANDARD_CO = channel_coefficients(STANDARD)
 
 def cubic_state(gamma=0.1, N=128):
     return make_state(StateSpec(kind="cubic_phase", gamma=gamma, N=N))
+
+
+def output_tables(state, coeffs=STANDARD_CO):
+    """The state's output tables through coeffs, one per schedule row, as
+    ensemble_run builds them."""
+    return tuple(output_table(m, coeffs) for m in schedule_masses(state))
 
 
 # ------------------------------------------------------------- empirical
@@ -254,7 +261,7 @@ def test_noiseless_inversion_reproduces_exact_curve():
 
 def test_run_reconstruction_recovers_curve():
     st = cubic_state()
-    ms, curve = run_reconstruction(sampling_tables(st), STANDARD_CO, 200_000, seed=7)
+    ms, curve = run_reconstruction(output_tables(st), STANDARD_CO, 200_000, seed=7)
     for k, n in ((Q, 1), (Q, 4), (P, 3), (PLUS, 3)):
         assert math.isfinite(ms.values[k, n])
     # estimates land within a few propagated errors of the closed forms
@@ -263,7 +270,7 @@ def test_run_reconstruction_recovers_curve():
 
 
 def test_run_reconstruction_deterministic():
-    tables = sampling_tables(cubic_state(N=64))
+    tables = output_tables(cubic_state(N=64))
     _, c1 = run_reconstruction(tables, STANDARD_CO, 5000, seed=13)
     _, c2 = run_reconstruction(tables, STANDARD_CO, 5000, seed=13)
     assert (c1.a0, c1.a1, c1.a2) == (c2.a0, c2.a1, c2.a2)
@@ -276,12 +283,11 @@ def test_one_pass_reconstruction_equals_the_record_path(count):
     # run_reconstruction draws and sums each block in one pass; the whole
     # record drawn first and summed after gives every row's moments and
     # covariance bit for bit
-    tables = sampling_tables(cubic_state(N=64))
+    tables = output_tables(cubic_state(N=64))
     seed = 41
     ms, _ = run_reconstruction(tables, STANDARD_CO, count, seed)
     for k, (table, (_, order)) in enumerate(zip(tables, PHASE_ORDERS, strict=True)):
-        record = draw_record(table, STANDARD_CO.c_Q, count, derive_seed(seed, k),
-                             math.sqrt(STANDARD_CO.noise_var))
+        record = draw_record(table, count, derive_seed(seed, k))
         q, q_cov = invert_hierarchy(*record_moments(record, order).moments(), STANDARD_CO)
         np.testing.assert_array_equal(ms.values[k, 1:order + 1], q)
         np.testing.assert_array_equal(ms.cov[k, :order, :order], q_cov)
@@ -292,15 +298,15 @@ def test_one_pass_rejects_non_finite_in_last_partial_block(monkeypatch):
     last = count // SAMPLE_BLOCK
     draw = estimate.sample_homodyne
 
-    def spoiled(table, c_Q, m, seed, noise_std, block, buf):
-        y = draw(table, c_Q, m, seed, noise_std, block, buf)
+    def spoiled(table, seed, m, block, buf):
+        y = draw(table, seed, m, block, buf)
         if block == last:
             y[-1] = np.nan
         return y
 
     monkeypatch.setattr(estimate, "sample_homodyne", spoiled)
     with pytest.raises(DataError, match="non-finite"):
-        run_reconstruction(sampling_tables(cubic_state(N=64)), STANDARD_CO, count, 3)
+        run_reconstruction(output_tables(cubic_state(N=64)), STANDARD_CO, count, 3)
 
 
 def test_reconstruction_calls_keep_the_traced_shapes(monkeypatch):
@@ -322,23 +328,22 @@ def test_reconstruction_calls_keep_the_traced_shapes(monkeypatch):
 
     monkeypatch.setattr(estimate, "sample_homodyne", traced_draw)
     monkeypatch.setattr(estimate, "empirical_moments", traced_add)
-    run_reconstruction(sampling_tables(cubic_state(N=64)), STANDARD_CO, count, seed)
+    run_reconstruction(output_tables(cubic_state(N=64)), STANDARD_CO, count, seed)
     blocks = 4  # per phase: three whole blocks and a half one
     assert [kind for kind, _, _ in calls] == ["draw", "add"] * (len(PHASE_ORDERS) * blocks)
     for (_, _, block), (_, args, _) in zip(calls[::2], calls[1::2]):
         assert args[0] is block
     for k in range(len(PHASE_ORDERS)):
-        drawn = [args for _, args, _ in calls[::2] if args[3] == derive_seed(seed, k)]
+        drawn = [args for _, args, _ in calls[::2] if args[1] == derive_seed(seed, k)]
         assert sum(args[2] for args in drawn) == count
-        assert [args[5] for args in drawn] == list(range(blocks))
+        assert [args[3] for args in drawn] == list(range(blocks))
 
 
 def test_one_pass_allocates_no_per_block_array():
-    # beyond the buffers made once per reconstruction, each block's node
-    # array c_Q x (16 KB) and the small arrays of the straddle search stay below
-    # SAMPLE_BLOCK bytes; a per-block array of even one byte per sample
-    # would push the peak past it
-    tables = sampling_tables(cubic_state(N=64))
+    # beyond the buffers made once per reconstruction, the small arrays of
+    # the straddle search stay below SAMPLE_BLOCK bytes; a per-block array
+    # of even one byte per sample would push the peak past it
+    tables = output_tables(cubic_state(N=64))
     run_reconstruction(tables, STANDARD_CO, SAMPLE_BLOCK, 1)  # warm up
     buffers = sum(a.nbytes for a in vars(BlockBuffers()).values()
                   if isinstance(a, np.ndarray))
@@ -351,42 +356,74 @@ def test_one_pass_allocates_no_per_block_array():
     assert peak - buffers < SAMPLE_BLOCK
 
 
+CALIBRATION_R = 200
+
+
+def calibration_bands(R: int):
+    """(hits_lo, hits_hi, ratio_lo, ratio_hi) for R replicates, at the
+    false-alarm rates of the R = 50 bands they replace.  The 1-sigma
+    interval covers the truth with p = erf(1/sqrt 2), so the hits are
+    Binomial(R, p), whose tails below 28 and above 47 hits at R = 50
+    (coverage 0.55 and 0.95) hold 0.024 and 1.5e-6.  (R - 1) s^2 / sigma^2
+    of the replicate deviation s is chi-square with R - 1 degrees of
+    freedom, and the mean propagated sigma over s keeps its two-sided
+    99.9% band."""
+    from scipy.special import bdtr, bdtrc, chdtri  # binomial cdf and sf, chi-square isf
+
+    p = math.erf(1.0 / math.sqrt(2.0))
+    low, high = bdtr(27, 50, p), bdtrc(47, 50, p)
+    # the narrowest band with P(hits < lo) <= low and P(hits > hi) <= high
+    return (np.count_nonzero(bdtr(np.arange(R + 1), R, p) <= low),
+            R - np.count_nonzero(bdtrc(np.arange(R), R, p) <= high),
+            math.sqrt((R - 1) / chdtri(R - 1, 5e-4)), math.sqrt((R - 1) / chdtri(R - 1, 1 - 5e-4)))
+
+
+def test_calibration_bands_extend_the_fifty_replicate_gate():
+    # at R = 50 the bands are the gate's own, 0.55..0.95 and 0.74..1.47
+    lo, hi, rlo, rhi = calibration_bands(50)
+    assert (lo, hi) == (28, 47)
+    assert 0.74 < rlo < 0.75 and 1.46 < rhi < 1.47
+    lo, hi, rlo, rhi = calibration_bands(CALIBRATION_R)
+    assert (lo, hi) == (123, 166)
+    assert 0.856 < rlo < 0.857 and 1.192 < rhi < 1.194
+
+
 @pytest.mark.parametrize("params", [STANDARD, dataclasses.replace(STANDARD, Gamma_m=1e-7)],
                          ids=["clean", "hot"])
 def test_estimator_error_calibration(params):
-    # propagated sigma should match the scatter of independent runs within
-    # the two-sided 99.9% chi-square band of a 50-replicate deviation, and
-    # the 1-sigma interval should cover the truth at a plausible rate
+    # propagated sigma should match the scatter of CALIBRATION_R
+    # independent runs, and the 1-sigma interval should cover the truth at
+    # a plausible rate, both within calibration_bands
     st = cubic_state()
     true_v = assemble_curve(exact_moment_set(st))(0.1)
-    tables = sampling_tables(st)
+    co = channel_coefficients(params)
+    tables = output_tables(st, co)
     hits = 0
     values = []
     errors = []
-    for r in range(50):
-        _, curve = run_reconstruction(tables, channel_coefficients(params), 100_000,
-                                      derive_seed(303, r))
+    for r in range(CALIBRATION_R):
+        _, curve = run_reconstruction(tables, co, 100_000, derive_seed(303, r))
         values.append(curve(0.1))
         errors.append(curve.error(0.1))
         if abs(curve(0.1) - true_v) <= curve.error(0.1):
             hits += 1
-    coverage = hits / 50.0
-    assert 0.55 <= coverage <= 0.95
+    lo, hi, ratio_lo, ratio_hi = calibration_bands(CALIBRATION_R)
+    assert lo <= hits <= hi
     scatter = float(np.std(values, ddof=1))
-    assert 0.74 < float(np.mean(errors)) / scatter < 1.47
+    assert ratio_lo < float(np.mean(errors)) / scatter < ratio_hi
 
 
 # ------------------------------------------------------------- ensemble
 
 def test_ensemble_requires_replicates():
     with pytest.raises(ValueError):
-        ensemble_run(sampling_tables(cubic_state(N=64)), STANDARD_CO, 1000, 1, 5)
+        ensemble_run(schedule_masses(cubic_state(N=64)), STANDARD_CO, 1000, 1, 5)
 
 
 def test_ensemble_statistics_shapes():
-    tables = sampling_tables(cubic_state(N=64))
+    masses = schedule_masses(cubic_state(N=64))
     lam = np.linspace(-0.1, 0.3, 21)
-    rep = ensemble_run(tables, STANDARD_CO, 2000, 3, 17)
+    rep = ensemble_run(masses, STANDARD_CO, 2000, 3, 17)
     v_mean, v_std = rep.v_stats(lam)
     assert v_mean.shape == (21,)
     assert v_std.shape == (21,)
@@ -402,9 +439,10 @@ def test_ensemble_statistics_shapes():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_ensemble_keeps_each_replicates_curve(threads):
-    tables = sampling_tables(cubic_state(N=64))
-    rep = ensemble_run(tables, STANDARD_CO, 1500, 3, 41, threads=threads)
+    state = cubic_state(N=64)
+    rep = ensemble_run(schedule_masses(state), STANDARD_CO, 1500, 3, 41, threads=threads)
     assert len(rep.curves) == 3
+    tables = output_tables(state)
     for r, curve in enumerate(rep.curves):
         _, alone = run_reconstruction(tables, STANDARD_CO, 1500, derive_seed(41, r))
         assert (curve.a0, curve.a1, curve.a2) == (alone.a0, alone.a1, alone.a2)
@@ -416,23 +454,23 @@ def test_ensemble_keeps_each_replicates_curve(threads):
 
 
 def test_ensemble_deterministic_and_thread_invariant():
-    tables = sampling_tables(cubic_state(N=64))
+    masses = schedule_masses(cubic_state(N=64))
     lam = np.linspace(0.0, 0.2, 5)
-    a = ensemble_run(tables, STANDARD_CO, 3000, 4, 23).v_stats(lam)
-    b = ensemble_run(tables, STANDARD_CO, 3000, 4, 23).v_stats(lam)
-    c = ensemble_run(tables, STANDARD_CO, 3000, 4, 23, threads=4).v_stats(lam)
+    a = ensemble_run(masses, STANDARD_CO, 3000, 4, 23).v_stats(lam)
+    b = ensemble_run(masses, STANDARD_CO, 3000, 4, 23).v_stats(lam)
+    c = ensemble_run(masses, STANDARD_CO, 3000, 4, 23, threads=4).v_stats(lam)
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[0], c[0])
     np.testing.assert_array_equal(a[1], c[1])
 
 
 def test_adiabatic_warning_only_when_the_channel_is_built():
-    tables = sampling_tables(cubic_state(N=64))
+    masses = schedule_masses(cubic_state(N=64))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         params = ChannelParams(G=0.1, Gamma_m=1e-9, n_bar=1e4, tau=5.0)
         assert len(caught) == 1 and "adiabatic" in str(caught[0].message)
-        ensemble_run(tables, channel_coefficients(params), 1000, 3, 29)
+        ensemble_run(masses, channel_coefficients(params), 1000, 3, 29)
     assert len(caught) == 1
 
 

@@ -22,7 +22,7 @@ from nlsqueeze.nlsq import (
     resource_condition,
     second_moment,
 )
-from nlsqueeze.readout import ChannelParams, channel_coefficients, sampling_tables
+from nlsqueeze.readout import ChannelParams, channel_coefficients, output_table, schedule_masses
 from nlsqueeze.states import StateSpec, make_state
 
 import oracles
@@ -53,9 +53,9 @@ def test_named_rows_match_the_schedule():
 
 
 def reconstructed_set(state) -> MomentSet:
-    params = ChannelParams(G=0.1, Gamma_m=1e-9, n_bar=1e4, tau=1e3)
-    return run_reconstruction(sampling_tables(state), channel_coefficients(params), 1000,
-                              seed=3)[0]
+    co = channel_coefficients(ChannelParams(G=0.1, Gamma_m=1e-9, n_bar=1e4, tau=1e3))
+    tables = tuple(output_table(m, co) for m in schedule_masses(state))
+    return run_reconstruction(tables, co, 1000, seed=3)[0]
 
 
 @pytest.mark.parametrize("build", [exact_moment_set, reconstructed_set],

@@ -1,30 +1,31 @@
 import dataclasses
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nlsqueeze.estimate import invert_hierarchy
 from nlsqueeze.hilbert import PositionGrid, default_grid, marginal_density, quadrature_moment
 from nlsqueeze.nlsq import (HALF_PI, PHASE_ORDERS, MomentSet, assemble_curve, exact_moment_set,
                             mixed_moment_recovery)
 from nlsqueeze.readout import (
     GUIDE_BUCKETS,
     SAMPLE_BLOCK,
-    TAIL_TRIES,
-    ZIGGURAT_F,
-    ZIGGURAT_R,
-    ZIGGURAT_V,
-    ZIGGURAT_X,
     BlockBuffers,
+    ChannelCoefficients,
     ChannelParams,
     channel_coefficients,
     forward_output_moments,
-    inverse_cdf_table,
+    node_masses,
+    output_table,
     sample_homodyne,
-    sampling_tables,
+    schedule_masses,
+    _smear,
 )
+from nlsqueeze.runner import apply_axis, load_config
 from nlsqueeze.states import StateSpec, make_state
 
 import oracles
@@ -179,9 +180,8 @@ def test_forward_odd_moments_from_coherent():
 # ------------------------------------------------------------- sampling
 
 def sample(state, p, count, seed, phi=0.0):
-    co = channel_coefficients(p)
-    return oracles.draw_record(inverse_cdf_table(state, phi), co.c_Q, count, seed,
-                               math.sqrt(co.noise_var))
+    table = output_table(node_masses(state, phi), channel_coefficients(p))
+    return oracles.draw_record(table, count, seed)
 
 
 def test_sampler_deterministic():
@@ -203,55 +203,17 @@ def test_sampler_prefix_property():
         np.testing.assert_array_equal(b[:short], a)
 
 
-def reference_block(table, c_Q, noise_std, seed, block, m):
+def reference_block(table, seed, block, m):
     """The first m samples of one block rebuilt from the documented stream
-    layout one sample at a time, and each sample's noise kind: core, wedge,
-    restart, tail or exhausted (a tail whose tries all failed)."""
+    layout: the block's one region of SAMPLE_BLOCK uniforms, each looked
+    up by the binary search the guide table replaces."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))
-    q_u = rng.random(SAMPLE_BLOCK)
-    proposal = rng.random(SAMPLE_BLOCK)
-    slow_u = iter(rng.random(SAMPLE_BLOCK))
-    tail_u = iter(rng.random(2 * TAIL_TRIES * SAMPLE_BLOCK))
-    # the stream now stands at the restart normals
-    # the binary search the guide table replaces, then the cell's node
-    q = c_Q * table.x[np.searchsorted(table.cdf, q_u[:m], side="right") - 1]
-    X, F = ZIGGURAT_X.tolist(), ZIGGURAT_F.tolist()
-    f = lambda x: float(np.exp(-0.5 * (x * x)))  # numpy's exp, as the sampler's
-    y, kinds = [], []
-    for i in range(m):
-        t = 512.0 * float(proposal[i])
-        j = math.floor(t)
-        offset = t - j
-        layer = j % 256
-        width = X[layer] if j < 256 else -X[layer]
-        if offset < X[layer + 1] / X[layer]:
-            y.append(q[i] + offset * (noise_std * width))
-            kinds.append("core")
-            continue
-        x = offset * width
-        s = next(slow_u)
-        if layer == 0:
-            tries = [(next(tail_u), next(tail_u)) for _ in range(TAIL_TRIES)]
-            kind = "exhausted"
-            for u1, u2 in tries:
-                a = -math.log1p(-u1) / ZIGGURAT_R
-                if -2.0 * math.log1p(-u2) > a * a:
-                    x, kind = math.copysign(ZIGGURAT_R + a, x), "tail"
-                    break
-        else:
-            kind = "wedge" if F[layer] + s * (F[layer + 1] - F[layer]) < f(x) else "restart"
-        if kind in ("restart", "exhausted"):
-            x = rng.standard_normal()
-            while kind == "exhausted" and abs(x) < ZIGGURAT_R:
-                x = rng.standard_normal()
-        y.append(q[i] + x * noise_std)
-        kinds.append(kind)
-    return np.array(y), kinds
+    u = rng.random(SAMPLE_BLOCK)[:m]
+    return table.x[np.searchsorted(table.cdf, u, side="right") - 1]
 
 
-def reference_record(table, c_Q, noise_std, seed, n):
-    return np.concatenate([reference_block(table, c_Q, noise_std, seed, b,
-                                           min(SAMPLE_BLOCK, n - b * SAMPLE_BLOCK))[0]
+def reference_record(table, seed, n):
+    return np.concatenate([reference_block(table, seed, b, min(SAMPLE_BLOCK, n - b * SAMPLE_BLOCK))
                            for b in range(-(-n // SAMPLE_BLOCK))])
 
 
@@ -259,126 +221,40 @@ def reference_record(table, c_Q, noise_std, seed, n):
                                SAMPLE_BLOCK + 1000, 2 * SAMPLE_BLOCK + 1000],
                          ids=["1", "100", "B-1", "B", "B+1", "B+1000", "2B+1000"])
 def test_sampler_follows_the_documented_stream(n):
-    # every block rebuilt one sample at a time from whole regions of its
-    # stream: SAMPLE_BLOCK uniforms for Q, SAMPLE_BLOCK noise proposals,
-    # SAMPLE_BLOCK slow-slot uniforms, 2 TAIL_TRIES SAMPLE_BLOCK tail
-    # uniforms, then the restart normals; a partial last block must read
-    # the same stream
-    table = inverse_cdf_table(cubic_state(), 0.0)
-    co = channel_coefficients(STANDARD)
-    noise_std = math.sqrt(co.noise_var)
-    np.testing.assert_array_equal(oracles.draw_record(table, co.c_Q, n, 77, noise_std),
-                                  reference_record(table, co.c_Q, noise_std, 77, n))
-
-
-def test_ziggurat_layers_have_equal_area():
-    X, F, v = ZIGGURAT_X, ZIGGURAT_F, ZIGGURAT_V
-    assert X.shape == (257,) and X[1] == ZIGGURAT_R and X[256] == 0.0 and F[256] == 1.0
-    assert np.all(np.diff(X[1:]) < 0)
-    np.testing.assert_array_equal(F, [math.exp(-0.5 * x * x) for x in X])
-    # layers 1..255 are the rectangles [0, x_i) x [f(x_i), f(x_{i+1}))
-    np.testing.assert_allclose(X[1:256] * np.diff(F[1:]), v, rtol=1e-12, atol=0)
-    # the top layer closes at x = 0: its recurrence step lands on f = 1
-    assert abs(v / X[255] + F[255] - 1.0) < 1e-14
-    # the base layer: the rectangle up to r plus the tail beyond it, and
-    # its virtual width x_0 = v / f(r)
-    tail = math.sqrt(math.pi / 2.0) * math.erfc(ZIGGURAT_R / math.sqrt(2.0))
-    assert ZIGGURAT_R * F[1] + tail == pytest.approx(v, rel=1e-12, abs=0)
-    assert X[0] * F[1] == pytest.approx(v, rel=1e-15, abs=0)
-
-
-FALSE_ALARM = 1e-4  # chance that a correct generator fails the whole test
-
-
-def test_noise_is_standard_normal():
-    # 306 blocks of pure noise (c_Q = 0, unit deviation), about 2e7 draws:
-    # moments 1..8 and the counts beyond 1, 2, 3, r and 4 each within k
-    # standard errors, k set so that the 13 checks together fail a correct
-    # generator with probability FALSE_ALARM
-    from scipy.special import ndtri
-
-    table = inverse_cdf_table(make_state(StateSpec(kind="vacuum", N=16)), 0.0)
-    buf = BlockBuffers()
-    orders = np.arange(1, 9)
-    edges = (1.0, 2.0, 3.0, ZIGGURAT_R, 4.0)
-    sums, beyond = np.zeros(orders.size), np.zeros(len(edges))
-    blocks = 306
-    for b in range(blocks):
-        z = sample_homodyne(table, 0.0, SAMPLE_BLOCK, 2024, 1.0, b, buf)
-        power = np.ones(SAMPLE_BLOCK)
-        for k in orders:
-            power *= z
-            sums[k - 1] += power.sum()
-        np.abs(z, out=power)
-        beyond += [np.count_nonzero(power > e) for e in edges]
-    n = blocks * SAMPLE_BLOCK
-    k = float(ndtri(1.0 - FALSE_ALARM / (2 * (orders.size + len(edges)))))
-    gauss = [0.0 if m % 2 else float(math.prod(range(m - 1, 0, -2))) for m in range(17)]
-    for m in orders:
-        se = math.sqrt((gauss[2 * m] - gauss[m] ** 2) / n)
-        assert abs(sums[m - 1] / n - gauss[m]) < k * se, m
-    for e, count in zip(edges, beyond):
-        p = math.erfc(e / math.sqrt(2.0))
-        assert abs(count - n * p) < k * math.sqrt(n * p * (1.0 - p)), e
-
-
-def slow_slot_prefixes(table, c_Q, noise_std, seed, block, kinds):
-    # each count ends just after the first slot of a kind
-    buf = BlockBuffers()
-    longer = sample_homodyne(table, c_Q, SAMPLE_BLOCK, seed, noise_std, block, buf).copy()
-    _, seen = reference_block(table, c_Q, noise_std, seed, block, SAMPLE_BLOCK)
-    for kind in kinds:
-        count = seen.index(kind) + 1
-        short = sample_homodyne(table, c_Q, count, seed, noise_std, block, buf)
-        np.testing.assert_array_equal(short, longer[:count])
-        ref, _ = reference_block(table, c_Q, noise_std, seed, block, count)
-        np.testing.assert_array_equal(short, ref)
-    return longer, seen
-
-
-def test_sampler_prefix_ends_after_a_restart_and_a_tail():
-    table = inverse_cdf_table(cubic_state(), 0.0)
-    co = channel_coefficients(STANDARD)
-    slow_slot_prefixes(table, co.c_Q, math.sqrt(co.noise_var), 21, 0,
-                       ("restart", "tail", "wedge"))
-
-
-def test_sampler_prefix_ends_after_an_exhausted_tail():
-    # found by search: in block 311 of seed 13, all TAIL_TRIES tries of the
-    # tail slot 52528 fail, so it takes normals from the restart region
-    # until one lies past r (c_Q = 0 and unit deviation leave the noise)
-    table = inverse_cdf_table(make_state(StateSpec(kind="vacuum", N=16)), 0.0)
-    z, kinds = slow_slot_prefixes(table, 0.0, 1.0, 13, 311, ("exhausted",))
-    assert [i for i, kind in enumerate(kinds) if kind == "exhausted"] == [52528]
-    assert abs(z[52528]) >= ZIGGURAT_R
-    assert "restart" in kinds[52529:]  # a later restart reads past its normals
+    # every block rebuilt from the first samples of its one region of
+    # SAMPLE_BLOCK uniforms; a partial last block must read the same
+    # stream
+    table = output_table(node_masses(cubic_state(), 0.0), channel_coefficients(STANDARD))
+    np.testing.assert_array_equal(oracles.draw_record(table, n, 77),
+                                  reference_record(table, 77, n))
 
 
 def test_sampler_rejects_bad_count():
     # one call draws one block of 1..SAMPLE_BLOCK samples
-    table = inverse_cdf_table(cubic_state(), 0.0)
+    table = output_table(node_masses(cubic_state(), 0.0), channel_coefficients(STANDARD))
     for count in (0, SAMPLE_BLOCK + 1):
         with pytest.raises(ValueError, match="count"):
-            sample_homodyne(table, channel_coefficients(STANDARD).c_Q, count, 1, 1.0, 0,
-                            BlockBuffers())
+            sample_homodyne(table, 1, count, 0, BlockBuffers())
 
 
 def test_reused_buffers_give_the_samples_of_fresh_ones():
-    # one BlockBuffers across two tables, two gains and two deviations in
-    # alternation: nothing of one block's table, c_Q or noise_std may leak
-    # into the next.  The settings run through a Gray code, so each step
-    # changes exactly one of the three and each of them changes alone; the
-    # tables are on different grids, so their nodes differ too.
+    # one BlockBuffers across the output tables of two marginals, two gains
+    # and two deviations in alternation: nothing of one block's table may
+    # leak into the next.  The settings run through a Gray code, so each
+    # step changes exactly one of the three and each of them changes
+    # alone; the marginals are on different grids, so their nodes differ
+    # too.
     state = cubic_state()
-    tables = (inverse_cdf_table(state, 0.0),
-              inverse_cdf_table(state, HALF_PI, PositionGrid(extent=20.0, n_points=3001)))
+    masses = (node_masses(state, 0.0),
+              node_masses(state, HALF_PI, PositionGrid(extent=20.0, n_points=3001)))
     co = channel_coefficients(STANDARD)
     gains = (co.c_Q, 0.5 * co.c_Q)
     deviations = (math.sqrt(co.noise_var), 2.0)
+    tables = [output_table(masses[g & 1], dataclasses.replace(
+        co, c_Q=gains[g >> 1 & 1], noise_var=deviations[g >> 2 & 1] ** 2)) for g in range(8)]
     buf = BlockBuffers()
     for i in range(16):
-        g = i ^ (i >> 1)
-        args = (tables[g & 1], gains[g >> 1 & 1], 1000 + i, 17, deviations[g >> 2 & 1], i % 3)
+        args = (tables[(i ^ (i >> 1)) & 7], 17, 1000 + i, i % 3)
         np.testing.assert_array_equal(sample_homodyne(*args, buf),
                                       sample_homodyne(*args, BlockBuffers()), err_msg=str(i))
 
@@ -394,10 +270,12 @@ def test_guided_lookup_equals_binary_search(spec):
     # the reference is the binary search the guide table replaces
     rng = np.random.default_rng(61)
     state = make_state(spec)
-    for table, (phi, _) in zip(sampling_tables(state), PHASE_ORDERS, strict=True):
+    co = channel_coefficients(STANDARD)
+    for masses, (phi, _) in zip(schedule_masses(state), PHASE_ORDERS, strict=True):
+        table = output_table(masses, co)
         F = table.cdf
-        # the tables come in schedule-row order
-        np.testing.assert_array_equal(F, inverse_cdf_table(state, phi).cdf)
+        # the node masses come in schedule-row order
+        np.testing.assert_array_equal(masses.mass, node_masses(state, phi).mass)
         assert F.shape == (table.x.size + 1,) and F[0] == 0.0 and F[-1] == 1.0
         assert np.all(np.diff(F) >= 0)
         assert_guide_is_the_binary_search(table)
@@ -407,7 +285,7 @@ def test_guided_lookup_equals_binary_search(spec):
             # uniforms of straddling buckets (guide -1) are searched; a
             # lookup that searched most of them again would fail here
             assert (table.guide < 0).mean() < 0.01
-        plateau = F[1:][np.diff(F) == 0.0]  # cell edges inside zero-density runs
+        plateau = F[1:][np.diff(F) == 0.0]  # cell edges inside zero-mass runs
         assert plateau.size > 0
         assert_cells_are_the_binary_search(table, rng, plateau)
 
@@ -437,20 +315,69 @@ def assert_cells_are_the_binary_search(table, rng, plateau=()):
 
 
 def test_guide_of_a_grid_past_int16_is_int32():
-    # cell indices up to 39,999 do not fit int16
+    # at lattice step k = 1 the 40,000 grid nodes and the kernel's reach
+    # give more cell indices than int16 holds
     state = make_state(StateSpec(kind="coherent", beta=0.5, N=8))
-    table = inverse_cdf_table(state, 0.3, PositionGrid(extent=18.0, n_points=40_000))
+    grid = PositionGrid(extent=18.0, n_points=40_000)
+    co = ChannelCoefficients(c_Q=1.0, c_E=0.0, noise_var=(3.0 * grid.spacing) ** 2)
+    table = output_table(node_masses(state, 0.3, grid), co)
+    assert table.x.size > 40_000
     assert table.guide.dtype == np.int32
     assert_guide_is_the_binary_search(table)
     assert_cells_are_the_binary_search(table, np.random.default_rng(62))
 
 
 def test_noiseless_samples_are_scaled_grid_nodes():
-    table = inverse_cdf_table(cubic_state(), 0.0)
     c_Q = channel_coefficients(STANDARD).c_Q
-    y = oracles.draw_record(table, c_Q, SAMPLE_BLOCK + 1000, 5, 0.0)
-    assert np.isin(y, c_Q * table.x).all()
+    noiseless = ChannelCoefficients(c_Q=c_Q, c_E=0.0, noise_var=0.0)
+    table = output_table(node_masses(cubic_state(), 0.0), noiseless)
+    y = oracles.draw_record(table, SAMPLE_BLOCK + 1000, 5)
+    assert np.isin(y, c_Q * default_grid(128).points).all()
     assert np.unique(y).size > 100
+
+
+def test_output_table_past_the_lattice_rule_raises():
+    # the output lattice needs |c_Q| dx <= sigma_W / 2, the runner's rule
+    masses = node_masses(cubic_state(), 0.0)
+    dx = masses.grid.spacing
+    for deviation, fine in ((2.5 * dx, True), (1.9 * dx, False)):
+        co = ChannelCoefficients(c_Q=-1.0, c_E=0.0, noise_var=deviation ** 2)
+        if fine:
+            assert output_table(masses, co).x.size > masses.mass.size
+        else:
+            with pytest.raises(ValueError, match="half the noise deviation"):
+                output_table(masses, co)
+
+
+@pytest.mark.parametrize("n, k, reach", [(300, 2, 40), (300, 5, 400), (300, 400, 10_000)],
+                         ids=["narrow-kernel", "wide-kernel", "every-weight"])
+def test_smear_routes_equal_the_dense_sum(n, k, reach):
+    # _smear's windows of the padded masses, with a kernel narrower and
+    # wider than the grid, and its route that computes every weight,
+    # against the sum over every pair of lattice and grid node, cut at
+    # reach
+    mass = np.random.default_rng(n + k).random(n)
+    t = np.arange(reach % k - reach, n + reach, k, dtype=float)
+    beta = 1.0 / (8.0 * (k + 0.5) ** 2)
+    d = t[:, None] - np.arange(n)
+    dense = (np.exp(-beta * d * d) * (np.abs(d) <= reach) * mass).sum(axis=1)
+    np.testing.assert_allclose(_smear(mass, t, k, reach, beta), dense, rtol=1e-13, atol=0)
+
+
+def test_weak_gain_table_carries_the_forward_moments():
+    # |c_Q| at the runner's floor puts the output lattice about 2e7 grid
+    # steps apart, k far above the grid's node count; the table stays
+    # small
+    masses = node_masses(cubic_state(), 0.0)
+    co = ChannelCoefficients(c_Q=-1e-6, c_E=0.0, noise_var=0.5)
+    table = output_table(masses, co)
+    assert table.x.size < 200
+    w = np.diff(table.cdf)
+    x = masses.grid.points
+    forward = forward_output_moments([masses.mass @ x ** n for n in range(1, 5)], co)
+    for n in range(1, 5):
+        scale = float(w @ np.abs(table.x) ** n)
+        assert abs(float(w @ table.x ** n) - forward[n - 1]) <= 1e-11 * scale, n
 
 
 # one state of each kind the sampler must reproduce exactly, displaced
@@ -460,24 +387,24 @@ MOMENT_STATES = [StateSpec(kind="cubic_phase", gamma=0.1, N=128),
                  StateSpec(kind="thermal", n_bar=0.7, N=64),
                  StateSpec(kind="displaced", alpha=0.3 + 0.4j, N=96,
                            inner=StateSpec(kind="cubic_phase", gamma=0.1, N=96))]
+MOMENT_IDS = ["cubic", "coherent", "thermal", "displaced"]
 
 
-@pytest.mark.parametrize("spec", MOMENT_STATES, ids=["cubic", "coherent", "thermal",
-                                                     "displaced"])
+@pytest.mark.parametrize("spec", MOMENT_STATES, ids=MOMENT_IDS)
 def test_tables_carry_the_exact_moments(spec):
-    # the distribution the sampler draws Q from has the state's moments:
-    # node j with probability diff(cdf)_j, so the sampled V(lambda) is the
+    # the node masses have the state's moments: node j with mass[j], so
+    # the V(lambda) of the distribution the sampler smears is the
     # certified one
     state = make_state(spec)
     grid = default_grid(state.dim)
     sampled = MomentSet()
-    for k, (table, (phi, order)) in enumerate(zip(sampling_tables(state), PHASE_ORDERS,
-                                                  strict=True)):
-        weights = np.diff(table.cdf)
+    for k, (masses, (phi, order)) in enumerate(zip(schedule_masses(state), PHASE_ORDERS,
+                                                   strict=True)):
+        weights = masses.mass
         dens = marginal_density(state, phi, grid)
         np.testing.assert_allclose(weights, dens / dens.sum(), rtol=0, atol=1e-13)
         for n in range(1, order + 1):
-            value = float(weights @ table.x ** n)
+            value = float(weights @ grid.points ** n)
             exact = quadrature_moment(state, phi, n)
             assert abs(value - exact) <= 1e-11 * max(1.0, abs(exact)), (k, n)
             sampled.values[k, n] = value
@@ -485,6 +412,50 @@ def test_tables_carry_the_exact_moments(spec):
     lam = np.linspace(-0.2, 0.4, 101)
     exact_v = assemble_curve(exact_moment_set(state))(lam)
     np.testing.assert_allclose(assemble_curve(sampled)(lam), exact_v, rtol=1e-11, atol=0)
+
+
+def moment_channels():
+    """The thermalisation preset's seven sweep channels, then one whose
+    output lattice takes every grid step (k = 1)."""
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "thermalisation.cfg")
+    return [apply_axis(cfg.channel, cfg.sweep_axis, v) for v in cfg.sweep_values] + [
+        dataclasses.replace(cfg.channel, G=0.15, Gamma_m=1e-11)]
+
+
+@pytest.mark.parametrize("spec", MOMENT_STATES, ids=MOMENT_IDS)
+def test_output_tables_carry_the_forward_moments(spec):
+    # the lattice distribution of each output table has the moments of
+    # c_Q Q + W for the node distribution of Q up to the row's order, to
+    # 1e-11 of E|Y|^n, so the
+    # V(lambda) rebuilt from it through the inverse hierarchy is the
+    # certified one.  The inversion divides <Y^4> ~ (c_Q^2 + sigma_W^2)^2
+    # by c_Q^4, so V's tolerance grows by (1 + sigma_W^2 / c_Q^2)^2: 1 on
+    # the clean channels, about 1,200 on the preset's hottest.
+    state = make_state(spec)
+    lam = np.linspace(-0.2, 0.4, 101)
+    exact_v = assemble_curve(exact_moment_set(state))(lam)
+    steps = []
+    for channel in moment_channels():
+        co = channel_coefficients(channel)
+        sampled = MomentSet()
+        for k, (masses, (_, order)) in enumerate(zip(schedule_masses(state), PHASE_ORDERS,
+                                                     strict=True)):
+            x = masses.grid.points
+            table = output_table(masses, co)
+            w = np.diff(table.cdf)
+            forward = forward_output_moments([masses.mass @ x ** n for n in range(1, order + 1)],
+                                             co)
+            y = [float(w @ table.x ** n) for n in range(1, order + 1)]
+            for n in range(1, order + 1):
+                scale = float(w @ np.abs(table.x) ** n)
+                assert abs(y[n - 1] - forward[n - 1]) <= 1e-11 * scale, (k, n)
+            sampled.values[k, 1:order + 1] = invert_hierarchy(y, np.zeros((order, order)), co)[0]
+        steps.append(round(abs(table.x[1] - table.x[0]) / (abs(co.c_Q) * masses.grid.spacing)))
+        sampled.mixed = mixed_moment_recovery(sampled)
+        tol = 1e-11 * (1.0 + co.noise_var / co.c_Q ** 2) ** 2
+        np.testing.assert_allclose(assemble_curve(sampled)(lam), exact_v, rtol=tol, atol=0,
+                                   err_msg=str(channel))
+    assert steps[-1] == 1 and max(steps) > 1
 
 
 def test_sample_mean_and_variance_vacuum():
