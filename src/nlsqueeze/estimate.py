@@ -35,76 +35,72 @@ def derive_seed(*parts) -> int:
 
 
 class PowerSums:
-    """Running power sums of one homodyne record, fed block by block
-    through empirical_moments, with buf's power terms as scratch.
-
-    A sample x is summed as w = x 2^-exp, 2^exp the power of two above
-    the largest |x| so far (2^-1022 at least), so every w^k lies in
-    [-1, 1].  A block that needs a larger exp first multiplies raw[k - 1]
-    by 2^(-k delta), which is exact barring subnormal sums, so the sums
-    equal those of the record summed at its final exp from the start.
+    """The cell counts of one homodyne record on the output lattice of
+    table, added block by block through empirical_moments.  The counts c_i
+    fix every power sum: moments() forms raw_k = sum_i c_i (x_i 2^-exp)^k
+    once, over the nodes x_i hit, 2^exp the power of two above the largest
+    |x_i| hit (2^-1022 at least), so every (x_i 2^-exp)^k lies in [-1, 1].
+    Integer counts make the sums independent of how the record is blocked.
     """
 
-    def __init__(self, max_n: int, buf: BlockBuffers):
+    def __init__(self, max_n: int, table: InverseCDF):
         if max_n < 1 or max_n > MAX_ORDER:
             raise ValueError(f"max_n must be in 1..{MAX_ORDER} (cubic protocol ceiling), "
                              f"got {max_n}")
         self.max_n = max_n
-        self.buf = buf
-        self.count = 0
-        self.exp = _EXP_FLOOR
-        self.raw = np.zeros(2 * max_n)  # raw[k] sums w^(k + 1)
+        self.x = table.x
+        self.counts = np.zeros(table.x.size, np.int64)
+
+    @property
+    def count(self) -> int:
+        return int(self.counts.sum())
 
     def moments(self):
         """(means, cov) of the record so far: means[n-1] is the mean of Y^n
         for n = 1..max_n, and cov[n-1, m-1] = (<Y^(n+m)> - <Y^n><Y^m>)/(count - 1)
         the covariance of the means of Y^n and Y^m; an entry of cov past
-        the float range is inf."""
-        if self.count < MIN_SAMPLES:
+        the float range is inf.  A non-finite node hit, or one whose
+        max_n-th power leaves the float range, raises DataError."""
+        count = self.count
+        if count < MIN_SAMPLES:
             raise ValueError(f"need a record of at least {MIN_SAMPLES} samples, "
-                             f"got {self.count}")
-        raw = self.raw / self.count
+                             f"got {count}")
+        hit = np.flatnonzero(self.counts)
+        x = self.x[hit]
+        peak = float(np.abs(x).max())  # NaN propagates
+        if not math.isfinite(peak):
+            raise DataError("non-finite sample in homodyne record")
+        try:
+            peak ** self.max_n
+        except OverflowError:
+            raise DataError(f"sample magnitude {peak:.3g} overflows the order-{self.max_n} "
+                            f"moment") from None
+        exp = max(math.frexp(peak)[1], _EXP_FLOOR)  # 2^(exp - 1) <= peak < 2^exp
+        # row k - 1 holds (x_i 2^-exp)^k; products and numpy's pairwise row
+        # sums, never BLAS, whose sums change their bits with its thread count
+        powers = np.cumprod(np.broadcast_to(x * math.ldexp(1.0, -exp), (2 * self.max_n, x.size)),
+                            axis=0)
+        raw = (powers * self.counts[hit]).sum(axis=1) / count
         n = np.arange(1, self.max_n + 1)
         mu = raw[:self.max_n]
-        cov = (raw[n[:, None] + n - 1] - np.outer(mu, mu)) / (self.count - 1.0)
+        cov = (raw[n[:, None] + n - 1] - np.outer(mu, mu)) / (count - 1.0)
         with np.errstate(over="ignore"):
-            return np.ldexp(mu, self.exp * n), np.ldexp(cov, self.exp * (n[:, None] + n))
+            return np.ldexp(mu, exp * n), np.ldexp(cov, exp * (n[:, None] + n))
 
 
-def empirical_moments(samples, sums: PowerSums) -> PowerSums:
-    """Add one block of at most SAMPLE_BLOCK samples to the running power
-    sums of Y^k, k <= 2 sums.max_n, of one record and return them;
-    sums.moments() gives the means and their covariance.
+def empirical_moments(cells, sums: PowerSums) -> PowerSums:
+    """Add one block of at most SAMPLE_BLOCK samples, given as their cells
+    on the lattice of sums (sample_homodyne's result), to the cell counts
+    of one record and return them; sums.moments() gives the means of Y^n
+    and their covariance.
 
     A record of several blocks is summed by calling this once per block,
-    in block order, as run_reconstruction does.  A non-finite sample, or
-    one whose max_n-th power leaves the float range, raises DataError.
+    as run_reconstruction does.
     """
-    x = np.asarray(samples, dtype=float)
-    if x.ndim != 1 or not 1 <= x.size <= SAMPLE_BLOCK:
-        raise ValueError(f"need a 1-d block of 1..{SAMPLE_BLOCK} samples, got shape {x.shape}")
-    max_n = sums.max_n
-    peak = max(float(x.max()), -float(x.min()))  # NaN propagates through both
-    if not math.isfinite(peak):
-        raise DataError("non-finite sample in homodyne record")
-    try:
-        peak ** max_n
-    except OverflowError:
-        raise DataError(f"sample magnitude {peak:.3g} overflows the order-{max_n} "
-                        f"moment") from None
-    exp = math.frexp(peak)[1]  # 2^(exp - 1) <= peak < 2^exp
-    if exp > sums.exp:
-        sums.raw = np.ldexp(sums.raw, (sums.exp - exp) * np.arange(1, 2 * max_n + 1))
-        sums.exp = exp
-    raw = sums.raw
-    w = np.multiply(x, math.ldexp(1.0, -sums.exp), out=sums.buf.w[:x.size])
-    cur = np.multiply(w, w, out=sums.buf.cur[:x.size])
-    raw[0] += w.sum()
-    raw[1] += cur.sum()
-    for k in range(2, 2 * max_n):
-        np.multiply(cur, w, out=cur)
-        raw[k] += cur.sum()
-    sums.count += x.size
+    cells = np.asarray(cells)
+    if cells.ndim != 1 or not 1 <= cells.size <= SAMPLE_BLOCK:
+        raise ValueError(f"need a 1-d block of 1..{SAMPLE_BLOCK} cells, got shape {cells.shape}")
+    sums.counts += np.bincount(cells, minlength=sums.counts.size)
     return sums
 
 
@@ -131,7 +127,7 @@ def run_reconstruction(tables: tuple[InverseCDF, ...], coeffs: ChannelCoefficien
     samples each, drawn from tables (readout.output_table of coeffs, one
     per PHASE_ORDERS row, in row order).
 
-    Each phase is drawn and summed one block at a time through buffers
+    Each phase is drawn and counted one block at a time through buffers
     made once per reconstruction, so no record is ever kept.
 
     Returns (MomentSet, NlsCurve).
@@ -140,11 +136,11 @@ def run_reconstruction(tables: tuple[InverseCDF, ...], coeffs: ChannelCoefficien
     ms = MomentSet()
     for k, (table, (_, order)) in enumerate(zip(tables, PHASE_ORDERS, strict=True)):
         phase_seed = derive_seed(seed, k)
-        sums = PowerSums(order, buf)
+        sums = PowerSums(order, table)
         for lo in range(0, count, SAMPLE_BLOCK):
-            block = sample_homodyne(table, phase_seed, min(SAMPLE_BLOCK, count - lo),
+            cells = sample_homodyne(table, phase_seed, min(SAMPLE_BLOCK, count - lo),
                                     lo // SAMPLE_BLOCK, buf)
-            empirical_moments(block, sums)
+            empirical_moments(cells, sums)
         ms.values[k, 1:order + 1], ms.cov[k, :order, :order] = invert_hierarchy(
             *sums.moments(), coeffs)
     ms.mixed = mixed_moment_recovery(ms)

@@ -12,10 +12,10 @@ independent, which is what makes the output-moment hierarchy triangular.
 
 Records are drawn from the marginal of Y_out itself: the state's node
 masses of Q_phi(0), smeared by the channel Gaussian onto an output
-lattice once per channel (output_table), so each sample is one uniform,
-one guided inverse-CDF lookup and one gather.  A block's stream holds one
-region, a uniform per sample, so a longer record extends a shorter one
-(sample_homodyne).
+lattice once per channel (output_table), so each sample is one uniform
+and one guided inverse-CDF lookup, kept as its lattice cell j (the value
+is the node x[j]).  A block's stream holds one region, a uniform per
+sample, so a longer record extends a shorter one (sample_homodyne).
 """
 
 from __future__ import annotations
@@ -174,14 +174,14 @@ def forward_output_moments(q, coeffs: ChannelCoefficients) -> np.ndarray:
 
 class BlockBuffers:
     """Work arrays for one block of at most SAMPLE_BLOCK samples, made once
-    and reused for every block a caller draws and sums, so that no block
-    allocates a sample-sized array: the samples y, the uniforms u, the
-    power terms w and cur of estimate.empirical_moments, and the lookup
-    cells with their guide entries and straddle flags.
+    and reused for every block a caller draws, so that no block allocates
+    a sample-sized array: the uniforms u and the lookup cells with their
+    guide entries and straddle flags.  The cells are the block's samples,
+    as sample_homodyne returns them.
     """
 
     def __init__(self):
-        self.y, self.u, self.w, self.cur = np.empty((4, SAMPLE_BLOCK))
+        self.u = np.empty(SAMPLE_BLOCK)
         self.cells = np.empty(SAMPLE_BLOCK, np.intp)
         self.guide = np.empty(SAMPLE_BLOCK, np.int32)  # viewed as the guide's dtype
         self.straddle = np.empty(SAMPLE_BLOCK, bool)
@@ -363,12 +363,13 @@ def output_table(nodes: NodeMasses, coeffs: ChannelCoefficients) -> InverseCDF:
 
 def sample_homodyne(table: InverseCDF, seed: int, count: int, block: int,
                     buf: BlockBuffers) -> np.ndarray:
-    """The first count <= SAMPLE_BLOCK homodyne records Y_out of block
-    `block` of the stream `seed`, drawn from table (an output_table, so
-    the record is taken at its phase and channel).
+    """The lattice cells of the first count <= SAMPLE_BLOCK homodyne
+    records Y_out of block `block` of the stream `seed`, drawn from table
+    (an output_table, so the record is taken at its phase and channel):
+    the records are table.x[cells].
 
-    Each sample is one uniform u, the cell j with cdf[j] <= u < cdf[j + 1]
-    and the cell's node x[j].  A guide table of GUIDE_BUCKETS equal
+    Each sample is one uniform u and the cell j with
+    cdf[j] <= u < cdf[j + 1].  A guide table of GUIDE_BUCKETS equal
     u-buckets picks the cell in O(1) (Chen & Asau 1974; Devroye 1986,
     section III.2), with a binary search only in the buckets that
     straddle a cell edge.
@@ -380,12 +381,11 @@ def sample_homodyne(table: InverseCDF, seed: int, count: int, block: int,
     uniforms, one per sample in order, of which a block of count samples
     reads the first count, so a longer record extends a shorter one.
 
-    The samples are written into buf.y and a view of them is returned, so
-    a block allocates no sample-sized array; estimate.run_reconstruction
+    The cells are written into buf.cells and a view of them is returned,
+    so a block allocates no sample-sized array; estimate.run_reconstruction
     draws a record by calling this once per block index.
     """
     if not 1 <= count <= SAMPLE_BLOCK:
         raise ValueError(f"count must be in 1..{SAMPLE_BLOCK} (one block), got {count}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, block))))
-    u = rng.random(out=buf.u[:count])
-    return np.take(table.x, table.cell(u, buf), out=buf.y[:count], mode="clip")
+    return table.cell(rng.random(out=buf.u[:count]), buf)

@@ -7,11 +7,12 @@ from dense operator powers, and output moments from collapsing the two
 Gaussian noise sources into a single effective one.  Agreement between
 these and the package is evidence, not tautology.
 
-Three helpers are not oracles.  displacement_block_three_arrays keeps
+Some helpers are not oracles.  displacement_block_three_arrays keeps
 an earlier build of the package's displacement block, the reference for
-bit-for-bit tests of the current one.  The two record helpers at the end
-run the package's one-block sampler and moment sums over a whole record,
-block by block through one set of buffers, as run_reconstruction does.
+bit-for-bit tests of the current one.  The record helpers at the end run
+the package's one-block sampler and cell counts over a whole record,
+block by block through one set of buffers, as run_reconstruction does,
+and put a record of given values on a lattice of its own.
 """
 
 import cmath
@@ -24,7 +25,7 @@ from scipy.linalg import expm
 
 from nlsqueeze.estimate import PowerSums, empirical_moments
 from nlsqueeze.hilbert import coherent_log_moduli
-from nlsqueeze.readout import SAMPLE_BLOCK, BlockBuffers, sample_homodyne
+from nlsqueeze.readout import SAMPLE_BLOCK, BlockBuffers, _inverse_cdf, sample_homodyne
 
 
 def ladder(N: int) -> np.ndarray:
@@ -271,22 +272,39 @@ def coherent_moment_dict(beta: complex) -> dict:
     }
 
 
-def draw_record(table, count: int, seed: int) -> np.ndarray:
-    """The first count samples of the stream (seed) from an output table,
-    drawn one block at a time through one BlockBuffers and copied out of
-    it."""
+def draw_cells(table, count: int, seed: int) -> np.ndarray:
+    """The lattice cells of the first count samples of the stream (seed)
+    from an output table, drawn one block at a time through one
+    BlockBuffers and copied out of it."""
     buf = BlockBuffers()
-    out = np.empty(count)
+    out = np.empty(count, np.intp)
     for lo in range(0, count, SAMPLE_BLOCK):
         m = min(SAMPLE_BLOCK, count - lo)
         out[lo:lo + m] = sample_homodyne(table, seed, m, lo // SAMPLE_BLOCK, buf)
     return out
 
 
-def record_moments(x, max_n: int) -> PowerSums:
-    """The power sums of a whole record x, added one SAMPLE_BLOCK slice at
-    a time, in slice order."""
-    sums = PowerSums(max_n, BlockBuffers())
+def draw_record(table, count: int, seed: int) -> np.ndarray:
+    """The first count samples of the stream (seed) from an output table:
+    the nodes of their cells."""
+    return table.x[draw_cells(table, count, seed)]
+
+
+def lattice_table(values):
+    """(table, cells): a sampling table whose nodes are the distinct
+    values, NaN included, and the cell of each value, so that
+    table.x[cells] is values."""
+    x, cells = np.unique(np.asarray(values, dtype=float), return_inverse=True)
+    return _inverse_cdf(x, np.ones(x.size)), cells
+
+
+def record_moments(x, max_n: int, table=None) -> PowerSums:
+    """The cell counts of a whole record, added one SAMPLE_BLOCK slice at
+    a time, in slice order: x holds the record's cells on table, or, with
+    no table, its values, counted on the lattice_table of x."""
+    if table is None:
+        table, x = lattice_table(x)
+    sums = PowerSums(max_n, table)
     for lo in range(0, len(x), SAMPLE_BLOCK):
         empirical_moments(x[lo:lo + SAMPLE_BLOCK], sums)
     return sums

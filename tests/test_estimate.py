@@ -34,7 +34,7 @@ from nlsqueeze.readout import (SAMPLE_BLOCK, BlockBuffers, ChannelParams, channe
                                schedule_masses)
 from nlsqueeze.states import StateSpec, make_state
 
-from oracles import draw_record, record_moments
+from oracles import draw_cells, lattice_table, record_moments
 
 STANDARD = ChannelParams(G=0.1, Gamma_m=1e-9, n_bar=1e4, tau=1e3)
 STANDARD_CO = channel_coefficients(STANDARD)
@@ -69,7 +69,7 @@ def test_empirical_moments_standard_normal():
 
 
 def test_empirical_moments_survives_huge_values():
-    # the accumulators are rescaled, so eighth powers of 1e60 still work;
+    # the power sums are scaled, so eighth powers of 1e60 still work;
     # the covariance of the fourth power, about 1e480, is inf without a warning
     x = np.linspace(-1e60, 1e60, 500)
     with warnings.catch_warnings():
@@ -101,26 +101,7 @@ def test_empirical_moments_non_finite_in_last_partial_slice(bad):
     x = np.ones(7 * SAMPLE_BLOCK // 2)
     x[-1] = bad
     with pytest.raises(DataError):
-        record_moments(x, 2)
-
-
-def test_rising_exponent_equals_one_exponent_accumulation():
-    # the second block holds the record's largest sample, so the scale 2^exp
-    # rises mid-record; the rescaled sums equal those of an accumulator that
-    # sums the whole record at its final exponent from the start
-    x = np.random.default_rng(5).standard_normal(5 * SAMPLE_BLOCK // 2)
-    x[SAMPLE_BLOCK + 7] = 3e3
-    final_exp = math.frexp(3e3)[1]
-    assert math.frexp(np.abs(x[:SAMPLE_BLOCK]).max())[1] < final_exp
-    rising = record_moments(x, 4)
-    fixed = PowerSums(4, BlockBuffers())
-    fixed.exp = final_exp
-    for lo in range(0, x.size, SAMPLE_BLOCK):
-        empirical_moments(x[lo:lo + SAMPLE_BLOCK], fixed)
-    assert rising.exp == fixed.exp == final_exp
-    np.testing.assert_array_equal(rising.raw, fixed.raw)
-    for a, b in zip(rising.moments(), fixed.moments(), strict=True):
-        np.testing.assert_array_equal(a, b)
+        record_moments(x, 2).moments()
 
 
 def test_empirical_moments_input_validation():
@@ -133,26 +114,27 @@ def test_empirical_moments_input_validation():
     bad = np.zeros(500)
     bad[3] = np.nan
     with pytest.raises(DataError):
-        record_moments(bad, 2)
+        record_moments(bad, 2).moments()
     bad[3] = np.inf
     with pytest.raises(DataError):
-        record_moments(bad, 2)
+        record_moments(bad, 2).moments()
     # finite samples whose fourth power is not a float
     with pytest.raises(DataError, match="overflows"):
-        record_moments(np.array([1e100, -3e99] * 100), 4)
+        record_moments(np.array([1e100, -3e99] * 100), 4).moments()
     # the guard tests the true max, not its power-of-two scale: 1.8 * 2^255
     # has a finite fourth power although 2^256 has none, and 2^341.5 has no
     # finite cube although 2^341 has one
     means, _ = record_moments(np.full(200, 1.8 * 2.0 ** 255), 4).moments()
     assert np.isfinite(means).all()
     with pytest.raises(DataError, match="overflows"):
-        record_moments(np.full(200, 2.0 ** 341.5), 3)
+        record_moments(np.full(200, 2.0 ** 341.5), 3).moments()
 
 
-@pytest.mark.parametrize("block", [np.zeros(SAMPLE_BLOCK + 1), np.zeros((2, 200)), np.zeros(0)],
+@pytest.mark.parametrize("block", [np.zeros(SAMPLE_BLOCK + 1, np.intp), np.zeros((2, 200), np.intp),
+                                   np.zeros(0, np.intp)],
                          ids=["B+1", "2-d", "empty"])
 def test_empirical_moments_takes_one_block(block):
-    sums = PowerSums(2, BlockBuffers())
+    sums = PowerSums(2, lattice_table([0.0])[0])
     with pytest.raises(ValueError, match="1-d block"):
         empirical_moments(block, sums)
     assert sums.count == 0
@@ -287,26 +269,55 @@ def test_one_pass_reconstruction_equals_the_record_path(count):
     seed = 41
     ms, _ = run_reconstruction(tables, STANDARD_CO, count, seed)
     for k, (table, (_, order)) in enumerate(zip(tables, PHASE_ORDERS, strict=True)):
-        record = draw_record(table, count, derive_seed(seed, k))
-        q, q_cov = invert_hierarchy(*record_moments(record, order).moments(), STANDARD_CO)
+        cells = draw_cells(table, count, derive_seed(seed, k))
+        q, q_cov = invert_hierarchy(*record_moments(cells, order, table).moments(), STANDARD_CO)
         np.testing.assert_array_equal(ms.values[k, 1:order + 1], q)
         np.testing.assert_array_equal(ms.cov[k, :order, :order], q_cov)
 
 
+@pytest.mark.parametrize("count", [100, SAMPLE_BLOCK - 1, SAMPLE_BLOCK, SAMPLE_BLOCK + 1,
+                                   7 * SAMPLE_BLOCK // 2],
+                         ids=["100", "B-1", "B", "B+1", "7B/2"])
+def test_reconstruction_equals_one_count_of_the_whole_record(count):
+    # the counts are integers, so the record's cells counted by one
+    # np.bincount give run_reconstruction's moments bit for bit, however
+    # it splits the record into blocks; and the output moments are the
+    # record's power sums to 1e-12
+    tables = output_tables(cubic_state(N=64))
+    seed = 29
+    ms, _ = run_reconstruction(tables, STANDARD_CO, count, seed)
+    for k, (table, (_, order)) in enumerate(zip(tables, PHASE_ORDERS, strict=True)):
+        cells = draw_cells(table, count, derive_seed(seed, k))
+        sums = PowerSums(order, table)
+        sums.counts += np.bincount(cells, minlength=table.x.size)
+        means, cov = sums.moments()
+        q, q_cov = invert_hierarchy(means, cov, STANDARD_CO)
+        np.testing.assert_array_equal(ms.values[k, 1:order + 1], q)
+        np.testing.assert_array_equal(ms.cov[k, :order, :order], q_cov)
+        y = table.x[cells]
+        for n in range(1, order + 1):
+            assert means[n - 1] == pytest.approx(math.fsum(y ** n) / count, rel=1e-12, abs=0.0)
+
+
 def test_one_pass_rejects_non_finite_in_last_partial_block(monkeypatch):
+    # each table carries one more node, a NaN, which only the last sample
+    # of the last, partial block hits; a NaN node no sample hits is no fault
     count = 7 * SAMPLE_BLOCK // 2
     last = count // SAMPLE_BLOCK
+    tables = tuple(dataclasses.replace(t, x=np.append(t.x, np.nan))
+                   for t in output_tables(cubic_state(N=64)))
+    run_reconstruction(tables, STANDARD_CO, count, 3)
     draw = estimate.sample_homodyne
 
     def spoiled(table, seed, m, block, buf):
-        y = draw(table, seed, m, block, buf)
+        cells = draw(table, seed, m, block, buf)
         if block == last:
-            y[-1] = np.nan
-        return y
+            cells[-1] = table.x.size - 1
+        return cells
 
     monkeypatch.setattr(estimate, "sample_homodyne", spoiled)
     with pytest.raises(DataError, match="non-finite"):
-        run_reconstruction(output_tables(cubic_state(N=64)), STANDARD_CO, count, 3)
+        run_reconstruction(tables, STANDARD_CO, count, 3)
 
 
 def test_reconstruction_calls_keep_the_traced_shapes(monkeypatch):
